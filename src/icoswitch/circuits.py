@@ -14,6 +14,9 @@ physical sequence through the unfolded table).
     detector name=system paths=c0,c1
     detector name=ancilla paths=p0,p1
 
+The ``system`` and ``ancilla`` detectors are required; each lists its
+paths in port order (port 0 first).
+
 Stage tags group elements for per-setting angle binding: ``prep`` carries
 [qwp, hwp] per switch arm, ``alice`` [qwp, hwp, qwp] per arm, ``bob`` one
 measurement hwp before and one repreparation hwp after each pbs, and
@@ -35,6 +38,7 @@ from .fock import (
 )
 
 ELEMENT_KINDS = {"bs50", "pbs", "hwp", "qwp", "phase", "delay", "swap"}
+REQUIRED_DETECTORS = ("system", "ancilla")
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 
@@ -200,6 +204,11 @@ def parse_circuit(text: str) -> CircuitSpec:
 
     if source is None:
         errors.append(Diagnostic(0, 0, "exactly one source required, found none"))
+    names = {d.name for d in detectors}
+    for name in REQUIRED_DETECTORS:
+        if name not in names:
+            errors.append(Diagnostic(
+                0, 0, f"detector name={name} required, found none"))
     if errors:
         raise CircuitParseError(errors)
     stages = {k: tuple(v) for k, v in stages.items() if k}
@@ -311,12 +320,13 @@ def program_from_spec(spec: CircuitSpec, setting, overlap: float) -> SwitchProgr
         i for i, d in enumerate(spec.elements)
         if d.kind == "bs50" and set(d.paths) == set(system.paths)
     )
-    scan_path = system.paths[-1]
     return SwitchProgram(
         initial=source_state(spec),
         before_scan=tuple(elements[:final_bs]),
         after_scan=tuple(elements[final_bs:]),
-        scan_path=scan_path,
+        scan_path=system.paths[-1],
+        system_paths=system.paths,
+        ancilla_paths=spec.detector("ancilla").paths,
     )
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -248,13 +249,10 @@ TOMO_TARGETS = {
 
 
 def cmd_tomo(config) -> int:
-    z = int(config.get("input_state", 2))
-    if z not in TOMO_TARGETS:
-        print(f"input state index must be 1..3, got {z}", file=sys.stderr)
-        return EXIT_PARSE
+    z = config["input_state"]
     target = TOMO_TARGETS[z]
-    pairs = int(config.get("pairs", 30000))
-    seed = int(config.get("seed", 0))
+    pairs = config["pairs"]
+    seed = config["seed"]
     records = tomo.simulate_counts(target, pairs_total=pairs, seed=seed)
     results = {
         method: tomo.reconstruct(records, method=method, target=target)
@@ -265,8 +263,7 @@ def cmd_tomo(config) -> int:
     prog = program_from_spec(circuit, ExperimentSetting(z, 1, 1, 1),
                              float(np.sqrt(1.0 - d_value**2)))
     grid = np.linspace(0.0, 2.0 * np.pi, 61)
-    rates = [prog.coincidence_probability(ph) for ph in grid]
-    vis, flat = tomo.fringe_scan(prog, grid)
+    vis, flat, rates = tomo.fringe_scan(prog.coincidence_probability, grid)
     payload = {
         "input_state": z,
         "pairs_total": pairs,
@@ -312,12 +309,6 @@ def cmd_check(config) -> int:
 
 # -- argument handling ----------------------------------------------------------------
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="icoswitch",
-        description="Simulate the time-delocalized measurement switch and "
-                    "optimize causal witnesses.",
-    )
 CONFIG_DEFAULTS = {
     "model": "procmat",
     "distinguishability": 0.0,
@@ -362,28 +353,60 @@ def build_parser():
     return parser
 
 
+def _reject(message) -> NoReturn:
+    print(message, file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_args(args) -> dict:
-    """Defaults, then the config file, then explicit flags."""
+    """Defaults, then the config file, then explicit flags.
+
+    The merged configuration is validated here, once: an invalid value
+    prints one line to stderr and exits with EXIT_PARSE.
+    """
     config = dict(CONFIG_DEFAULTS)
     if args.config:
         try:
-            config.update(json.loads(Path(args.config).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE) from exc
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            _reject(f"cannot read config: {exc}")
+        if not isinstance(loaded, dict):
+            _reject(f"config file must hold a JSON object, "
+                    f"got {type(loaded).__name__}")
+        config.update(loaded)
     provided = vars(args)
     for key in CONFIG_DEFAULTS:
         if provided.get(key) is not None:
             config[key] = provided[key]
+
+    if config["model"] not in MODELS:
+        _reject(f"model must be one of {', '.join(MODELS)}, "
+                f"got {config['model']!r}")
+    if config["convention"] not in witness.CONVENTIONS:
+        _reject(f"convention must be one of {', '.join(witness.CONVENTIONS)}, "
+                f"got {config['convention']!r}")
+    d = config["distinguishability"]
+    if (isinstance(d, bool) or not isinstance(d, (int, float))
+            or not 0.0 <= d <= 1.0):
+        _reject(f"distinguishability must be a number in [0, 1], got {d!r}")
+    for key in ("seed", "steps", "pairs", "input_state"):
+        if not _is_int(config[key]):
+            _reject(f"{key} must be an integer, got {config[key]!r}")
+    if config["seed"] < 0:
+        _reject(f"seed must be non-negative, got {config['seed']}")
+    if config["pairs"] < 1:
+        _reject(f"pairs must be at least 1, got {config['pairs']}")
+    if config["input_state"] not in TOMO_TARGETS:
+        _reject(f"input state index must be 1..3, got {config['input_state']}")
+
+    config["distinguishability"] = float(d)
     if "grid" not in config:
-        n = max(2, int(config["steps"]))
+        n = max(2, config["steps"])
         config["grid"] = [i / (n - 1) for i in range(n)]
-    d = float(config["distinguishability"])
-    if not 0.0 <= d <= 1.0:
-        print(f"distinguishability must be in [0, 1], got {d}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    config["distinguishability"] = d
     return config
 
 

@@ -18,6 +18,11 @@ transmit H and reflect V with unit phase; HWP(t) = [[cos2t, sin2t],
 eraser arms share a bin with amplitude sqrt(overlap) and occupy private
 bins with amplitude sqrt(1 - overlap), so the arm overlap equals the
 overlap parameter.
+
+This module runs a bound circuit; it does not describe one.  The switch
+table lives in a circuit file (``data/switch.circuit`` for the reference
+table), and ``circuits`` parses it, binds one setting's angles and builds
+the ``SwitchProgram`` run here, detector paths included.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from math import factorial, prod
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .settings import jones
 
 NULL_POSTSELECTION = 1e-14
 
@@ -40,18 +47,6 @@ class Mode(NamedTuple):
     path: str
     pol: str  # 'H' or 'V'
     tbin: int
-
-
-def jones(kind: str, theta: float) -> np.ndarray:
-    """Single-photon polarization matrix of a waveplate at angle theta (rad)."""
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
-    if kind == "hwp":
-        return np.array([[c, s], [s, -c]], dtype=complex)
-    if kind == "qwp":
-        r = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        return r @ np.diag([1.0, -1.0j]) @ r.T
-    raise ValueError(f"unknown waveplate kind: {kind!r}")
 
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -253,33 +248,26 @@ def one_photon_per_group(*groups):
     return pattern
 
 
-# -- the switch table ---------------------------------------------------------
-
-SYSTEM_PATHS = ("c0", "c1")   # c0 carries the order 'Alice before Bob'
-ANCILLA_PATHS = ("p0", "p1")
-ANCILLA_INIT_HWP = 22.5       # degrees; prepares the diagonal ancilla state
-SWITCH_ALIGN_PHASE = np.pi    # pins output ports to the +/- control states
-
-
-def _deg(x):
-    return float(np.deg2rad(x))
-
+# -- the switch program -------------------------------------------------------
 
 @dataclass(frozen=True)
 class SwitchProgram:
-    """End-to-end two-photon program of the switch table for one setting.
+    """End-to-end two-photon program of a bound switch circuit.
 
-    The interferometer scan phase is injected on the reflected switch arm
-    just before the recombining beamsplitter (after ``before_scan``, which
-    already ends with the fixed alignment phase); outcome extraction folds
-    the ancilla output port into the port outcome (the port correlation
-    left by the eraser).
+    The interferometer scan phase is injected on ``scan_path`` just before
+    the recombining beamsplitter (after ``before_scan``, which already ends
+    with the fixed alignment phase).  ``system_paths`` and
+    ``ancilla_paths`` are the two detectors' paths in port order; outcome
+    extraction folds the ancilla output port into the port outcome (the
+    port correlation left by the eraser).
     """
 
     initial: FockState
     before_scan: tuple
     after_scan: tuple
-    scan_path: str = "c1"
+    scan_path: str
+    system_paths: tuple
+    ancilla_paths: tuple
 
     def state(self, phase: float = 0.0) -> FockState:
         st = run_elements(self.initial, self.before_scan)
@@ -292,13 +280,13 @@ class SwitchProgram:
         st = self.state(phase)
         out: dict = {}
         for config, p in st.probabilities().items():
-            sys_modes = [m for m in config if m.path in SYSTEM_PATHS]
-            anc_modes = [m for m in config if m.path in ANCILLA_PATHS]
+            sys_modes = [m for m in config if m.path in self.system_paths]
+            anc_modes = [m for m in config if m.path in self.ancilla_paths]
             if len(sys_modes) != 1 or len(anc_modes) != 1:
                 continue  # post-selection: one photon per side
             (sm,), (am,) = sys_modes, anc_modes
-            key = (SYSTEM_PATHS.index(sm.path), sm.pol,
-                   ANCILLA_PATHS.index(am.path), am.pol)
+            key = (self.system_paths.index(sm.path), sm.pol,
+                   self.ancilla_paths.index(am.path), am.pol)
             out[key] = out.get(key, 0.0) + p
         return out
 
@@ -320,76 +308,3 @@ class SwitchProgram:
         """Raw coincidence probability of one detector pair (fringe scans)."""
         joint = self.joint_distribution(phase)
         return joint.get((sys_port, sys_pol, anc_port, anc_pol), 0.0)
-
-
-def hyperentangled_source() -> FockState:
-    """Path-entangled pair with both polarizations set to H.
-
-    The polarization-entangled source photons pass one PBS each and the
-    reflected-arm polarization is erased, so only the path correlation
-    (c0 with p0, c1 with p1) survives.
-    """
-    amp = _SQ2
-    return FockState({
-        (Mode("c0", "H", 0), Mode("p0", "H", 0)): amp,
-        (Mode("c1", "H", 0), Mode("p1", "H", 0)): amp,
-    }, paths=SYSTEM_PATHS + ANCILLA_PATHS)
-
-
-def build_switch_table(angles, d_overlap: float) -> SwitchProgram:
-    """Assemble the full program for one experiment setting.
-
-    ``angles`` provides degrees-valued attributes prep_qwp, prep_hwp,
-    alice_angles, meas_hwp and reprep_hwp; ``d_overlap`` is the temporal
-    mode overlap of the eraser recombination (1 = perfect erasure).
-    """
-    if not 0.0 <= d_overlap <= 1.0:
-        raise ValueError(f"eraser overlap must be in [0, 1], got {d_overlap}")
-    q1, h, q2 = angles.alice_angles
-    els = []
-
-    def stage(seq):
-        els.extend(seq)
-
-    for c in SYSTEM_PATHS:  # state preparation, both arms
-        stage([
-            OpticalElement("qwp", (c,), _deg(angles.prep_qwp)),
-            OpticalElement("hwp", (c,), _deg(angles.prep_hwp)),
-        ])
-    for p in ANCILLA_PATHS:  # ancilla initialization
-        stage([OpticalElement("hwp", (p,), _deg(ANCILLA_INIT_HWP))])
-
-    def alice(path):
-        return [
-            OpticalElement("qwp", (path,), _deg(q1)),
-            OpticalElement("hwp", (path,), _deg(h)),
-            OpticalElement("qwp", (path,), _deg(q2)),
-        ]
-
-    def bob(cpath, ppath):
-        return [
-            OpticalElement("hwp", (cpath,), _deg(angles.meas_hwp)),
-            OpticalElement("pbs", (cpath, ppath)),
-            OpticalElement("hwp", (cpath,), _deg(angles.reprep_hwp)),
-        ]
-
-    stage(alice("c0"))          # order branch c0: Alice first ...
-    stage(bob("c0", "p0"))      # ... then the measurement interaction
-    stage(bob("c1", "p1"))      # order branch c1: measurement first ...
-    stage(alice("c1"))          # ... then Alice
-
-    # eraser: each arm keeps amplitude sqrt(overlap) in the shared bin and
-    # sqrt(1 - overlap) in its own private bin, so the arm overlap (and the
-    # restored fringe visibility) equals d_overlap itself
-    stage([
-        OpticalElement("delay", ("p0",), float(d_overlap), bin=1),
-        OpticalElement("delay", ("p1",), float(d_overlap), bin=2),
-        OpticalElement("bs50", ("p0", "p1")),
-    ])
-    stage([OpticalElement("phase", ("c1",), SWITCH_ALIGN_PHASE)])
-
-    return SwitchProgram(
-        initial=hyperentangled_source(),
-        before_scan=tuple(els),
-        after_scan=(OpticalElement("bs50", ("c0", "c1")),),
-    )

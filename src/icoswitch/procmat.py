@@ -239,21 +239,6 @@ def outcome_operator_coeffs(z, x, y, r, b, d) -> np.ndarray:
     )
 
 
-def setting_probabilities(setting, d_value: float = 0.0,
-                          w: ProcessMatrix | None = None) -> dict:
-    """p[(b, d)] for one catalog setting from the process-matrix rule."""
-    if w is None:
-        w = dephase_order_coherence(w_switch(), d_value)
-    what = pauli_coeffs(w.entries, NQUBITS)
-    out = {}
-    for b in (0, 1):
-        for d in (0, 1):
-            g = outcome_operator_coeffs(setting.z, setting.x, setting.y,
-                                        setting.r, b, d)
-            out[(b, d)] = float(np.real(SIDE * np.dot(g, what)))
-    return out
-
-
 def probability_table(d_value: float = 0.0,
                       w: ProcessMatrix | None = None) -> dict:
     """All 180 x 4 probabilities keyed by (z, x, y, r, b, d)."""

@@ -147,9 +147,6 @@ class LabeledOperator:
             object.__setattr__(self, "_hermitian", cached)
         return cached
 
-    def dagger(self):
-        return LabeledOperator(self.labels, self.dims, self.entries.conj().T)
-
     def trace(self):
         return complex(np.trace(self.entries))
 

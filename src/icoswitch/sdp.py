@@ -206,13 +206,14 @@ def _max_step(x, dx):
 
 
 def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
-                gap_tol=1e-9, maxiter=60, verbose=False, callback=None):
+                gap_tol=1e-9, maxiter=60, callback=None):
     """Run the predictor-corrector iteration on the block problem.
 
     ``b`` is the dual objective vector (length m); each block's columns
     carry global constraint indices into it.  ``free_g``/``free_f`` add
     primal free variables, i.e. dual equality constraints  free_g.T y =
-    free_f.
+    free_f.  ``callback(it, gap, pinf, dinf)``, when given, is called once
+    per iteration before the stopping test.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
@@ -261,9 +262,6 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
         ginf = (np.linalg.norm(r_g) / (1.0 + np.linalg.norm(free_f))
                 if nf else 0.0)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if verbose:
-            print(f"  it {it:3d}  gap {gap:9.2e} relgap {relgap:8.1e} "
-                  f"pinf {pinf:8.1e} dinf {dinf:8.1e} pobj {pobj:+.8f}")
         if callback is not None:
             callback(it, gap, pinf, dinf)
         # relgap bottoms out at the feasibility floor; the complementarity
@@ -369,69 +367,3 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
         status, y, x, z, u, pobj, dobj, gap, it,
         {"pinf": pinf, "dinf": dinf, "relgap": relgap},
     )
-
-
-# -- spec-facing primal-form interface -------------------------------------------
-
-@dataclass(frozen=True)
-class SdpBlock:
-    """Hermitian variable block of a primal-form problem."""
-
-    name: str
-    side: int
-    psd: bool = True
-
-
-@dataclass
-class SdpProblem:
-    """min sum <C_b, X_b>  s.t.  sum <A_ib, X_b> = rhs_i,  X_b >= 0."""
-
-    blocks: list
-    objective: dict
-    constraints: list  # [(dict name -> Hermitian, rhs), ...]
-
-    def validate(self):
-        sides = {bl.name: bl.side for bl in self.blocks}
-        if len(sides) != len(self.blocks):
-            raise ValueError("duplicate block names")
-        for name, c in self.objective.items():
-            if np.asarray(c).shape != (sides[name], sides[name]):
-                raise ValueError(f"objective shape mismatch on {name}")
-            if np.abs(np.asarray(c) - np.asarray(c).conj().T).max() > 1e-12:
-                raise ValueError(f"objective on {name} is not Hermitian")
-        for ops, _ in self.constraints:
-            for name, a in ops.items():
-                if name not in sides:
-                    raise ValueError(f"unknown block {name!r} in constraint")
-                if np.asarray(a).shape != (sides[name], sides[name]):
-                    raise ValueError(f"constraint shape mismatch on {name}")
-        if not all(bl.psd for bl in self.blocks):
-            raise ValueError("only PSD blocks are supported")
-
-
-def sdp_solve(problem: SdpProblem, tol=1e-7, gap_tol=1e-9,
-              maxiter=60, verbose=False) -> SdpSolution:
-    """Solve a primal-form problem.
-
-    The problem maps directly onto the engine's primal side: x_blocks are
-    the variable blocks, y the equality-constraint multipliers, z_blocks
-    the dual slack certificates.
-    """
-    problem.validate()
-    rhs = np.array([float(r) for _, r in problem.constraints])
-    blocks = []
-    for bl in problem.blocks:
-        mats = []
-        idx = []
-        for i, (ops, _) in enumerate(problem.constraints):
-            if bl.name in ops:
-                idx.append(i)
-                mats.append(np.asarray(ops[bl.name], dtype=complex))
-        c = np.asarray(
-            problem.objective.get(bl.name, np.zeros((bl.side, bl.side))),
-            dtype=complex,
-        )
-        blocks.append(Block(bl.name, bl.side, c,
-                            DenseColumns(bl.side, idx, np.asarray(mats))))
-    return solve_conic(blocks, rhs, tol=tol, gap_tol=gap_tol,
-                       maxiter=maxiter, verbose=verbose)

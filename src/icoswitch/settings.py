@@ -3,7 +3,9 @@
 Three input states x ten polarization unitaries for the party inside the
 switch x two measurement bases x three repreparation settings for the
 measuring party = 180 settings, each with four outcomes (measurement
-result b, switch output port d).
+result b, switch output port d).  ``jones`` gives the waveplate matrices
+that turn the catalog angles into qubit operators; the optics simulator
+uses the same matrices.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fock import jones
 
 # (QWP, HWP) degrees; beam passes the QWP first
 INPUT_STATES = [(0.0, 0.0), (0.0, 22.5), (45.0, 0.0)]
@@ -87,6 +87,18 @@ def enumerate_settings():
 
 
 # -- qubit-level operators realized by the catalog angles --------------------
+
+def jones(kind: str, theta: float) -> np.ndarray:
+    """Single-photon polarization matrix of a waveplate at angle theta (rad)."""
+    c, s = np.cos(2 * theta), np.sin(2 * theta)
+    if kind == "hwp":
+        return np.array([[c, s], [s, -c]], dtype=complex)
+    if kind == "qwp":
+        r = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]])
+        return r @ np.diag([1.0, -1.0j]) @ r.T
+    raise ValueError(f"unknown waveplate kind: {kind!r}")
+
 
 def prep_state(z: int) -> np.ndarray:
     """Polarization ket prepared by input row z (QWP then HWP, from |H>)."""

@@ -190,15 +190,3 @@ def setting_probabilities(setting: ExperimentSetting, d_value: float) -> dict:
             ])
             probs[(b, d)] = float(np.real(eff.expectation(rho)))
     return probs
-
-
-def control_coherence(setting: ExperimentSetting, d_value: float) -> float:
-    """|<0| rho_c |1>| of the dephased output for one setting."""
-    state = switch_evolve(
-        alice_unitary(setting.x),
-        jones("hwp", np.deg2rad(setting.meas_hwp)),
-        prep_state(setting.z),
-        bob_reprep=jones("hwp", np.deg2rad(setting.reprep_hwp)),
-    )
-    rho = dephase_control(state.outer(), d_value)
-    return float(abs(partial_trace(rho, {"c"}).entries[0, 1]))

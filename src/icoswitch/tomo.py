@@ -247,24 +247,18 @@ def records_from_csv(text: str) -> list:
 
 # -- fringe scans ------------------------------------------------------------------
 
-def fringe_scan(program, phase_grid) -> tuple:
+def fringe_scan(rate, phase_grid) -> tuple:
     """Visibility (max-min)/(max+min) of a coincidence scan.
 
-    ``program`` is either a callable phase -> rate or an object with a
-    coincidence_probability(phase) method.  Returns (visibility,
-    degenerate_flag); a flat signal reports zero visibility with the flag
-    set.
+    ``rate`` maps a phase to a coincidence rate.  Returns (visibility,
+    degenerate_flag, rates) with the rates on ``phase_grid``; a flat
+    signal reports zero visibility with the flag set.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
     if np.ptp(phase_grid) < 2 * np.pi - 1e-9:
         raise ValueError("phase grid must cover at least one full period")
-    if callable(program):
-        rates = np.array([program(ph) for ph in phase_grid])
-    else:
-        rates = np.array([
-            program.coincidence_probability(ph) for ph in phase_grid
-        ])
+    rates = np.array([rate(ph) for ph in phase_grid])
     hi, lo = float(rates.max()), float(rates.min())
     if hi + lo < 1e-14 or hi - lo < 1e-12 * max(hi, 1e-30):
-        return 0.0, True
-    return (hi - lo) / (hi + lo), False
+        return 0.0, True, rates
+    return (hi - lo) / (hi + lo), False, rates

@@ -38,6 +38,10 @@ from .sdp import Block, PauliColumns, solve_conic
 CONVENTIONS = ("white-noise", "generalized-robustness", "identity-cap")
 DEFAULT_CONVENTION = "white-noise"
 
+SPAN_TOL = 1e-10       # relative singular-value cut of the span basis
+CONE_TOL = 1e-8        # dual-cone check: feasibility and gap tolerance
+WITNESS_MAXITER = 45   # witness solve; its tolerances are the solver's
+
 _CTX = PauliContext(pm.NQUBITS)
 
 
@@ -48,11 +52,6 @@ class SpanRankWarning(UserWarning):
 def setting_key(z, x, y, r, b, d):
     """Witness-table key (b, d, x, y, z) with y combining (meas, reprep)."""
     return (b, d, x, (y - 1) * 3 + r, z)
-
-
-def split_bob_index(y6):
-    """Inverse of the combined Bob index: returns (y, r)."""
-    return (y6 - 1) // 3 + 1, (y6 - 1) % 3 + 1
 
 
 @dataclass
@@ -71,7 +70,7 @@ class SpanBasis:
         return self.onb.shape[0]
 
 
-def build_span(x_subset=None, tol=1e-10) -> SpanBasis:
+def build_span(x_subset=None) -> SpanBasis:
     """Span of outcome operators, cleaned of commonly forbidden patterns.
 
     ``x_subset`` restricts Alice's unitaries (nested-span studies).
@@ -91,10 +90,10 @@ def build_span(x_subset=None, tol=1e-10) -> SpanBasis:
     mat = np.asarray(rows)
     forb_ab, forb_ba, _ = pm._pattern_masks()
     mat[:, forb_ab & forb_ba] = 0.0
-    support = np.flatnonzero(np.abs(mat).max(axis=0) > tol)
+    support = np.flatnonzero(np.abs(mat).max(axis=0) > SPAN_TOL)
     mat = mat[:, support]
     u, sing, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int((sing > tol * sing[0]).sum())
+    rank = int((sing > SPAN_TOL * sing[0]).sum())
     onb = vt[:rank]
     alpha_map = u[:, :rank] / sing[:rank]
     return SpanBasis(keys, support, mat, onb, sing[:rank], alpha_map)
@@ -115,8 +114,7 @@ def _order_patterns(order):
     return np.flatnonzero(forb_ab if order == "A->B" else forb_ba)
 
 
-def dual_cone_check(s_op: LabeledOperator, tol=1e-8,
-                    margin=1e-9) -> DualConeReport:
+def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
     """Decide Tr[S W] >= 0 on both ordered cones via phase-1 feasibility.
 
     For each order, maximizes t subject to S - R - t*1 >= 0 with R ranging
@@ -142,7 +140,8 @@ def dual_cone_check(s_op: LabeledOperator, tol=1e-8,
         block = Block("T", pm.SIDE, np.asarray(s_op.entries), cols)
         b = np.zeros(m)
         b[-1] = 1.0  # maximize t
-        sol = solve_conic([block], b, tol=tol, gap_tol=tol, maxiter=60)
+        sol = solve_conic([block], b, tol=CONE_TOL, gap_tol=CONE_TOL,
+                          maxiter=60)
         statuses[order] = sol.status
         if not sol.optimal:
             member = None
@@ -237,9 +236,7 @@ def _span_blocks(span: SpanBasis, convention: str):
 
 
 def optimize_witness(w: pm.ProcessMatrix, span: SpanBasis,
-                     convention: str = DEFAULT_CONVENTION,
-                     tol=1e-7, gap_tol=1e-9, maxiter=45,
-                     verbose=False) -> WitnessSolution:
+                     convention: str = DEFAULT_CONVENTION) -> WitnessSolution:
     """Minimize Tr[S W] over span-restricted causal witnesses.
 
     Returns the witness operator, the coefficient table alpha with
@@ -258,8 +255,8 @@ def optimize_witness(w: pm.ProcessMatrix, span: SpanBasis,
     what = np.real(pauli_coeffs(np.asarray(w.entries), pm.NQUBITS))
     b = np.zeros(m)
     b[layout["s"]] = -pm.SIDE * (span.onb @ what[span.support])
-    sol = solve_conic(blocks, b, free_g=free_g, free_f=free_f, tol=tol,
-                      gap_tol=gap_tol, maxiter=maxiter, verbose=verbose)
+    sol = solve_conic(blocks, b, free_g=free_g, free_f=free_f,
+                      maxiter=WITNESS_MAXITER)
 
     s_coords = sol.y[layout["s"]]
     coeffs = span.onb.T @ s_coords

@@ -7,7 +7,6 @@ from icoswitch.circuits import (
     program_from_spec,
     reference_circuit_text,
 )
-from icoswitch.fock import build_switch_table
 from icoswitch.settings import ExperimentSetting
 
 
@@ -76,16 +75,20 @@ def test_comments_and_blank_lines_ignored():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_reference_program_equals_builtin_program(seed):
+def test_renamed_detector_paths_give_reference_program(seed):
+    # the detector paths come from the file, whatever they are called
     rng = np.random.default_rng(seed)
-    spec = parse_circuit(reference_circuit_text())
+    text = reference_circuit_text()
+    spec = parse_circuit(text)
+    renamed = parse_circuit(text.replace("c0", "s0").replace("c1", "s1"))
+    assert renamed.detector("system").paths == ("s0", "s1")
     s = ExperimentSetting(int(rng.integers(1, 4)), int(rng.integers(1, 11)),
                           int(rng.integers(1, 3)), int(rng.integers(1, 4)))
     overlap = float(rng.uniform())
     phase = float(rng.uniform(0, 2 * np.pi))
-    parsed = program_from_spec(spec, s, overlap).outcome_probabilities(phase)
-    built = build_switch_table(s, overlap).outcome_probabilities(phase)
-    assert max(abs(parsed[k] - built[k]) for k in built) < 1e-12
+    ref = program_from_spec(spec, s, overlap).outcome_probabilities(phase)
+    got = program_from_spec(renamed, s, overlap).outcome_probabilities(phase)
+    assert max(abs(got[k] - ref[k]) for k in ref) < 1e-12
 
 
 def test_alice_stage_validation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from icoswitch import cli
+from icoswitch.circuits import reference_circuit_text
 from icoswitch.plots import fringe_svg, sweep_svg
 
 DATA = Path(__file__).parent / "data"
@@ -91,6 +92,50 @@ def test_invalid_distinguishability_exit_code(tmp_path):
     rc = cli.main(["simulate", "--distinguishability", "1.4",
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_PARSE
+
+
+REFERENCE_CIRCUIT = reference_circuit_text()
+
+
+@pytest.mark.parametrize("command, config, circuit, message", [
+    pytest.param("simulate", [0.29], None, "JSON object", id="not-an-object"),
+    pytest.param("simulate", {"model": "optics"}, None, "model", id="model"),
+    pytest.param("witness", {"convention": "strict"}, None, "convention",
+                 id="convention"),
+    pytest.param("simulate", {"distinguishability": "high"}, None,
+                 "distinguishability", id="d-not-a-number"),
+    pytest.param("simulate", {"distinguishability": 1.5}, None,
+                 "distinguishability", id="d-out-of-range"),
+    pytest.param("tomo", {"seed": 1.5}, None, "seed", id="seed-not-integer"),
+    pytest.param("tomo", {"seed": -1}, None, "seed", id="seed-negative"),
+    pytest.param("sweep", {"steps": "21"}, None, "steps",
+                 id="steps-not-integer"),
+    pytest.param("tomo", {"pairs": 0}, None, "pairs", id="pairs-zero"),
+    pytest.param("tomo", {"input_state": 4}, None, "input state",
+                 id="input-state"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("detector name=system", "# none"),
+                 "circuit: line 0, col 0: detector name=system required",
+                 id="no-system-detector"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("detector name=ancilla", "# none"),
+                 "circuit: line 0, col 0: detector name=ancilla required",
+                 id="no-ancilla-detector"),
+])
+def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
+                                           config, circuit, message):
+    argv = [command, "--out", str(tmp_path / "o")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    if circuit is not None:
+        (tmp_path / "switch.circuit").write_text(circuit)
+        argv += ["--model", "fock", "--circuit", str(tmp_path / "switch.circuit")]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_PARSE
+    assert len(err) == 1 and message in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_fringe_svg_matches_golden():

@@ -1,22 +1,30 @@
 import numpy as np
 import pytest
 
+from icoswitch.circuits import (
+    parse_circuit,
+    program_from_spec,
+    reference_circuit_text,
+    source_state,
+)
 from icoswitch.fock import (
     FockState,
     Mode,
     NullPostselectionError,
     OpticalElement,
-    build_switch_table,
     evolve,
-    hyperentangled_source,
-    jones,
     one_photon_per_group,
     postselect,
     run_elements,
 )
-from icoswitch.settings import ExperimentSetting, enumerate_settings
+from icoswitch.settings import ExperimentSetting, enumerate_settings, jones
 
 SQ2 = 1 / np.sqrt(2)
+REFERENCE = parse_circuit(reference_circuit_text())
+
+
+def switch_program(setting, overlap):
+    return program_from_spec(REFERENCE, setting, overlap)
 
 
 def single(path="a", pol="H", tbin=0, amp=1.0):
@@ -216,7 +224,7 @@ def qubit_reference(s, d_value):
 
 def test_switch_program_matches_qubit_oracle_ideal():
     s = ExperimentSetting(1, 1, 1, 1)
-    prog = build_switch_table(s, 1.0)
+    prog = switch_program(s, 1.0)
     probs = prog.outcome_probabilities()
     ref = qubit_reference(s, 0.0)
     assert max(abs(probs[k] - ref[k]) for k in ref) < 1e-9
@@ -228,7 +236,7 @@ def test_switch_program_matches_qubit_oracle_random_settings(seed):
     s = ExperimentSetting(int(rng.integers(1, 4)), int(rng.integers(1, 11)),
                           int(rng.integers(1, 3)), int(rng.integers(1, 4)))
     d_value = float(rng.uniform(0, 1))
-    prog = build_switch_table(s, np.sqrt(1 - d_value**2))
+    prog = switch_program(s, np.sqrt(1 - d_value**2))
     probs = prog.outcome_probabilities()
     ref = qubit_reference(s, d_value)
     assert max(abs(probs[k] - ref[k]) for k in ref) < 1e-9
@@ -236,7 +244,7 @@ def test_switch_program_matches_qubit_oracle_random_settings(seed):
 
 def test_success_probability_half_for_all_settings_sample():
     for s in enumerate_settings()[::23]:
-        prog = build_switch_table(s, 0.9)
+        prog = switch_program(s, 0.9)
         assert abs(prog.success_probability() - 0.5) < 1e-12
 
 
@@ -244,7 +252,7 @@ def test_fringe_visibility_tracks_overlap():
     s = ExperimentSetting(1, 1, 1, 1)
     grid = np.linspace(0, 2 * np.pi, 41)
     for ov, tol in ((1.0, 1e-9), (0.98, 1e-3), (0.0, 1e-9)):
-        prog = build_switch_table(s, ov)
+        prog = switch_program(s, ov)
         rates = [prog.coincidence_probability(ph) for ph in grid]
         lo, hi = min(rates), max(rates)
         vis = 0.0 if hi + lo == 0 else (hi - lo) / (hi + lo)
@@ -254,7 +262,6 @@ def test_fringe_visibility_tracks_overlap():
 def test_bob_state_structure_after_postselection():
     # amplitude of the HH component on the order branch where Alice acts
     # first equals <H|U_A psi>/2 right after Bob's PBS, for random settings
-    from icoswitch.fock import hyperentangled_source
     from icoswitch.settings import alice_unitary, prep_state
 
     rng = np.random.default_rng(21)
@@ -271,18 +278,20 @@ def test_bob_state_structure_after_postselection():
             OpticalElement("hwp", ("c0",), deg(s.meas_hwp)),
             OpticalElement("pbs", ("c0", "p0")),
         ]
-        st = run_elements(hyperentangled_source(), els)
+        st = run_elements(source_state(REFERENCE), els)
         amp = st.terms.get((Mode("c0", "H", 0), Mode("p0", "H", 0)), 0.0)
         expect = np.array([1, 0]) @ alice_unitary(s.x) @ prep_state(s.z) / 2
         assert abs(abs(amp) - abs(expect)) < 1e-12
 
 
-def test_build_switch_table_rejects_bad_overlap():
-    with pytest.raises(ValueError):
-        build_switch_table(ExperimentSetting(1, 1, 1, 1), 1.5)
+def test_program_from_spec_rejects_bad_overlap():
+    with pytest.raises(ValueError, match="overlap"):
+        switch_program(ExperimentSetting(1, 1, 1, 1), 1.5)
 
 
 def test_source_is_normalized_path_entangled_pair():
-    src = hyperentangled_source()
+    src = source_state(REFERENCE)
     assert abs(src.norm_sq() - 1) < 1e-12
     assert src.photons == 2
+    assert {frozenset(m.path for m in c) for c in src.terms} == {
+        frozenset({"c0", "p0"}), frozenset({"c1", "p1"})}

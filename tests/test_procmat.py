@@ -28,13 +28,16 @@ def test_w_switch_rank_one_psd_trace(w):
 
 def test_w_switch_probabilities_match_circuit_oracle(w):
     rng = np.random.default_rng(0)
+    tables = {}
     for _ in range(6):
         s = ExperimentSetting(int(rng.integers(1, 4)), int(rng.integers(1, 11)),
                               int(rng.integers(1, 3)), int(rng.integers(1, 4)))
         d_value = float(rng.choice([0.0, 0.29, 0.8]))
-        got = pm.setting_probabilities(s, d_value)
+        if d_value not in tables:
+            tables[d_value] = pm.probability_table(d_value)
         ref = qubit_probs(s, d_value)
-        assert max(abs(got[k] - ref[k]) for k in ref) < 1e-9
+        assert max(abs(tables[d_value][(s.z, s.x, s.y, s.r, b, d)] - p)
+                   for (b, d), p in ref.items()) < 1e-9
 
 
 def test_full_dephasing_equals_half_mixture(w):

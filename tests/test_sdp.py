@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from icoswitch.sdp import (
-    Block,
-    DenseColumns,
-    PauliColumns,
-    SdpBlock,
-    SdpProblem,
-    sdp_solve,
-    solve_conic,
-)
+from icoswitch.sdp import Block, DenseColumns, PauliColumns, solve_conic
 
 
 def rand_herm(rng, d):
@@ -19,14 +11,10 @@ def rand_herm(rng, d):
 
 def test_min_trace_with_pinned_corner():
     # minimize Tr(X) s.t. X >= 0, X11 = 1  -> optimum 1
-    e11 = np.zeros((3, 3))
+    e11 = np.zeros((3, 3), dtype=complex)
     e11[0, 0] = 1.0
-    prob = SdpProblem(
-        blocks=[SdpBlock("X", 3)],
-        objective={"X": np.eye(3)},
-        constraints=[({"X": e11}, 1.0)],
-    )
-    sol = sdp_solve(prob)
+    block = Block("X", 3, np.eye(3, dtype=complex), DenseColumns(3, [0], [e11]))
+    sol = solve_conic([block], np.array([1.0]))
     assert sol.optimal
     assert abs(sol.primal_objective - 1.0) < 1e-7
     assert abs(sol.primal_objective - sol.dual_objective) < 1e-7
@@ -90,12 +78,8 @@ def test_primal_dual_gap_invariant_on_random_instances():
     for _ in range(3):
         c = rand_herm(rng, 6) + 6 * np.eye(6)
         a1, a2 = rand_herm(rng, 6), rand_herm(rng, 6)
-        prob = SdpProblem(
-            blocks=[SdpBlock("X", 6)],
-            objective={"X": c},
-            constraints=[({"X": a1}, 1.0), ({"X": a2}, 0.5)],
-        )
-        sol = sdp_solve(prob)
+        block = Block("X", 6, c, DenseColumns(6, [0, 1], [a1, a2]))
+        sol = solve_conic([block], np.array([1.0, 0.5]))
         assert sol.optimal
         assert abs(sol.primal_objective - sol.dual_objective) < 1e-7
         x = sol.x_blocks["X"]
@@ -112,23 +96,6 @@ def test_free_variable_equality_is_enforced():
                       free_g=np.array([[1.0]]), free_f=np.array([0.25]))
     assert sol.optimal
     assert abs(sol.y[0] - 0.25) < 1e-7
-
-
-def test_problem_validation():
-    bad = SdpProblem(
-        blocks=[SdpBlock("X", 2)],
-        objective={"X": np.array([[0, 1], [0, 0]])},
-        constraints=[],
-    )
-    with pytest.raises(ValueError, match="Hermitian"):
-        bad.validate()
-    bad2 = SdpProblem(
-        blocks=[SdpBlock("X", 2)],
-        objective={},
-        constraints=[({"Y": np.eye(2)}, 1.0)],
-    )
-    with pytest.raises(ValueError, match="unknown block"):
-        bad2.validate()
 
 
 def test_pauli_columns_agree_with_dense_columns():

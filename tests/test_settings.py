@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,3 +83,18 @@ def test_prep_states_bloch_directions():
     assert abs(np.real(v1.conj() @ sz @ v1) - 1) < 1e-12
     assert abs(np.real(v2.conj() @ sx @ v2) - 1) < 1e-12
     assert abs(abs(np.real(v3.conj() @ sy @ v3)) - 1) < 1e-12
+
+
+def test_model_layers_do_not_import_the_optics_simulator():
+    # the catalog, qubit and process-matrix layers stand apart from fock
+    import icoswitch
+
+    src = str(Path(icoswitch.__file__).resolve().parents[1])
+    code = ("import sys, icoswitch.switch, icoswitch.procmat, "
+            "icoswitch.witness; print(sorted(m for m in sys.modules "
+            "if m.startswith('icoswitch.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert "icoswitch.settings" in out
+    assert "icoswitch.fock" not in out

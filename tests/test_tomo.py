@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from icoswitch import tomo
-from icoswitch.fock import build_switch_table
+from icoswitch.circuits import (
+    parse_circuit,
+    program_from_spec,
+    reference_circuit_text,
+)
 from icoswitch.settings import ExperimentSetting
 
 SQ2 = 1 / np.sqrt(2)
@@ -174,15 +178,18 @@ def test_targets_match_switch_model_output():
 def test_fringe_scan_visibility_levels():
     grid = np.linspace(0.0, 2 * np.pi, 33)
     s = ExperimentSetting(1, 1, 1, 1)
+    spec = parse_circuit(reference_circuit_text())
     for overlap, expected, tol in ((1.0, 1.0, 1e-6), (0.98, 0.98, 1e-3)):
-        prog = build_switch_table(s, overlap)
-        vis, flat = tomo.fringe_scan(prog, grid)
+        prog = program_from_spec(spec, s, overlap)
+        vis, flat, rates = tomo.fringe_scan(prog.coincidence_probability, grid)
         assert not flat
         assert abs(vis - expected) < tol
-    prog = build_switch_table(s, 0.0)
-    vis, flat = tomo.fringe_scan(prog, grid)
+        assert rates[5] == prog.coincidence_probability(grid[5])
+    prog = program_from_spec(spec, s, 0.0)
+    vis, flat, rates = tomo.fringe_scan(prog.coincidence_probability, grid)
     assert flat
     assert vis == 0.0
+    assert len(rates) == len(grid)
 
 
 def test_fringe_scan_requires_full_period():
