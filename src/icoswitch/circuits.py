@@ -15,7 +15,8 @@ physical sequence through the unfolded table).
     detector name=ancilla paths=p0,p1
 
 The ``system`` and ``ancilla`` detectors are required; each lists its
-paths in port order (port 0 first).
+paths in port order (port 0 first).  The last ``bs50`` on exactly the
+system paths closes the interferometer; the scan phase acts before it.
 
 Stage tags group elements for per-setting angle binding: ``prep`` carries
 [qwp, hwp] per switch arm, ``alice`` [qwp, hwp, qwp] per arm, ``bob`` one
@@ -68,6 +69,7 @@ class SourceDecl:
 class DetectorDecl:
     name: str
     paths: tuple
+    line: int
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def parse_circuit(text: str) -> CircuitSpec:
                 if p not in paths:
                     errors.append(Diagnostic(line_no, col, f"undeclared path {p!r}"))
             detectors.append(DetectorDecl(kv.get("name", f"d{len(detectors)}"),
-                                          dpaths))
+                                          dpaths, line_no))
             continue
 
         if head not in ELEMENT_KINDS:
@@ -316,10 +318,14 @@ def program_from_spec(spec: CircuitSpec, setting, overlap: float) -> SwitchProgr
     beamsplitter on the system detector paths."""
     elements = bind_setting(spec, setting, overlap)
     system = spec.detector("system")
-    final_bs = max(
-        i for i, d in enumerate(spec.elements)
-        if d.kind == "bs50" and set(d.paths) == set(system.paths)
-    )
+    closing = [i for i, d in enumerate(spec.elements)
+               if d.kind == "bs50" and set(d.paths) == set(system.paths)]
+    if not closing:
+        raise CircuitParseError([Diagnostic(
+            system.line, 1,
+            f"detector name=system needs a bs50 on exactly its paths "
+            f"{','.join(system.paths)}, found none")])
+    final_bs = closing[-1]
     return SwitchProgram(
         initial=source_state(spec),
         before_scan=tuple(elements[:final_bs]),

@@ -189,9 +189,7 @@ def cmd_witness(config) -> int:
 
 
 def cmd_sweep(config) -> int:
-    grid = config.get("grid")
-    if grid is None:
-        grid = [round(0.05 * i, 10) for i in range(21)]
+    grid = config["grid"]
     span = witness.build_span()
     base = dict(config)
     base["distinguishability"] = 0.0
@@ -320,6 +318,9 @@ CONFIG_DEFAULTS = {
     "input_state": 2,
     "pairs": 30000,
 }
+# keys a config file may set: the defaults, and the sweep grid (which
+# otherwise follows from steps)
+CONFIG_KEYS = (*CONFIG_DEFAULTS, "grid")
 
 
 def build_parser():
@@ -362,6 +363,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_unit_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0.0 <= value <= 1.0)
+
+
 def config_from_args(args) -> dict:
     """Defaults, then the config file, then explicit flags.
 
@@ -377,6 +383,10 @@ def config_from_args(args) -> dict:
         if not isinstance(loaded, dict):
             _reject(f"config file must hold a JSON object, "
                     f"got {type(loaded).__name__}")
+        unknown = sorted(set(loaded) - set(CONFIG_KEYS))
+        if unknown:
+            _reject(f"unknown config key {unknown[0]!r}; known keys are "
+                    f"{', '.join(CONFIG_KEYS)}")
         config.update(loaded)
     provided = vars(args)
     for key in CONFIG_DEFAULTS:
@@ -390,9 +400,13 @@ def config_from_args(args) -> dict:
         _reject(f"convention must be one of {', '.join(witness.CONVENTIONS)}, "
                 f"got {config['convention']!r}")
     d = config["distinguishability"]
-    if (isinstance(d, bool) or not isinstance(d, (int, float))
-            or not 0.0 <= d <= 1.0):
+    if not _is_unit_number(d):
         _reject(f"distinguishability must be a number in [0, 1], got {d!r}")
+    grid = config.get("grid")
+    if grid is not None and not (isinstance(grid, list) and grid
+                                 and all(map(_is_unit_number, grid))):
+        _reject(f"grid must be a non-empty list of numbers in [0, 1], "
+                f"got {grid!r}")
     for key in ("seed", "steps", "pairs", "input_state"):
         if not _is_int(config[key]):
             _reject(f"{key} must be an integer, got {config[key]!r}")

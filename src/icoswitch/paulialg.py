@@ -10,8 +10,12 @@ forming large dense products:
 
 where the pattern XOR acts on the per-qubit (x, z) symplectic labels.
 Writing V = sum_u vhat_u P_u, the coefficient vector of P_s V is the
-XOR-shifted, phase-twisted gather  u -> vhat_{s xor u} * gamma(s, s xor u),
-which reduces Tr[A V B V] computations to one real/complex GEMM.
+XOR-shifted, phase-twisted gather  u -> vhat_{s xor u} * gamma(s, s xor u).
+For Hermitian V the coefficients vhat are real, so each gathered entry is
+purely real or purely imaginary: ``ShiftCache`` keeps the gather indices
+and the phase as int8 sign tables, built once per pattern set and process,
+and returns the real and imaginary parts separately.  Tr[A V B V] then
+reduces to two real Gram products.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ _DIGIT_X = np.array([0, 1, 1, 0], dtype=np.int64)
 _DIGIT_Z = np.array([0, 0, 1, 1], dtype=np.int64)
 
 _I_POW = np.array([1, 1j, -1, -1j], dtype=complex)
+# i^k = _RE_SIGN[k] + 1j * _IM_SIGN[k]
+_RE_SIGN = np.array([1, 0, -1, 0], dtype=np.int8)
+_IM_SIGN = np.array([0, 1, 0, -1], dtype=np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +109,11 @@ class PauliContext:
         return _I_POW[expo]
 
     def shift_tables(self, rows):
-        """Gather indices and phases for the coefficient map of P_s V.
+        """Gather indices and phase signs for the coefficient map of P_s V.
 
-        Returns (tgt, phase) with  (P_s V)-coefficient at u equal to
-        vhat[tgt[s_row, u]] * phase[s_row, u].
+        Returns (tgt, re, im) with the (P_s V)-coefficient at u equal to
+        vhat[tgt[s_row, u]] * (re[s_row, u] + 1j * im[s_row, u]); the phase
+        is in {+-1, +-i}, so re and im are int8 in {-1, 0, 1}.
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 1)
         all_idx = np.arange(self.npatterns, dtype=np.int64).reshape(1, -1)
@@ -116,7 +124,7 @@ class PauliContext:
         cross = self.popcount[zs & (xs ^ xu)]
         expo = (self.delta[rows] + self.delta[tgt] - self.delta[all_idx]
                 + 2 * cross) % 4
-        return tgt.astype(np.int32), _I_POW[expo].astype(np.complex64)
+        return tgt.astype(np.int32), _RE_SIGN[expo], _IM_SIGN[expo]
 
     def shift_rows(self, rows, vhat):
         """Coefficient vectors of P_s V for each pattern s in ``rows``.
@@ -124,42 +132,65 @@ class PauliContext:
         V = sum_u vhat_u P_u; returns the (len(rows), 4^n) complex array F
         with  P_s V = sum_u F[s, u] P_u.
         """
-        tgt, phase = self.shift_tables(rows)
-        return vhat[tgt] * phase
+        tgt, re, im = self.shift_tables(rows)
+        return vhat[tgt] * (re + 1j * im)
+
+
+_BUILD_ROWS = 256   # pattern rows per table-building step (int64 temporaries)
+_GATHER_ROWS = 8    # pattern rows per gather step (index conversion in cache)
+
+
+@lru_cache(maxsize=4)
+def _cached_shift_tables(nqubits, rows):
+    """Read-only shift tables of one pattern set, built chunk by chunk."""
+    ctx = PauliContext(nqubits)
+    shape = (len(rows), ctx.npatterns)
+    tgt = np.empty(shape, dtype=np.int32)
+    re = np.empty(shape, dtype=np.int8)
+    im = np.empty(shape, dtype=np.int8)
+    for lo in range(0, len(rows), _BUILD_ROWS):
+        hi = lo + _BUILD_ROWS
+        tgt[lo:hi], re[lo:hi], im[lo:hi] = ctx.shift_tables(rows[lo:hi])
+    for table in (tgt, re, im):
+        table.flags.writeable = False
+    return tgt, re, im
 
 
 class ShiftCache:
-    """Precomputed gather tables for repeated shift_rows on fixed patterns."""
+    """Gather tables for repeated shift_rows on fixed patterns and real vhat.
 
-    def __init__(self, ctx: PauliContext, rows, chunk=256):
+    The tables of a pattern set are shared by every cache over that set in
+    the process (an LRU of the last few sets), so two blocks on the same
+    support and repeated solves build them once.
+    """
+
+    def __init__(self, ctx: PauliContext, rows):
         self.ctx = ctx
         self.rows = np.asarray(rows, dtype=np.int64)
-        self.chunk = chunk
-        self._tables = []
-        for lo in range(0, len(self.rows), chunk):
-            self._tables.append(ctx.shift_tables(self.rows[lo:lo + chunk]))
+        self.tgt, self.re, self.im = _cached_shift_tables(
+            ctx.nqubits, tuple(self.rows.tolist()))
 
     def apply(self, vhat, out=None):
-        """F rows for the cached patterns: vhat[tgt] * phase."""
+        """(Re F, Im F) for the cached patterns and real vhat, as float64."""
         if out is None:
-            out = np.empty((len(self.rows), self.ctx.npatterns), dtype=complex)
-        lo = 0
-        for tgt, phase in self._tables:
-            k = tgt.shape[0]
-            np.take(vhat, tgt, out=out[lo:lo + k])
-            out[lo:lo + k] *= phase
-            lo += k
-        return out
+            out = (np.empty(self.tgt.shape), np.empty(self.tgt.shape))
+        re, im = out
+        for lo in range(0, len(self.rows), _GATHER_ROWS):
+            hi = lo + _GATHER_ROWS
+            part = re[lo:hi]
+            np.take(vhat, self.tgt[lo:hi], out=part)
+            np.multiply(part, self.im[lo:hi], out=im[lo:hi])
+            part *= self.re[lo:hi]
+        return re, im
 
-    def apply_combined(self, vhat, weights):
-        """weights @ F for the cached patterns, chunk by chunk."""
-        acc = np.zeros((weights.shape[0], self.ctx.npatterns), dtype=complex)
-        lo = 0
-        for tgt, phase in self._tables:
-            k = tgt.shape[0]
-            acc += weights[:, lo:lo + k] @ (vhat[tgt] * phase)
-            lo += k
-        return acc
+    def apply_combined(self, vhat, weights, out=None):
+        """(Re, Im) of weights @ F for real weights."""
+        f_re, f_im = self.apply(vhat)
+        if out is None:
+            return weights @ f_re, weights @ f_im
+        np.matmul(weights, f_re, out=out[0])
+        np.matmul(weights, f_im, out=out[1])
+        return out
 
 
 # -- dense <-> coefficient transforms ---------------------------------------

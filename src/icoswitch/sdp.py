@@ -11,7 +11,16 @@ predictor-corrector.  The Schur complement H_ij = sum_b <A_i, W A_j W> is
 assembled per block through a column provider, so witness-sized problems
 (128-side blocks, a few thousand scalar variables) can exploit the
 Pauli-product structure of their constraint operators instead of forming
-dense congruences column by column.
+dense congruences column by column.  For Pauli columns the coefficients
+Phi of A_i W are gathered from shift tables cached per pattern set, and
+since W is Hermitian the Gram is real:  Re(Phi Phi^T) = Re Phi Re Phi^T -
+Im Phi Im Phi^T, two real symmetric products.
+
+Each iteration factors H once by Cholesky (the positive-definiteness test
+behind the regularization ladder) and solves the Newton system once in the
+predictor, stacked with the free-variable columns G, and once in the
+corrector, reusing H^-1 G.  Non-finite input or a non-finite H ends the
+solve with status ``numerical_failure``.
 
 Complementarity is linearized in the scaled space: with What = W^{1/2},
 Lambda = What Z What and T = DX + DZ (scaled directions), the Newton
@@ -31,11 +40,6 @@ from .paulialg import (
     pauli_coeffs,
     sparse_coeffs_to_matrix,
 )
-
-def _real_gram(phi):
-    """Re(phi @ phi.T) for complex phi (the Gram is real by Hermiticity)."""
-    return np.real(phi @ phi.T)
-
 
 # -- column providers ----------------------------------------------------------
 
@@ -88,6 +92,9 @@ class PauliColumns:
             np.asarray(unit_indices, dtype=np.int64),
             np.asarray(dense_indices, dtype=np.int64),
         ])
+        # the unit coefficients scale rows and columns of the Gram
+        self._gram_scale = np.concatenate([self.unit_coeffs,
+                                           np.ones(len(self.dense_rows))])
         self._unit_cache = (
             ShiftCache(self.ctx, self.unit_patterns)
             if len(self.unit_patterns) else None
@@ -99,25 +106,29 @@ class PauliColumns:
         self._phi_buf = None
 
     def _phi(self, vhat):
-        """Pauli coefficients of A_i V for every local column."""
+        """Real and imaginary parts of the Pauli coefficients of A_i V for
+        every local column (real ``vhat``), unit coefficients left out."""
         n_unit = len(self.unit_patterns)
-        k = n_unit + len(self.dense_rows)
         if self._phi_buf is None:
-            self._phi_buf = np.empty((k, len(vhat)), dtype=complex)
-        phi = self._phi_buf
+            shape = (len(self.indices), len(vhat))
+            self._phi_buf = (np.empty(shape), np.empty(shape))
+        re, im = self._phi_buf
         if n_unit:
-            self._unit_cache.apply(vhat, out=phi[:n_unit])
-            phi[:n_unit] *= self.unit_coeffs[:, None]
+            self._unit_cache.apply(vhat, out=(re[:n_unit], im[:n_unit]))
         if len(self.dense_rows):
-            phi[n_unit:] = self._dense_cache.apply_combined(
-                vhat, self.dense_rows
+            self._dense_cache.apply_combined(
+                vhat, self.dense_rows, out=(re[n_unit:], im[n_unit:])
             )
-        return phi
+        return re, im
 
     def gram(self, w):
-        vhat = pauli_coeffs(w, self.nqubits)
-        phi = self._phi(vhat)
-        return self.side * _real_gram(phi)
+        # W is Hermitian, so its Pauli coefficients are real
+        vhat = np.real(pauli_coeffs(w, self.nqubits))
+        re, im = self._phi(vhat)
+        g = re @ re.T
+        g -= im @ im.T
+        g *= self.side * np.outer(self._gram_scale, self._gram_scale)
+        return g
 
     def dots(self, mat):
         mhat = np.real(pauli_coeffs(mat, self.nqubits))
@@ -213,7 +224,9 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
     carry global constraint indices into it.  ``free_g``/``free_f`` add
     primal free variables, i.e. dual equality constraints  free_g.T y =
     free_f.  ``callback(it, gap, pinf, dinf)``, when given, is called once
-    per iteration before the stopping test.
+    per iteration before the stopping test.  A NaN or infinite entry in
+    ``b``, a block's ``c`` or the free-variable data returns
+    ``numerical_failure`` at once, with no iterates.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
@@ -221,6 +234,11 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
     if nf:
         free_g = np.asarray(free_g, dtype=float).reshape(m, nf)
         free_f = np.asarray(free_f, dtype=float).reshape(nf)
+    data = [b] + [bl.c for bl in blocks] + ([free_g, free_f] if nf else [])
+    if not all(np.isfinite(a).all() for a in data):
+        nan = float("nan")
+        return SdpSolution("numerical_failure", np.zeros(m), {}, {},
+                           np.zeros(nf), nan, nan, nan, 0)
 
     scale = 1.0 + max(
         [abs(b).max() if m else 0.0]
@@ -281,26 +299,34 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
             scal[bl.name] = (w, w_half, w_mhalf, lam_e, lam_q)
             idx = bl.columns.indices
             h[np.ix_(idx, idx)] += bl.columns.gram(w)
-        # factor KKT with optional free variables
-        base_reg = 1e-13 * (1.0 + np.abs(h).max())
-        reg = base_reg
+        failure = SdpSolution("numerical_failure", y, x, z, u, pobj, dobj,
+                              gap, it, {"pinf": pinf, "dinf": dinf})
+        if not np.isfinite(h).all():
+            return failure
+        # Cholesky as the positive-definiteness test: raise the diagonal
+        # shift until it succeeds, then solve with the shifted H
+        h_max = np.abs(h).max()
+        reg = 1e-13 * (1.0 + h_max)
         while True:
+            h_reg = h + reg * np.eye(m)
             try:
-                chol = np.linalg.cholesky(h + reg * np.eye(m))
+                np.linalg.cholesky(h_reg)
                 break
             except np.linalg.LinAlgError:
                 reg *= 100.0
-                if reg > 1e-2 * (1.0 + np.abs(h).max()):
-                    return SdpSolution(
-                        "numerical_failure", y, x, z, u, pobj, dobj, gap, it,
-                        {"pinf": pinf, "dinf": dinf},
-                    )
+                if reg > 1e-2 * (1.0 + h_max):
+                    return failure
+        hg = None   # H^-1 G, from the predictor's stacked solve
 
         def kkt_solve(rhs1, rhs2):
-            t1 = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs1))
+            nonlocal hg
+            if nf and hg is None:
+                sol = np.linalg.solve(h_reg, np.column_stack([rhs1, free_g]))
+                t1, hg = sol[:, 0], sol[:, 1:]
+            else:
+                t1 = np.linalg.solve(h_reg, rhs1)
             if not nf:
                 return t1, np.zeros(0)
-            hg = np.linalg.solve(chol.T, np.linalg.solve(chol, free_g))
             small = free_g.T @ hg
             du = np.linalg.solve(small, free_g.T @ t1 - rhs2)
             dy = t1 - hg @ du

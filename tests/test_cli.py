@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icoswitch import cli
+from icoswitch import cli, witness
 from icoswitch.circuits import reference_circuit_text
 from icoswitch.plots import fringe_svg, sweep_svg
 
@@ -95,6 +95,8 @@ def test_invalid_distinguishability_exit_code(tmp_path):
 
 
 REFERENCE_CIRCUIT = reference_circuit_text()
+SYSTEM_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index(
+    "detector name=system paths=c0,c1")
 
 
 @pytest.mark.parametrize("command, config, circuit, message", [
@@ -121,6 +123,25 @@ REFERENCE_CIRCUIT = reference_circuit_text()
                  REFERENCE_CIRCUIT.replace("detector name=ancilla", "# none"),
                  "circuit: line 0, col 0: detector name=ancilla required",
                  id="no-ancilla-detector"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("bs50 paths=c0,c1", "# none"),
+                 f"circuit: line {SYSTEM_LINE}, col 1: detector name=system "
+                 f"needs a bs50 on exactly its paths c0,c1",
+                 id="no-closing-beamsplitter"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("name=system paths=c0,c1",
+                                           "name=system paths=c0,c1,p0"),
+                 f"circuit: line {SYSTEM_LINE}, col 1: detector name=system "
+                 f"needs a bs50 on exactly its paths c0,c1,p0",
+                 id="three-path-system-detector"),
+    pytest.param("simulate", {"distinguishabilty": 0.5}, None,
+                 "unknown config key 'distinguishabilty'", id="unknown-key"),
+    pytest.param("sweep", {"grid": 0.5}, None, "grid", id="grid-not-a-list"),
+    pytest.param("sweep", {"grid": []}, None, "grid", id="grid-empty"),
+    pytest.param("sweep", {"grid": [0.0, "0.5"]}, None, "grid",
+                 id="grid-not-numbers"),
+    pytest.param("sweep", {"grid": [0.0, 1.5]}, None, "grid",
+                 id="grid-out-of-range"),
 ])
 def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
                                            config, circuit, message):
@@ -135,6 +156,21 @@ def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == cli.EXIT_PARSE
     assert len(err) == 1 and message in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_witness_exits_4_when_the_solve_is_not_optimal(tmp_path, capsys,
+                                                      monkeypatch):
+    solve = witness.solve_conic
+
+    def one_iteration(*args, **kwargs):
+        return solve(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(witness, "solve_conic", one_iteration)
+    rc = cli.main(["witness", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_SOLVER
+    assert err == ["solver did not reach optimality: max_iterations"]
     assert not (tmp_path / "o").exists()
 
 

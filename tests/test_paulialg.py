@@ -3,6 +3,7 @@ import pytest
 
 from icoswitch.paulialg import (
     PauliContext,
+    ShiftCache,
     coeffs_to_matrix,
     pauli_coeffs,
     pauli_coeffs_batch,
@@ -121,3 +122,35 @@ def test_sparse_synthesis_matches_dense():
     vals = rng.normal(size=4) + 1j * rng.normal(size=4)
     direct = sum(v * ctx.dense(p) for p, v in zip(pats, vals))
     assert np.abs(sparse_coeffs_to_matrix(pats, vals, ctx) - direct).max() < 1e-13
+
+
+@pytest.mark.parametrize("q, n_rows", [(3, None), (7, 48)])
+def test_shift_cache_matches_shift_rows(q, n_rows):
+    # every row at q = 3, random rows at the witness size q = 7
+    ctx = PauliContext(q)
+    rng = np.random.default_rng(q + 41)
+    vhat = np.real(pauli_coeffs(rand_herm(rng, ctx.dim), q))
+    rows = (np.arange(ctx.npatterns) if n_rows is None
+            else rng.choice(ctx.npatterns, size=n_rows, replace=False))
+    re, im = ShiftCache(ctx, rows).apply(vhat)
+    f = ctx.shift_rows(rows, vhat)
+    assert np.array_equal(re, f.real)
+    assert np.array_equal(im, f.imag)
+    # Hermitian V: every entry is purely real or purely imaginary
+    assert not np.any((re != 0) & (im != 0))
+
+
+def test_apply_combined_is_weights_times_apply():
+    q = 3
+    ctx = PauliContext(q)
+    rng = np.random.default_rng(43)
+    vhat = np.real(pauli_coeffs(rand_herm(rng, ctx.dim), q))
+    rows = rng.choice(ctx.npatterns, size=20, replace=False)
+    weights = rng.normal(size=(5, 20))
+    cache = ShiftCache(ctx, rows)
+    re, im = cache.apply(vhat)
+    out = (np.empty((5, ctx.npatterns)), np.empty((5, ctx.npatterns)))
+    for c_re, c_im in (cache.apply_combined(vhat, weights),
+                       cache.apply_combined(vhat, weights, out=out)):
+        assert np.abs(c_re - weights @ re).max() < 1e-13
+        assert np.abs(c_im - weights @ im).max() < 1e-13

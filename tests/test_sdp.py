@@ -122,6 +122,36 @@ def test_pauli_columns_agree_with_dense_columns():
     assert np.abs(sol_d.y - sol_p.y).max() < 1e-5
 
 
+def test_pauli_gram_matches_dense_gram_with_witness_signs():
+    # the witness blocks' layout: unit columns with coefficient -1, then
+    # negated dense rows whose shifted coefficients are partly real and
+    # partly imaginary
+    from icoswitch.paulialg import (PauliContext, ShiftCache, pauli_coeffs,
+                                    sparse_coeffs_to_matrix)
+
+    q = 3
+    ctx = PauliContext(q)
+    rng = np.random.default_rng(19)
+    units = np.array([5, 18, 33, 60])
+    support = np.array([0, 7, 21, 42, 63])
+    rows = rng.normal(size=(3, len(support)))
+    cols = PauliColumns(
+        q, unit_indices=[0, 1, 2, 3], unit_patterns=units,
+        dense_indices=[4, 5, 6], dense_rows=-rows, dense_support=support,
+        unit_coeffs=-np.ones(len(units)),
+    )
+    dense = DenseColumns(8, range(7), [-ctx.dense(int(s)) for s in units]
+                         + [sparse_coeffs_to_matrix(support, -r, ctx)
+                            for r in rows])
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    w = g @ g.conj().T + np.eye(8)
+    vhat = np.real(pauli_coeffs(w, q))
+    re, im = ShiftCache(ctx, support).apply_combined(vhat, -rows)
+    assert np.abs(re).max() > 0.1 and np.abs(im).max() > 0.1
+    expected = dense.gram(w)
+    assert np.abs(cols.gram(w) - expected).max() < 1e-12 * np.abs(expected).max()
+
+
 def test_unit_pattern_columns_and_signs():
     from icoswitch.paulialg import PauliContext
 
@@ -144,3 +174,48 @@ def test_unit_pattern_columns_and_signs():
     )
     assert sol_d.optimal and sol_p.optimal
     assert np.abs(sol_d.y - sol_p.y).max() < 1e-5
+
+
+def two_by_two(c=np.diag([3.0, 1.0])):
+    """max t s.t. C - t I >= 0 on a 2 x 2 block."""
+    return Block("S", 2, np.asarray(c, dtype=complex),
+                 DenseColumns(2, [0], [np.eye(2, dtype=complex)]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["c", "b", "free_g", "free_f"])
+def test_non_finite_input_fails_at_once(where, bad):
+    c = np.diag([3.0, 1.0])
+    b = np.array([1.0])
+    free_g, free_f = np.array([[1.0]]), np.array([0.25])
+    {"c": c, "b": b, "free_g": free_g, "free_f": free_f}[where].flat[0] = bad
+    sol = solve_conic([two_by_two(c)], b, free_g=free_g, free_f=free_f)
+    assert sol.status == "numerical_failure"
+    assert sol.iterations == 0
+
+
+def test_non_finite_schur_complement_fails_in_first_iteration():
+    # finite data, but a NaN constraint operator makes H non-finite
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = a[1, 0] = np.nan
+    block = Block("S", 2, np.eye(2, dtype=complex), DenseColumns(2, [0], [a]))
+    sol = solve_conic([block], np.array([1.0]))
+    assert sol.status == "numerical_failure"
+    assert sol.iterations == 1
+
+
+def test_iteration_cap_returns_max_iterations():
+    sol = solve_conic([two_by_two()], np.array([1.0]), maxiter=1)
+    assert sol.status == "max_iterations"
+    assert sol.iterations == 1
+    assert not sol.optimal
+
+
+def test_dual_infeasible_problem_stalls():
+    # Z = -1 - y diag(1, -1) >= 0 needs y <= -1 and y >= 1: no dual point,
+    # so the step lengths collapse
+    block = Block("X", 2, -np.eye(2, dtype=complex),
+                  DenseColumns(2, [0], [np.diag([1.0, -1.0]).astype(complex)]))
+    sol = solve_conic([block], np.array([0.5]))
+    assert sol.status == "stalled"
+    assert sol.iterations < 60
