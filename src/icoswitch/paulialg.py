@@ -2,9 +2,11 @@
 
 Hermitian Pauli products are indexed by base-4 digit strings (digit order
 I, X, Y, Z; leftmost digit = first tensor factor).  The module provides
-dense <-> coefficient transforms, signed-permutation representations, and
-the group-product phase machinery used to assemble operator Grams without
-forming large dense products:
+dense <-> coefficient transforms (``coeffs_to_matrix`` is the one synthesis
+path; ``sparse_coeffs_to_matrix`` scatters a pattern list into it), the
+signed-permutation form of single products (``perm_phase``/``dense``, an
+independent reference), and the group-product phase machinery used to
+assemble operator Grams without forming large dense products:
 
     P_s P_t = gamma(s, t) P_{s xor t},   gamma in {+-1, +-i},
 
@@ -244,11 +246,7 @@ def coeffs_to_matrix(coeffs: np.ndarray, nqubits: int) -> np.ndarray:
 
 
 def sparse_coeffs_to_matrix(patterns, values, ctx: PauliContext) -> np.ndarray:
-    """sum_s values[s] P_s for a sparse pattern list, via signed permutations."""
-    n = ctx.dim
-    out = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    for s, v in zip(patterns, values):
-        perm, phase = ctx.perm_phase(int(s))
-        out[perm, cols] += v * phase
-    return out
+    """sum_s values[s] P_s for a sparse pattern list; repeated patterns add."""
+    coeffs = np.zeros(ctx.npatterns, dtype=complex)
+    np.add.at(coeffs, np.asarray(patterns, dtype=np.int64), values)
+    return coeffs_to_matrix(coeffs, ctx.nqubits)

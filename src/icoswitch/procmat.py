@@ -43,6 +43,18 @@ _YBASIS = [np.array([1.0, 1.0j]) / np.sqrt(2), np.array([1.0, -1.0j]) / np.sqrt(
 _ZBASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 DETECT_BASES = {"x": _PLUSMINUS, "y": _YBASIS, "z": _ZBASIS}
 
+# causal order -> (first in, first out, second in, second out, F_c value)
+ORDERS = {
+    "A->B": ("A_I", "A_O", "B_I", "B_O", 0),
+    "B->A": ("B_I", "B_O", "A_I", "A_O", 1),
+}
+
+
+def _order(order: str):
+    if order not in ORDERS:
+        raise ValueError(f"unknown order {order!r}")
+    return ORDERS[order]
+
 
 class CatalogError(ValueError):
     """Setting or outcome index outside the waveplate catalog."""
@@ -90,35 +102,28 @@ def _choi_vector(kraus: np.ndarray, label_in: str, label_out: str) -> LabeledVec
     return vec
 
 
+def _branch(order: str) -> LabeledVector:
+    """Link-vector branch of |w> for one order, F_c set to the order."""
+    first_in, first_out, second_in, second_out, fc = _order(order)
+    return tensor([
+        link_vector(2, "P", first_in),
+        link_vector(2, first_out, second_in),
+        link_vector(2, second_out, "F_t"),
+        _ket("F_c", np.eye(2)[fc]),
+    ])
+
+
 def w_switch() -> ProcessMatrix:
     """Rank-1 process matrix of the coherently ordered switch."""
-    branches = []
-    for fc, wiring in (
-        (0, [("P", "A_I"), ("A_O", "B_I"), ("B_O", "F_t")]),
-        (1, [("P", "B_I"), ("B_O", "A_I"), ("A_O", "F_t")]),
-    ):
-        parts = [link_vector(2, a, b) for a, b in wiring]
-        parts.append(_ket("F_c", np.eye(2)[fc]))
-        branches.append(tensor(parts))
-    amp = (branches[0].amplitudes + branches[1].amplitudes) / np.sqrt(2.0)
-    vec = LabeledVector(branches[0].labels, branches[0].dims, amp)
+    ab, ba = _branch("A->B"), _branch("B->A")
+    amp = (ab.amplitudes + ba.amplitudes) / np.sqrt(2.0)
+    vec = LabeledVector(ab.labels, ab.dims, amp)
     return ProcessMatrix(vec.outer(), kind="pure-switch")
 
 
 def w_ordered(order: str) -> ProcessMatrix:
     """Definite-order reduction of the switch (one branch of |w>)."""
-    if order == "A->B":
-        wiring = [("P", "A_I"), ("A_O", "B_I"), ("B_O", "F_t")]
-        fc = 0
-    elif order == "B->A":
-        wiring = [("P", "B_I"), ("B_O", "A_I"), ("A_O", "F_t")]
-        fc = 1
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    parts = [link_vector(2, a, b) for a, b in wiring]
-    parts.append(_ket("F_c", np.eye(2)[fc]))
-    vec = tensor(parts)
-    return ProcessMatrix(vec.outer(), kind=f"ordered-{order}")
+    return ProcessMatrix(_branch(order).outer(), kind=f"ordered-{order}")
 
 
 def dephase_order_coherence(w: ProcessMatrix, d_value: float) -> ProcessMatrix:
@@ -263,42 +268,40 @@ def probability_table(d_value: float = 0.0,
 
 # -- causally ordered subspaces ---------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _nontrivial():
+    """label -> mask of the patterns acting non-trivially on that label."""
+    dg = PauliContext(NQUBITS).digits  # (N, 7) in canonical label order
+    return {l: dg[:, _IDX[l]] != 0 for l in CANONICAL}
+
+
+@lru_cache(maxsize=4)
+def forbidden_mask(order: str) -> np.ndarray:
+    """Patterns no process of the given order carries (comb conditions)."""
+    _, first_out, second_in, second_out, _ = _order(order)
+    nz = _nontrivial()
+    f_trivial = ~nz["F_c"] & ~nz["F_t"]
+    c1 = nz[second_out] & f_trivial
+    c2 = nz[first_out] & ~nz[second_in] & ~nz[second_out] & f_trivial
+    c3 = (nz["P"] & ~nz["A_I"] & ~nz["A_O"] & ~nz["B_I"] & ~nz["B_O"]
+          & f_trivial)
+    return c1 | c2 | c3
+
+
 @lru_cache(maxsize=4)
 def _pattern_masks():
     """Forbidden Pauli-pattern masks for the ordered and valid subspaces."""
-    ctx = PauliContext(NQUBITS)
-    dg = ctx.digits  # (N, 7) in canonical label order
-    col = {l: dg[:, _IDX[l]] for l in CANONICAL}
-    ai, ao = col["A_I"] != 0, col["A_O"] != 0
-    bi, bo = col["B_I"] != 0, col["B_O"] != 0
-    fc, ft = col["F_c"] != 0, col["F_t"] != 0
-    p = col["P"] != 0
-    f_trivial = ~fc & ~ft
-
-    def ordered(first_out, second_in, second_out):
-        # comb conditions for order first -> second, future last
-        c1 = second_out & f_trivial
-        c2 = first_out & ~second_in & ~second_out & f_trivial
-        c3 = p & ~ai & ~ao & ~bi & ~bo & f_trivial
-        return c1 | c2 | c3
-
-    forb_ab = ordered(ao, bi, bo)
-    forb_ba = ordered(bo, ai, ao)
-
-    a_pairable = ao | (~ai & ~ao)
-    b_pairable = bo | (~bi & ~bo)
-    nontrivial = p | ao | bo
+    nz = _nontrivial()
+    f_trivial = ~nz["F_c"] & ~nz["F_t"]
+    a_pairable = nz["A_O"] | (~nz["A_I"] & ~nz["A_O"])
+    b_pairable = nz["B_O"] | (~nz["B_I"] & ~nz["B_O"])
+    nontrivial = nz["P"] | nz["A_O"] | nz["B_O"]
     forb_valid = f_trivial & a_pairable & b_pairable & nontrivial
-    return forb_ab, forb_ba, forb_valid
+    return forbidden_mask("A->B"), forbidden_mask("B->A"), forb_valid
 
 
 def ordered_projector_mask(order: str) -> np.ndarray:
-    forb_ab, forb_ba, _ = _pattern_masks()
-    if order == "A->B":
-        return ~forb_ab
-    if order == "B->A":
-        return ~forb_ba
-    raise ValueError(f"unknown order {order!r}")
+    return ~forbidden_mask(order)
 
 
 def valid_projector_mask() -> np.ndarray:
@@ -344,12 +347,7 @@ def random_ordered(order: str, rng: np.random.Generator,
         q, r = np.linalg.qr(z)
         return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
-    if order == "A->B":
-        first_in, first_out, second_in, second_out = "A_I", "A_O", "B_I", "B_O"
-    elif order == "B->A":
-        first_in, first_out, second_in, second_out = "B_I", "B_O", "A_I", "A_O"
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    first_in, first_out, second_in, second_out, _ = _order(order)
 
     v_in = haar(2)
     mid = [haar(2)]

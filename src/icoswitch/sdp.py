@@ -12,9 +12,11 @@ assembled per block through a column provider, so witness-sized problems
 (128-side blocks, a few thousand scalar variables) can exploit the
 Pauli-product structure of their constraint operators instead of forming
 dense congruences column by column.  For Pauli columns the coefficients
-Phi of A_i W are gathered from shift tables cached per pattern set, and
-since W is Hermitian the Gram is real:  Re(Phi Phi^T) = Re Phi Re Phi^T -
-Im Phi Im Phi^T, two real symmetric products.
+Phi of A_i W are gathered from shift tables cached per pattern set into
+Re/Im buffers that each Gram call allocates and frees, and since W is
+Hermitian the Gram is real:  Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi
+Im Phi^T, two real symmetric products.  A column's operator is built from
+its coefficients by ``sparse_coeffs_to_matrix``.
 
 Each iteration factors H once by Cholesky (the positive-definiteness test
 behind the regularization ladder) and solves the Newton system once in the
@@ -71,30 +73,24 @@ class DenseColumns:
 class PauliColumns:
     """Constraint operators given by real Pauli-pattern coefficient rows.
 
-    ``unit_patterns`` lists operators that are single Pauli products;
+    ``unit_patterns`` lists operators that are single Pauli products P_s;
     ``dense_rows`` is a real (k, len(dense_support)) coefficient matrix
     over ``dense_support`` patterns.  Unit columns come first in the local
     index order.
     """
 
     def __init__(self, nqubits, unit_indices, unit_patterns,
-                 dense_indices, dense_rows, dense_support, unit_coeffs=None):
+                 dense_indices, dense_rows, dense_support):
         self.ctx = PauliContext(nqubits)
         self.side = 2**nqubits
         self.nqubits = nqubits
         self.unit_patterns = np.asarray(unit_patterns, dtype=np.int64)
-        if unit_coeffs is None:
-            unit_coeffs = np.ones(len(self.unit_patterns))
-        self.unit_coeffs = np.asarray(unit_coeffs, dtype=float)
         self.dense_rows = np.asarray(dense_rows, dtype=float)
         self.dense_support = np.asarray(dense_support, dtype=np.int64)
         self.indices = np.concatenate([
             np.asarray(unit_indices, dtype=np.int64),
             np.asarray(dense_indices, dtype=np.int64),
         ])
-        # the unit coefficients scale rows and columns of the Gram
-        self._gram_scale = np.concatenate([self.unit_coeffs,
-                                           np.ones(len(self.dense_rows))])
         self._unit_cache = (
             ShiftCache(self.ctx, self.unit_patterns)
             if len(self.unit_patterns) else None
@@ -103,51 +99,37 @@ class PauliColumns:
             ShiftCache(self.ctx, self.dense_support)
             if len(self.dense_rows) else None
         )
-        self._phi_buf = None
 
-    def _phi(self, vhat):
-        """Real and imaginary parts of the Pauli coefficients of A_i V for
-        every local column (real ``vhat``), unit coefficients left out."""
+    def gram(self, w):
+        # W is Hermitian, so its Pauli coefficients are real; Phi holds the
+        # (Re, Im) coefficients of A_i W for every local column and lives
+        # only for this call
+        vhat = np.real(pauli_coeffs(w, self.nqubits))
         n_unit = len(self.unit_patterns)
-        if self._phi_buf is None:
-            shape = (len(self.indices), len(vhat))
-            self._phi_buf = (np.empty(shape), np.empty(shape))
-        re, im = self._phi_buf
+        shape = (len(self.indices), len(vhat))
+        re, im = np.empty(shape), np.empty(shape)
         if n_unit:
             self._unit_cache.apply(vhat, out=(re[:n_unit], im[:n_unit]))
         if len(self.dense_rows):
             self._dense_cache.apply_combined(
                 vhat, self.dense_rows, out=(re[n_unit:], im[n_unit:])
             )
-        return re, im
-
-    def gram(self, w):
-        # W is Hermitian, so its Pauli coefficients are real
-        vhat = np.real(pauli_coeffs(w, self.nqubits))
-        re, im = self._phi(vhat)
         g = re @ re.T
         g -= im @ im.T
-        g *= self.side * np.outer(self._gram_scale, self._gram_scale)
+        g *= self.side
         return g
 
     def dots(self, mat):
         mhat = np.real(pauli_coeffs(mat, self.nqubits))
-        unit = self.side * self.unit_coeffs * mhat[self.unit_patterns]
-        dense = self.side * (self.dense_rows @ mhat[self.dense_support])
-        return np.concatenate([unit, dense])
+        return self.side * np.concatenate([
+            mhat[self.unit_patterns],
+            self.dense_rows @ mhat[self.dense_support],
+        ])
 
     def combine(self, yloc):
         n_unit = len(self.unit_patterns)
-        coeff: dict = {}
-        unit_vals = self.unit_coeffs * yloc[:n_unit]
-        for pat, val in zip(self.unit_patterns, unit_vals):
-            coeff[int(pat)] = coeff.get(int(pat), 0.0) + float(val)
-        if len(self.dense_rows):
-            dense_vals = yloc[n_unit:] @ self.dense_rows
-            for pat, val in zip(self.dense_support, dense_vals):
-                coeff[int(pat)] = coeff.get(int(pat), 0.0) + float(val)
-        pats = list(coeff)
-        vals = [coeff[p] for p in pats]
+        pats = np.concatenate([self.unit_patterns, self.dense_support])
+        vals = np.concatenate([yloc[:n_unit], yloc[n_unit:] @ self.dense_rows])
         return sparse_coeffs_to_matrix(pats, vals, self.ctx)
 
 
@@ -205,11 +187,18 @@ def _nt_scaling(x, z):
 
 
 def _max_step(x, dx):
-    """Largest alpha <= 1 with x + alpha dx psd (x strictly pd)."""
+    """Largest alpha <= 1 with x + alpha dx psd (x strictly pd).
+
+    Returns 0 when x is so near singular that the scaled direction
+    overflows: no step can then be certified, and the solve stalls.
+    """
     lam, q = np.linalg.eigh(x)
     lam = np.clip(lam, 1e-300, None)
     root = (q / np.sqrt(lam)) @ q.conj().T
-    m = root @ dx @ root.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = root @ dx @ root.conj().T
+    if not np.isfinite(m).all():
+        return 0.0
     lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
     if lo >= 0:
         return 1.0

@@ -110,8 +110,7 @@ class DualConeReport:
 
 
 def _order_patterns(order):
-    forb_ab, forb_ba, _ = pm._pattern_masks()
-    return np.flatnonzero(forb_ab if order == "A->B" else forb_ba)
+    return np.flatnonzero(pm.forbidden_mask(order))
 
 
 def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
@@ -125,7 +124,7 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
         raise ValueError("witness candidate must be Hermitian")
     margins, decomp, statuses = {}, {}, {}
     member: bool | None = True
-    for order in ("A->B", "B->A"):
+    for order in pm.ORDERS:
         pats = _order_patterns(order)
         m = len(pats) + 1
         eye_row = np.ones((1, 1))
@@ -187,35 +186,28 @@ def _span_blocks(span: SpanBasis, convention: str):
     zero = np.zeros((pm.SIDE, pm.SIDE), dtype=complex)
     for name, pats, vidx in (("T_ab", pats_ab, layout["v_ab"]),
                              ("T_ba", pats_ba, layout["v_ba"])):
-        # Z = 0 - sum s_k (-Q_k) - sum v_j (-P_j) = S + R  (the certificate)
+        # Z = 0 - sum s_k (-Q_k) - sum v_j P_j = S - R  (the certificate
+        # T = S - R with R on the order's forbidden patterns)
         cols = PauliColumns(
             pm.NQUBITS,
             unit_indices=vidx, unit_patterns=pats,
             dense_indices=layout["s"], dense_rows=-span.onb,
             dense_support=span.support,
-            unit_coeffs=-np.ones(len(pats)),
         )
         blocks.append(Block(name, pm.SIDE, zero, cols))
 
     free_g = free_f = None
-    if convention == "generalized-robustness":
-        _, _, forb_valid = pm._pattern_masks()
-        pats_v = np.flatnonzero(forb_valid)
+    if convention in ("generalized-robustness", "identity-cap"):
+        # Z = 1/8 - S - R >= 0, with R over the patterns no valid process
+        # carries (generalized robustness) or R = 0 (identity cap)
+        pats_v = np.zeros(0, dtype=np.int64)
+        if convention == "generalized-robustness":
+            pats_v = np.flatnonzero(pm._pattern_masks()[2])
         layout["v_valid"] = np.arange(off, off + len(pats_v))
         off += len(pats_v)
         cols = PauliColumns(
             pm.NQUBITS,
             unit_indices=layout["v_valid"], unit_patterns=pats_v,
-            dense_indices=layout["s"], dense_rows=span.onb,
-            dense_support=span.support,
-        )
-        blocks.append(Block(
-            "T_norm", pm.SIDE, np.eye(pm.SIDE, dtype=complex) / 8.0, cols
-        ))
-    elif convention == "identity-cap":
-        cols = PauliColumns(
-            pm.NQUBITS,
-            unit_indices=[], unit_patterns=[],
             dense_indices=layout["s"], dense_rows=span.onb,
             dense_support=span.support,
         )

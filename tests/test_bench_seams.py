@@ -1,0 +1,44 @@
+"""The names the benchmark harness in perfbench/ wraps or calls exist.
+
+A refactor that moves one of them otherwise shows up only as a KeyError
+under ``perfbench/run.py --trace 1`` or as failed benchmark operations.
+No solve runs here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from icoswitch import cli, witness
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_seam_resolves():
+    tracing = load("tracing")
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracing.TARGETS
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+@pytest.mark.parametrize("owner, names", [
+    (witness, ["SpanRankWarning", "solve_conic", "_order_patterns",
+               "build_span", "dual_cone_check", "evaluate_witness",
+               "probs_to_witness_table", "solution_to_json"]),
+    (cli, ["solve_reference_witness", "run_metadata", "probabilities_csv",
+           "write_report_files", "load_circuit", "config_from_args",
+           "build_parser", "main"]),
+], ids=["witness", "cli"])
+def test_workload_names_resolve(owner, names):
+    load("workloads")   # its own imports from the package resolve
+    assert [n for n in names if not hasattr(owner, n)] == []

@@ -160,7 +160,7 @@ def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
 
 
 def test_witness_exits_4_when_the_solve_is_not_optimal(tmp_path, capsys,
-                                                      monkeypatch):
+                                                      monkeypatch, recwarn):
     solve = witness.solve_conic
 
     def one_iteration(*args, **kwargs):
@@ -172,6 +172,9 @@ def test_witness_exits_4_when_the_solve_is_not_optimal(tmp_path, capsys,
     assert rc == cli.EXIT_SOLVER
     assert err == ["solver did not reach optimality: max_iterations"]
     assert not (tmp_path / "o").exists()
+    # witness.json reports the span rank; the warning stays inside the CLI
+    assert not [w for w in recwarn
+                if issubclass(w.category, witness.SpanRankWarning)]
 
 
 def test_fringe_svg_matches_golden():

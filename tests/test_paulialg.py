@@ -118,10 +118,12 @@ def test_sparse_synthesis_matches_dense():
     q = 3
     ctx = PauliContext(q)
     rng = np.random.default_rng(31)
-    pats = [0, 9, 33, 51]
-    vals = rng.normal(size=4) + 1j * rng.normal(size=4)
-    direct = sum(v * ctx.dense(p) for p, v in zip(pats, vals))
-    assert np.abs(sparse_coeffs_to_matrix(pats, vals, ctx) - direct).max() < 1e-13
+    # the second list repeats patterns, whose values add up
+    for pats in ([0, 9, 33, 51], [9, 0, 33, 9, 51, 0, 9]):
+        vals = rng.normal(size=len(pats)) + 1j * rng.normal(size=len(pats))
+        direct = sum(v * ctx.dense(p) for p, v in zip(pats, vals))
+        synth = sparse_coeffs_to_matrix(pats, vals, ctx)
+        assert np.abs(synth - direct).max() < 1e-13
 
 
 @pytest.mark.parametrize("q, n_rows", [(3, None), (7, 48)])

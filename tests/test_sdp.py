@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from icoswitch.sdp import Block, DenseColumns, PauliColumns, solve_conic
+from icoswitch.sdp import (Block, DenseColumns, PauliColumns, _max_step,
+                           solve_conic)
 
 
 def rand_herm(rng, d):
@@ -123,9 +126,8 @@ def test_pauli_columns_agree_with_dense_columns():
 
 
 def test_pauli_gram_matches_dense_gram_with_witness_signs():
-    # the witness blocks' layout: unit columns with coefficient -1, then
-    # negated dense rows whose shifted coefficients are partly real and
-    # partly imaginary
+    # the witness blocks' layout: unit columns +P_s, then negated dense
+    # rows whose shifted coefficients are partly real and partly imaginary
     from icoswitch.paulialg import (PauliContext, ShiftCache, pauli_coeffs,
                                     sparse_coeffs_to_matrix)
 
@@ -138,9 +140,8 @@ def test_pauli_gram_matches_dense_gram_with_witness_signs():
     cols = PauliColumns(
         q, unit_indices=[0, 1, 2, 3], unit_patterns=units,
         dense_indices=[4, 5, 6], dense_rows=-rows, dense_support=support,
-        unit_coeffs=-np.ones(len(units)),
     )
-    dense = DenseColumns(8, range(7), [-ctx.dense(int(s)) for s in units]
+    dense = DenseColumns(8, range(7), [ctx.dense(int(s)) for s in units]
                          + [sparse_coeffs_to_matrix(support, -r, ctx)
                             for r in rows])
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -153,6 +154,7 @@ def test_pauli_gram_matches_dense_gram_with_witness_signs():
 
 
 def test_unit_pattern_columns_and_signs():
+    # negating a column's operator and its b entry negates its y entry
     from icoswitch.paulialg import PauliContext
 
     ctx = PauliContext(2)
@@ -168,12 +170,12 @@ def test_unit_pattern_columns_and_signs():
         [Block("S", 4, c, PauliColumns(
             2, unit_indices=[0, 1], unit_patterns=pats,
             dense_indices=[], dense_rows=np.zeros((0, 0)),
-            dense_support=[], unit_coeffs=np.array([-1.0, 1.0]),
+            dense_support=[],
         ))],
-        np.array([0.4, 0.1]),
+        np.array([-0.4, 0.1]),
     )
     assert sol_d.optimal and sol_p.optimal
-    assert np.abs(sol_d.y - sol_p.y).max() < 1e-5
+    assert np.abs(sol_d.y * [-1.0, 1.0] - sol_p.y).max() < 1e-5
 
 
 def two_by_two(c=np.diag([3.0, 1.0])):
@@ -192,6 +194,16 @@ def test_non_finite_input_fails_at_once(where, bad):
     sol = solve_conic([two_by_two(c)], b, free_g=free_g, free_f=free_f)
     assert sol.status == "numerical_failure"
     assert sol.iterations == 0
+
+
+def test_no_step_when_the_scaled_direction_overflows():
+    # x is numerically singular, so x^-1/2 dx x^-1/2 overflows: no step
+    # length can be certified, and no overflow warning reaches the caller
+    x = np.diag([1.0, 0.0]).astype(complex)
+    dx = np.diag([1.0, -1e10]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _max_step(x, dx) == 0.0
 
 
 def test_non_finite_schur_complement_fails_in_first_iteration():
