@@ -140,6 +140,7 @@ class PauliContext:
 
 _BUILD_ROWS = 256   # pattern rows per table-building step (int64 temporaries)
 _GATHER_ROWS = 8    # pattern rows per gather step (index conversion in cache)
+_COMBINE_COLS = 1024  # pattern columns per gather-and-multiply step
 
 
 @lru_cache(maxsize=4)
@@ -186,12 +187,18 @@ class ShiftCache:
         return re, im
 
     def apply_combined(self, vhat, weights, out=None):
-        """(Re, Im) of weights @ F for real weights."""
-        f_re, f_im = self.apply(vhat)
+        """(Re, Im) of weights @ F for real weights.
+
+        F is gathered one column slice at a time, so it is never held whole.
+        """
         if out is None:
-            return weights @ f_re, weights @ f_im
-        np.matmul(weights, f_re, out=out[0])
-        np.matmul(weights, f_im, out=out[1])
+            shape = (len(weights), self.tgt.shape[1])
+            out = (np.empty(shape), np.empty(shape))
+        for lo in range(0, self.tgt.shape[1], _COMBINE_COLS):
+            cols = slice(lo, lo + _COMBINE_COLS)
+            f = np.take(vhat, self.tgt[:, cols])
+            np.matmul(weights, f * self.re[:, cols], out=out[0][:, cols])
+            np.matmul(weights, f * self.im[:, cols], out=out[1][:, cols])
         return out
 
 

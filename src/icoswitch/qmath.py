@@ -79,12 +79,6 @@ class LabeledVector:
     def dim(self):
         return self.amplitudes.size
 
-    def dim_of(self, label):
-        try:
-            return self.dims[self.labels.index(label)]
-        except ValueError:
-            raise LabelError(f"unknown subsystem label: {label!r}") from None
-
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
@@ -131,12 +125,6 @@ class LabeledOperator:
     @property
     def dim(self):
         return self.entries.shape[0]
-
-    def dim_of(self, label):
-        try:
-            return self.dims[self.labels.index(label)]
-        except ValueError:
-            raise LabelError(f"unknown subsystem label: {label!r}") from None
 
     def is_hermitian(self):
         cached = object.__getattribute__(self, "_hermitian")

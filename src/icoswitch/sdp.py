@@ -6,7 +6,7 @@ The engine solves the standard conic pair
     (D)  max  b.y                        s.t.  Z_b = C_b - At(y)_b >= 0,
                                                Gt y = f
 
-with Hermitian blocks, using Nesterov-Todd scaling and a Mehrotra
+with Hermitian blocks, using Nesterov-Todd (NT) scaling and a Mehrotra
 predictor-corrector.  The Schur complement H_ij = sum_b <A_i, W A_j W> is
 assembled per block through a column provider, so witness-sized problems
 (128-side blocks, a few thousand scalar variables) can exploit the
@@ -15,33 +15,30 @@ dense congruences column by column.  For Pauli columns the coefficients
 Phi of A_i W are gathered from shift tables cached per pattern set into
 Re/Im buffers that each Gram call allocates and frees, and since W is
 Hermitian the Gram is real:  Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi
-Im Phi^T, two real symmetric products.  A column's operator is built from
-its coefficients by ``sparse_coeffs_to_matrix``.
+Im Phi^T, two real symmetric products.
 
-Each iteration factors H once by Cholesky (the positive-definiteness test
-behind the regularization ladder) and solves the Newton system once in the
-predictor, stacked with the free-variable columns G, and once in the
-corrector, reusing H^-1 G.  Non-finite input or a non-finite H ends the
-solve with status ``numerical_failure``.
-
-Complementarity is linearized in the scaled space: with What = W^{1/2},
-Lambda = What Z What and T = DX + DZ (scaled directions), the Newton
-equation is the Lyapunov problem  Lambda T + T Lambda = 2 R  solved in
-Lambda's eigenbasis.
+The NT scaling of a block comes from X = L L^H, Z = R R^H and the SVD
+R^H L = U Lam V^H:  G = L V Lam^-1/2 gives G^-1 X G^-H = G^H Z G = Lam,
+diagonal, and W = G G^H.  Directions stay scaled, dX_s = G^-1 dX G^-H and
+dZ_s = G^H dZ G, so the linearized complementarity Lam T + T Lam = 2 R is
+solved elementwise and a step length is an eigenvalue of Lam^-1/2 D
+Lam^-1/2.  An iteration runs the phases ``_residuals``,
+``_scaling_and_schur``, ``_regularized`` (the Cholesky shift ladder),
+then ``_directions`` with one ``_newton_solve`` and ``_step_lengths``,
+once for the predictor and once for the corrector.  Non-finite input or a
+non-finite H ends the solve ``numerical_failure``; an X or Z that fails
+its Cholesky factorization ends it ``stalled``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .paulialg import (
-    PauliContext,
-    ShiftCache,
-    pauli_coeffs,
-    sparse_coeffs_to_matrix,
-)
+from .paulialg import (PauliContext, ShiftCache, pauli_coeffs,
+                       sparse_coeffs_to_matrix)
 
 # -- column providers ----------------------------------------------------------
 
@@ -161,48 +158,145 @@ class SdpSolution:
         return self.status == "optimal"
 
 
-def _sqrtm_psd(mat):
-    lam, q = np.linalg.eigh(mat)
-    lam = np.clip(lam, 0.0, None)
-    root = (q * np.sqrt(lam)) @ q.conj().T
-    return (root + root.conj().T) / 2
+class _Residuals(NamedTuple):
+    """Residuals and objective values of one iterate."""
+
+    r_p: np.ndarray      # b - A(X) - G u
+    rd: dict             # C - At(y) - Z, per block
+    r_g: np.ndarray      # f - Gt y
+    gap: float           # sum_b Tr(X_b Z_b)
+    pobj: float
+    dobj: float
+    pinf: float
+    dinf: float
+    ginf: float
+    relgap: float
+
+
+class _Direction(NamedTuple):
+    dy: np.ndarray
+    du: np.ndarray
+    dx_s: dict           # G^-1 dX G^-H, per block
+    dz_s: dict           # G^H dZ G, per block
+    dz: dict
+
+
+def _residuals(blocks, b, free_g, free_f, scale, x, z, y, u):
+    ax = np.zeros(len(b))
+    for bl in blocks:
+        ax[bl.columns.indices] += bl.columns.dots(x[bl.name])
+    r_p = b - ax - free_g @ u
+    rd = {bl.name: bl.c - bl.columns.combine(y[bl.columns.indices])
+          - z[bl.name] for bl in blocks}
+    r_g = free_f - free_g.T @ y
+    gap = float(sum(np.real(np.trace(x[n] @ z[n])) for n in x))
+    pobj = float(sum(np.real(np.trace(bl.c @ x[bl.name])) for bl in blocks))
+    pobj += float(free_f @ u)
+    dobj = float(b @ y)
+    pinf = np.linalg.norm(r_p) / (1.0 + np.linalg.norm(b))
+    dinf = max((np.abs(r).max() for r in rd.values()), default=0.0) / scale
+    ginf = np.linalg.norm(r_g) / (1.0 + np.linalg.norm(free_f))
+    relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return _Residuals(r_p, rd, r_g, gap, pobj, dobj, pinf, dinf, ginf, relgap)
 
 
 def _nt_scaling(x, z):
-    """Return (W, What, Winvhat, Lambda) with W Z W = X."""
-    lam_z, qz = np.linalg.eigh(z)
-    lam_z = np.clip(lam_z, 1e-300, None)
-    z_half = (qz * np.sqrt(lam_z)) @ qz.conj().T
-    z_mhalf = (qz / np.sqrt(lam_z)) @ qz.conj().T
-    inner = z_half @ x @ z_half
-    inner_half = _sqrtm_psd((inner + inner.conj().T) / 2)
-    w = z_mhalf @ inner_half @ z_mhalf
-    w = (w + w.conj().T) / 2
-    lam_w, qw = np.linalg.eigh(w)
-    lam_w = np.clip(lam_w, 1e-300, None)
-    w_half = (qw * np.sqrt(lam_w)) @ qw.conj().T
-    w_mhalf = (qw / np.sqrt(lam_w)) @ qw.conj().T
-    lam_mat = w_half @ z @ w_half
-    return w, w_half, w_mhalf, (lam_mat + lam_mat.conj().T) / 2
+    """(G, lam) with G = L V lam^-1/2 from X = L L^H, Z = R R^H and the SVD
+    R^H L = U lam V^H; None when X or Z fails its Cholesky factorization."""
+    try:
+        lx = np.linalg.cholesky(x)
+        lz = np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        return None
+    _, lam, vh = np.linalg.svd(lz.conj().T @ lx)
+    return lx @ vh.conj().T / np.sqrt(lam), lam
 
 
-def _max_step(x, dx):
-    """Largest alpha <= 1 with x + alpha dx psd (x strictly pd).
+def _scaling_and_schur(blocks, x, z, rd, m):
+    """H and, per block, (G, lam, W Rd W) with W = G G^H; W Rd W serves
+    both directions.  (None, None) when an X or Z fails its Cholesky."""
+    h = np.zeros((m, m))
+    scal = {}
+    for bl in blocks:
+        nt = _nt_scaling(x[bl.name], z[bl.name])
+        if nt is None:
+            return None, None
+        g, lam = nt
+        w = g @ g.conj().T
+        w = (w + w.conj().T) / 2
+        scal[bl.name] = (g, lam, w @ rd[bl.name] @ w)
+        idx = bl.columns.indices
+        h[np.ix_(idx, idx)] += bl.columns.gram(w)
+    return h, scal
 
-    Returns 0 when x is so near singular that the scaled direction
-    overflows: no step can then be certified, and the solve stalls.
-    """
-    lam, q = np.linalg.eigh(x)
-    lam = np.clip(lam, 1e-300, None)
-    root = (q / np.sqrt(lam)) @ q.conj().T
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = root @ dx @ root.conj().T
+
+def _regularized(h):
+    """H plus the first diagonal shift (1e-13, 1e-11, ... times 1 + max|H|)
+    that passes Cholesky; None when no shift up to 1e-2 does."""
+    h_max = np.abs(h).max()
+    reg = 1e-13 * (1.0 + h_max)
+    while reg <= 1e-2 * (1.0 + h_max):
+        h_reg = h + reg * np.eye(len(h))
+        try:
+            np.linalg.cholesky(h_reg)
+            return h_reg
+        except np.linalg.LinAlgError:
+            reg *= 100.0
+    return None
+
+
+def _newton_solve(h_reg, free_g, rhs, r_g):
+    """(dy, du) from H dy + G du = rhs, Gt dy = r_g: one LU solve of H
+    against [rhs, G], then the small system Gt H^-1 G du = Gt H^-1 rhs - r_g."""
+    sol = np.linalg.solve(h_reg, np.column_stack([rhs, free_g]))
+    t1, hg = sol[:, 0], sol[:, 1:]
+    du = np.linalg.solve(free_g.T @ hg, free_g.T @ t1 - r_g)
+    return t1 - hg @ du, du
+
+
+def _directions(blocks, scal, res, h_reg, free_g, sigma_mu, pred=None):
+    """The direction for the target sigma_mu; ``pred``, the predictor, adds
+    the corrector's term.  T = dX_s + dZ_s solves Lam T + T Lam = 2 R,
+    R = sigma_mu I - Lam^2 - sym(dX_s^pred dZ_s^pred)."""
+    rhs = res.r_p.copy()
+    t_mats = {}
+    for bl in blocks:
+        g, lam, wrdw = scal[bl.name]
+        rmat = np.diag(sigma_mu - lam**2)
+        if pred is not None:
+            cross = pred.dx_s[bl.name] @ pred.dz_s[bl.name]
+            rmat = rmat - (cross + cross.conj().T) / 2
+        t_mats[bl.name] = 2.0 * rmat / (lam[:, None] + lam[None, :])
+        # dX = G T G^H - W dZ W with dZ = Rd - At(dy)
+        half = g @ t_mats[bl.name] @ g.conj().T - wrdw
+        rhs[bl.columns.indices] -= bl.columns.dots(half)
+    dy, du = _newton_solve(h_reg, free_g, rhs, res.r_g)
+    dx_s, dz_s, dz = {}, {}, {}
+    for bl in blocks:
+        g, n = scal[bl.name][0], bl.name
+        dz[n] = res.rd[n] - bl.columns.combine(dy[bl.columns.indices])
+        dz_s[n] = g.conj().T @ dz[n] @ g
+        dx_s[n] = t_mats[n] - dz_s[n]
+    return _Direction(dy, du, dx_s, dz_s, dz)
+
+
+def _max_step(scaled, lam):
+    """Largest alpha <= 1 with diag(lam) + alpha scaled psd (lam > 0); 0
+    when lam^-1/2 scaled lam^-1/2 overflows, so that the solve stalls."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = 1.0 / np.sqrt(lam)
+        m = scaled * r[:, None] * r[None, :]
     if not np.isfinite(m).all():
         return 0.0
     lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    if lo >= 0:
-        return 1.0
-    return min(1.0, -1.0 / lo)
+    return 1.0 if lo >= 0 else min(1.0, -1.0 / lo)
+
+
+def _step_lengths(d, scal):
+    """Largest primal and dual steps <= 1 that keep X and Z psd."""
+    ap = min(_max_step(d.dx_s[n], lam) for n, (_, lam, _) in scal.items())
+    ad = min(_max_step(d.dz_s[n], lam) for n, (_, lam, _) in scal.items())
+    return ap, ad
 
 
 def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
@@ -219,166 +313,70 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
-    nf = 0 if free_g is None else free_g.shape[1]
-    if nf:
-        free_g = np.asarray(free_g, dtype=float).reshape(m, nf)
-        free_f = np.asarray(free_f, dtype=float).reshape(nf)
-    data = [b] + [bl.c for bl in blocks] + ([free_g, free_f] if nf else [])
-    if not all(np.isfinite(a).all() for a in data):
+    if free_g is None:
+        free_g, free_f = np.zeros((m, 0)), np.zeros(0)
+    free_g = np.asarray(free_g, dtype=float).reshape(m, -1)
+    free_f = np.asarray(free_f, dtype=float).reshape(-1)
+    if not all(np.isfinite(a).all()
+               for a in [b, free_g, free_f] + [bl.c for bl in blocks]):
         nan = float("nan")
         return SdpSolution("numerical_failure", np.zeros(m), {}, {},
-                           np.zeros(nf), nan, nan, nan, 0)
+                           np.zeros(len(free_f)), nan, nan, nan, 0)
 
-    scale = 1.0 + max(
-        [abs(b).max() if m else 0.0]
-        + [np.abs(bl.c).max() for bl in blocks]
-    )
+    scale = 1.0 + max([abs(b).max() if m else 0.0]
+                      + [np.abs(bl.c).max() for bl in blocks])
     x = {bl.name: scale * np.eye(bl.side, dtype=complex) for bl in blocks}
     z = {bl.name: scale * np.eye(bl.side, dtype=complex) for bl in blocks}
     y = np.zeros(m)
-    u = np.zeros(nf)
+    u = np.zeros(len(free_f))
     total_side = sum(bl.side for bl in blocks)
 
     status = "max_iterations"
-    it = 0
     for it in range(1, maxiter + 1):
-        # residuals
-        ax = np.zeros(m)
-        for bl in blocks:
-            ax[bl.columns.indices] += bl.columns.dots(x[bl.name])
-        r_p = b - ax - (free_g @ u if nf else 0.0)
-        rd = {}
-        for bl in blocks:
-            aty = bl.columns.combine(y[bl.columns.indices])
-            rd[bl.name] = bl.c - aty - z[bl.name]
-        r_g = (free_f - free_g.T @ y) if nf else np.zeros(0)
-
-        gap = float(sum(np.real(np.trace(x[n] @ z[n])) for n in x))
-        mu = gap / total_side
-        pobj = float(sum(np.real(np.trace(bl.c @ x[bl.name]))
-                         for bl in blocks))
-        if nf:
-            pobj += float(free_f @ u)
-        dobj = float(b @ y)
-
-        pinf = np.linalg.norm(r_p) / (1.0 + np.linalg.norm(b))
-        dinf = max(
-            (np.abs(rd[bl.name]).max() for bl in blocks),
-            default=0.0,
-        ) / scale
-        ginf = (np.linalg.norm(r_g) / (1.0 + np.linalg.norm(free_f))
-                if nf else 0.0)
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        res = _residuals(blocks, b, free_g, free_f, scale, x, z, y, u)
         if callback is not None:
-            callback(it, gap, pinf, dinf)
+            callback(it, res.gap, res.pinf, res.dinf)
         # relgap bottoms out at the feasibility floor; the complementarity
         # gap certifies optimality once the residuals are small
-        gap_ok = (relgap < gap_tol
-                  or gap <= gap_tol * (1.0 + abs(pobj) + abs(dobj)))
-        if gap_ok and pinf < tol and dinf < tol and ginf < tol:
+        gap_ok = (res.relgap < gap_tol or res.gap
+                  <= gap_tol * (1.0 + abs(res.pobj) + abs(res.dobj)))
+        if gap_ok and max(res.pinf, res.dinf, res.ginf) < tol:
             status = "optimal"
             break
 
-        # NT scalings and Schur complement
-        h = np.zeros((m, m))
-        scal = {}
-        for bl in blocks:
-            w, w_half, w_mhalf, lam = _nt_scaling(x[bl.name], z[bl.name])
-            lam_e, lam_q = np.linalg.eigh(lam)
-            scal[bl.name] = (w, w_half, w_mhalf, lam_e, lam_q)
-            idx = bl.columns.indices
-            h[np.ix_(idx, idx)] += bl.columns.gram(w)
-        failure = SdpSolution("numerical_failure", y, x, z, u, pobj, dobj,
-                              gap, it, {"pinf": pinf, "dinf": dinf})
-        if not np.isfinite(h).all():
-            return failure
-        # Cholesky as the positive-definiteness test: raise the diagonal
-        # shift until it succeeds, then solve with the shifted H
-        h_max = np.abs(h).max()
-        reg = 1e-13 * (1.0 + h_max)
-        while True:
-            h_reg = h + reg * np.eye(m)
-            try:
-                np.linalg.cholesky(h_reg)
-                break
-            except np.linalg.LinAlgError:
-                reg *= 100.0
-                if reg > 1e-2 * (1.0 + h_max):
-                    return failure
-        hg = None   # H^-1 G, from the predictor's stacked solve
+        h, scal = _scaling_and_schur(blocks, x, z, res.rd, m)
+        if h is None:
+            status = "stalled"
+            break
+        h_reg = _regularized(h) if np.isfinite(h).all() else None
+        if h_reg is None:
+            return SdpSolution("numerical_failure", y, x, z, u, res.pobj,
+                               res.dobj, res.gap, it,
+                               {"pinf": res.pinf, "dinf": res.dinf})
 
-        def kkt_solve(rhs1, rhs2):
-            nonlocal hg
-            if nf and hg is None:
-                sol = np.linalg.solve(h_reg, np.column_stack([rhs1, free_g]))
-                t1, hg = sol[:, 0], sol[:, 1:]
-            else:
-                t1 = np.linalg.solve(h_reg, rhs1)
-            if not nf:
-                return t1, np.zeros(0)
-            small = free_g.T @ hg
-            du = np.linalg.solve(small, free_g.T @ t1 - rhs2)
-            dy = t1 - hg @ du
-            return dy, du
-
-        def directions(sigma_mu, correctors):
-            rhs = r_p.copy()
-            half_terms = {}
-            for bl in blocks:
-                w, w_half, w_mhalf, lam_e, lam_q = scal[bl.name]
-                lam_full = (lam_q * lam_e) @ lam_q.conj().T
-                rmat = sigma_mu * np.eye(bl.side) - lam_full @ lam_full
-                if correctors is not None:
-                    dxa, dza = correctors[bl.name]
-                    dx_s = w_mhalf @ dxa @ w_mhalf
-                    dz_s = w_half @ dza @ w_half
-                    cross = dx_s @ dz_s
-                    rmat = rmat - (cross + cross.conj().T) / 2
-                # Lyapunov: lam T + T lam = 2 rmat, in lam's eigenbasis
-                rt = lam_q.conj().T @ rmat @ lam_q
-                denom = lam_e[:, None] + lam_e[None, :]
-                t_mat = lam_q @ (2.0 * rt / denom) @ lam_q.conj().T
-                half = w_half @ t_mat @ w_half - w @ rd[bl.name] @ w
-                half_terms[bl.name] = half
-                rhs[bl.columns.indices] -= bl.columns.dots(half)
-            dy, du = kkt_solve(rhs, r_g if nf else np.zeros(0))
-            dxs, dzs = {}, {}
-            for bl in blocks:
-                w = scal[bl.name][0]
-                dz = rd[bl.name] - bl.columns.combine(dy[bl.columns.indices])
-                # dX = What T What - W dZ W; half_terms = What T What - W Rd W
-                dx = half_terms[bl.name] + w @ (rd[bl.name] - dz) @ w
-                dzs[bl.name] = dz
-                dxs[bl.name] = dx
-            return dy, du, dxs, dzs
-
-        # predictor
-        dy_a, du_a, dx_a, dz_a = directions(0.0, None)
-        ap = min(_max_step(x[n], dx_a[n]) for n in x)
-        ad = min(_max_step(z[n], dz_a[n]) for n in z)
+        pred = _directions(blocks, scal, res, h_reg, free_g, 0.0)
+        ap, ad = _step_lengths(pred, scal)
         gap_aff = float(sum(
-            np.real(np.trace((x[n] + ap * dx_a[n]) @ (z[n] + ad * dz_a[n])))
-            for n in x
-        ))
-        sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
-
-        # corrector
-        correctors = {n: (dx_a[n], dz_a[n]) for n in x}
-        dy, du, dxs, dzs = directions(sigma * mu, correctors)
-        ap = min(1.0, 0.98 * min(_max_step(x[n], dxs[n]) for n in x))
-        ad = min(1.0, 0.98 * min(_max_step(z[n], dzs[n]) for n in z))
+            np.real(np.trace((np.diag(lam) + ap * pred.dx_s[n])
+                             @ (np.diag(lam) + ad * pred.dz_s[n])))
+            for n, (_, lam, _) in scal.items()))
+        sigma = min(1.0, max(0.0, gap_aff / res.gap)) ** 3
+        d = _directions(blocks, scal, res, h_reg, free_g,
+                        sigma * (res.gap / total_side), pred)
+        ap, ad = _step_lengths(d, scal)
+        ap, ad = min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
         if min(ap, ad) < 1e-10:
             status = "stalled"
             break
-        y = y + ad * dy
-        u = u + ad * du if nf else u
-        for n in x:
-            x[n] = x[n] + ap * dxs[n]
+        y = y + ad * d.dy
+        u = u + ad * d.du
+        for n, (g, _, _) in scal.items():
+            x[n] = x[n] + ap * (g @ d.dx_s[n] @ g.conj().T)
             x[n] = (x[n] + x[n].conj().T) / 2
-            z[n] = z[n] + ad * dzs[n]
+            z[n] = z[n] + ad * d.dz[n]
             z[n] = (z[n] + z[n].conj().T) / 2
 
     return SdpSolution(
-        status, y, x, z, u, pobj, dobj, gap, it,
-        {"pinf": pinf, "dinf": dinf, "relgap": relgap},
+        status, y, x, z, u, res.pobj, res.dobj, res.gap, it,
+        {"pinf": res.pinf, "dinf": res.dinf, "relgap": res.relgap},
     )

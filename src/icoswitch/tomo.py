@@ -24,6 +24,7 @@ PAULIS = {
 }
 BASIS_SET = tuple(product("XYZ", repeat=2))  # informationally complete
 MLE_TOL = 1e-10
+MLE_MAXITER = 20000
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,14 @@ def _linear_inversion(records) -> np.ndarray:
     return rho
 
 
-def _mle(records, tol=MLE_TOL, maxiter=20000):
+def _mle(records):
     """R rho R fixed point for the Poisson likelihood."""
     data = [(tuple(r.setting), r.outcome, r.counts) for r in records]
     projs = {s: _outcome_projectors(s) for s in {d[0] for d in data}}
     rho = np.eye(4, dtype=complex) / 4.0
     ll_prev = -np.inf
     it = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, MLE_MAXITER + 1):
         r_op = np.zeros((4, 4), dtype=complex)
         ll = 0.0
         for s, o, n in data:
@@ -176,7 +177,7 @@ def _mle(records, tol=MLE_TOL, maxiter=20000):
         new = (new + new.conj().T) / 2
         new /= np.real(np.trace(new))
         rho = new
-        if abs(ll - ll_prev) < tol:
+        if abs(ll - ll_prev) < MLE_TOL:
             break
         ll_prev = ll
     return rho, ll_prev, it

@@ -123,7 +123,6 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
     if not s_op.is_hermitian():
         raise ValueError("witness candidate must be Hermitian")
     margins, decomp, statuses = {}, {}, {}
-    member: bool | None = True
     for order in pm.ORDERS:
         pats = _order_patterns(order)
         m = len(pats) + 1
@@ -143,15 +142,18 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
                           maxiter=60)
         statuses[order] = sol.status
         if not sol.optimal:
-            member = None
             continue
-        t_star = sol.dual_objective
-        margins[order] = t_star
-        v = sol.y[:-1]
-        resid = sparse_coeffs_to_matrix(pats, v, _CTX)
+        margins[order] = sol.dual_objective
+        resid = sparse_coeffs_to_matrix(pats, sol.y[:-1], _CTX)
         decomp[order] = (np.asarray(s_op.entries) - resid, resid)
-        if member is not None and t_star < -margin:
-            member = False
+    # one order's certified t* < -margin decides non-membership, whatever
+    # the other order's solve did
+    if any(t < -margin for t in margins.values()):
+        member = False
+    elif len(margins) < len(pm.ORDERS):
+        member = None
+    else:
+        member = True
     return DualConeReport(member, margins, decomp, statuses)
 
 

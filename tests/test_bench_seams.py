@@ -2,7 +2,8 @@
 
 A refactor that moves one of them otherwise shows up only as a KeyError
 under ``perfbench/run.py --trace 1`` or as failed benchmark operations.
-No solve runs here.
+The last test runs one operation of each workload through the workload's
+own correctness gate (two capped solve iterations per solve).
 """
 
 import importlib.util
@@ -42,3 +43,16 @@ def test_every_traced_seam_resolves():
 def test_workload_names_resolve(owner, names):
     load("workloads")   # its own imports from the package resolve
     assert [n for n in names if not hasattr(owner, n)] == []
+
+
+@pytest.mark.parametrize("name", ["paper_run", "cone_certify"])
+def test_one_operation_passes_the_workload_gate(name, tmp_path):
+    # the gates pin the capped iterate, the alpha identity and an
+    # undecided capped cone check with strictly interior iterates
+    workload = load("workloads").WORKLOADS[name]
+    state = workload.setup(0)
+    try:
+        workload.run(state, workload.inputs(state, 0), tmp_path)
+    finally:
+        workload.teardown(state)
+    assert witness.solve_conic is state["cap"].solve

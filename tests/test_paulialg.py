@@ -142,8 +142,8 @@ def test_shift_cache_matches_shift_rows(q, n_rows):
     assert not np.any((re != 0) & (im != 0))
 
 
-def test_apply_combined_is_weights_times_apply():
-    q = 3
+@pytest.mark.parametrize("q", [3, 6])   # one partial slice; four slices
+def test_apply_combined_is_weights_times_apply(q):
     ctx = PauliContext(q)
     rng = np.random.default_rng(43)
     vhat = np.real(pauli_coeffs(rand_herm(rng, ctx.dim), q))

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from icoswitch import sdp
 from icoswitch.sdp import (Block, DenseColumns, PauliColumns, _max_step,
-                           solve_conic)
+                           _nt_scaling, _scaling_and_schur, solve_conic)
 
 
 def rand_herm(rng, d):
@@ -197,13 +198,57 @@ def test_non_finite_input_fails_at_once(where, bad):
 
 
 def test_no_step_when_the_scaled_direction_overflows():
-    # x is numerically singular, so x^-1/2 dx x^-1/2 overflows: no step
-    # length can be certified, and no overflow warning reaches the caller
-    x = np.diag([1.0, 0.0]).astype(complex)
+    # lam is numerically singular, so lam^-1/2 dx lam^-1/2 overflows: no
+    # step length can be certified, and no overflow warning reaches the
+    # caller
+    lam = np.array([1.0, 1e-300])
     dx = np.diag([1.0, -1e10]).astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _max_step(x, dx) == 0.0
+        assert _max_step(dx, lam) == 0.0
+
+
+def rand_pd(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return m @ m.conj().T + 0.1 * np.eye(d)
+
+
+@pytest.mark.parametrize("side", [2, 5, 16])
+def test_nt_scaling_diagonalizes_both_iterates(side):
+    rng = np.random.default_rng(side)
+    x, z = rand_pd(rng, side), rand_pd(rng, side)
+    g, lam = _nt_scaling(x, z)
+    g_inv = np.linalg.inv(g)
+    w = g @ g.conj().T
+    for got in (g_inv @ x @ g_inv.conj().T, g.conj().T @ z @ g):
+        assert np.abs(got - np.diag(lam)).max() < 1e-12 * lam.max()
+    assert np.abs(w @ z @ w - x).max() < 1e-12 * np.abs(x).max()
+
+
+def test_singular_iterate_fails_the_scaling_phase():
+    x = np.diag([1.0, 0.0]).astype(complex)
+    assert _nt_scaling(x, np.eye(2, dtype=complex)) is None
+    assert _nt_scaling(np.eye(2, dtype=complex), x) is None
+    h, scal = _scaling_and_schur([two_by_two()], {"S": x},
+                                 {"S": np.eye(2, dtype=complex)},
+                                 {"S": np.zeros((2, 2))}, 1)
+    assert h is None and scal is None
+
+
+def test_solve_stalls_when_an_iterate_fails_its_scaling(monkeypatch):
+    # the second iteration's X is singular: the solve ends stalled with
+    # its iterates instead of raising
+    calls = []
+
+    def singular_after_first(x, z):
+        calls.append(1)
+        return _nt_scaling(x if len(calls) == 1 else 0 * x, z)
+
+    monkeypatch.setattr(sdp, "_nt_scaling", singular_after_first)
+    sol = solve_conic([two_by_two()], np.array([1.0]))
+    assert sol.status == "stalled"
+    assert sol.iterations == 2
+    assert np.isfinite(sol.x_blocks["S"]).all() and np.isfinite(sol.y).all()
 
 
 def test_non_finite_schur_complement_fails_in_first_iteration():

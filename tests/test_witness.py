@@ -11,6 +11,7 @@ import pytest
 from icoswitch import procmat as pm
 from icoswitch import witness as wt
 from icoswitch.qmath import LabeledOperator
+from icoswitch.sdp import SdpSolution
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,29 @@ def test_dual_cone_identity_and_negative_identity():
     assert all(v > -1e-9 for v in rep.margins.values())
     rep_neg = wt.dual_cone_check(-1.0 * eye)
     assert rep_neg.member is False
+
+
+@pytest.mark.parametrize("outcomes, member", [
+    ([("optimal", -0.917), ("stalled", None)], False),
+    ([("stalled", None), ("optimal", -0.917)], False),
+    ([("max_iterations", None), ("max_iterations", None)], None),
+], ids=["decided-then-stalled", "stalled-then-decided", "both-capped"])
+def test_dual_cone_check_keeps_a_decided_false(monkeypatch, outcomes,
+                                               member):
+    # one order's certified t* < 0 decides non-membership, whatever the
+    # other order's solve did; with no order decided the check is undecided
+    calls = iter(outcomes)
+
+    def solve(blocks, b, **kwargs):
+        status, dobj = next(calls)
+        return SdpSolution(status, np.zeros(len(b)), {}, {}, np.zeros(0),
+                           dobj, dobj, 0.0, 5)
+
+    monkeypatch.setattr(wt, "solve_conic", solve)
+    eye = LabeledOperator(pm.CANONICAL, pm.DIMS, np.eye(pm.SIDE))
+    rep = wt.dual_cone_check(eye)
+    assert rep.member is member
+    assert list(rep.statuses.values()) == [s for s, _ in outcomes]
 
 
 def test_dual_cone_decomposition_is_consistent():
