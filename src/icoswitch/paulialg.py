@@ -16,8 +16,13 @@ XOR-shifted, phase-twisted gather  u -> vhat_{s xor u} * gamma(s, s xor u).
 For Hermitian V the coefficients vhat are real, so each gathered entry is
 purely real or purely imaginary: ``ShiftCache`` keeps the gather indices
 and the phase as int8 sign tables, built once per pattern set and process,
-and returns the real and imaginary parts separately.  Tr[A V B V] then
-reduces to two real Gram products.
+and returns the real and imaginary parts separately, over all pattern
+columns or a slice of them.  Tr[A V B V] then reduces to two real Gram
+products.  ``sdp.PauliColumns`` gathers this way only for its dense rows,
+whose support spans the qubits; single Pauli products that leave qubits
+idle take the superoperator route of ``pauli_pair_traces`` on their
+active qubits instead, and the cross terms use the batched synthesis and
+coefficient transforms below.
 """
 
 from __future__ import annotations
@@ -173,32 +178,36 @@ class ShiftCache:
         self.tgt, self.re, self.im = _cached_shift_tables(
             ctx.nqubits, tuple(self.rows.tolist()))
 
-    def apply(self, vhat, out=None):
-        """(Re F, Im F) for the cached patterns and real vhat, as float64."""
+    def apply(self, vhat, out=None, cols=slice(None)):
+        """(Re F, Im F) over the pattern columns ``cols`` of F, for the
+        cached patterns and real vhat, as float64."""
+        tgt = self.tgt[:, cols]
+        re_sign, im_sign = self.re[:, cols], self.im[:, cols]
         if out is None:
-            out = (np.empty(self.tgt.shape), np.empty(self.tgt.shape))
+            out = (np.empty(tgt.shape), np.empty(tgt.shape))
         re, im = out
         for lo in range(0, len(self.rows), _GATHER_ROWS):
             hi = lo + _GATHER_ROWS
             part = re[lo:hi]
-            np.take(vhat, self.tgt[lo:hi], out=part)
-            np.multiply(part, self.im[lo:hi], out=im[lo:hi])
-            part *= self.re[lo:hi]
+            np.take(vhat, tgt[lo:hi], out=part)
+            np.multiply(part, im_sign[lo:hi], out=im[lo:hi])
+            part *= re_sign[lo:hi]
         return re, im
 
     def apply_combined(self, vhat, weights, out=None):
         """(Re, Im) of weights @ F for real weights.
 
-        F is gathered one column slice at a time, so it is never held whole.
+        F is gathered by ``apply`` one column slice at a time, so it is
+        never held whole.
         """
         if out is None:
             shape = (len(weights), self.tgt.shape[1])
             out = (np.empty(shape), np.empty(shape))
         for lo in range(0, self.tgt.shape[1], _COMBINE_COLS):
             cols = slice(lo, lo + _COMBINE_COLS)
-            f = np.take(vhat, self.tgt[:, cols])
-            np.matmul(weights, f * self.re[:, cols], out=out[0][:, cols])
-            np.matmul(weights, f * self.im[:, cols], out=out[1][:, cols])
+            re, im = self.apply(vhat, cols=cols)
+            np.matmul(weights, re, out=out[0][:, cols])
+            np.matmul(weights, im, out=out[1][:, cols])
         return out
 
 
@@ -243,13 +252,37 @@ def pauli_coeffs_batch(mats: np.ndarray, nqubits: int) -> np.ndarray:
 
 
 def coeffs_to_matrix(coeffs: np.ndarray, nqubits: int) -> np.ndarray:
-    """Inverse of :func:`pauli_coeffs`."""
+    """Inverse of :func:`pauli_coeffs`; leading axes of ``coeffs`` are a
+    batch, as in :func:`pauli_coeffs_batch`."""
     q = nqubits
-    a = _apply_qubitwise(np.asarray(coeffs, dtype=complex), _T4INV, q)
-    a = a.reshape((2, 2) * q)
-    # de-interleave (r0, c0, r1, c1, ...) -> (r..., c...)
-    perm = [2 * k for k in range(q)] + [2 * k + 1 for k in range(q)]
-    return a.transpose(perm).reshape(2**q, 2**q)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    lead = coeffs.shape[:-1]
+    a = _apply_qubitwise(coeffs, _T4INV, q).reshape((-1,) + (2, 2) * q)
+    # de-interleave (batch, r0, c0, r1, c1, ...) -> (batch, r..., c...)
+    perm = [0] + [1 + 2 * k for k in range(q)] + [2 + 2 * k for k in range(q)]
+    return a.transpose(perm).reshape(*lead, 2**q, 2**q)
+
+
+def pauli_pair_traces(xs, ys, patterns, nqubits: int) -> np.ndarray:
+    """G[s, t] = sum_k Tr[P_s X_k P_t Y_k] for s, t in ``patterns``.
+
+    The superoperator S = sum_k X_k (x) Y_k^T is formed by one GEMM over
+    k and taken to the Pauli basis on both sides, so the cost is that of
+    two qubitwise transforms of a 4^n x 4^n matrix, whatever len(xs).
+    """
+    q = nqubits
+    k, n = len(xs), 4**q
+    # R[(b, c), (d, a)] = sum_k (X_k)_bc (Y_k)_da
+    r = np.reshape(xs, (k, n)).T @ np.reshape(ys, (k, n))
+    # S[(a, b), (c, d)] = R[b, c, d, a] with the row digits (a_j, b_j) and
+    # the column digits (c_j, d_j) interleaved per qubit, as _T4INV has them
+    a, b, c, d = np.arange(4 * q).reshape(4, q)[[3, 0, 1, 2]]
+    perm = np.concatenate([np.stack([a, b], 1).ravel(),
+                           np.stack([c, d], 1).ravel()])
+    s = r.reshape((2,) * (4 * q)).transpose(perm).reshape(n, n)
+    # G = T^T S T with T[(r, c), p] = (P_p)_rc; the second pass transposes
+    s = _apply_qubitwise(s, _T4INV.T, q)[:, patterns]
+    return _apply_qubitwise(s.T, _T4INV.T, q)[:, patterns].T
 
 
 def sparse_coeffs_to_matrix(patterns, values, ctx: PauliContext) -> np.ndarray:

@@ -11,11 +11,17 @@ predictor-corrector.  The Schur complement H_ij = sum_b <A_i, W A_j W> is
 assembled per block through a column provider, so witness-sized problems
 (128-side blocks, a few thousand scalar variables) can exploit the
 Pauli-product structure of their constraint operators instead of forming
-dense congruences column by column.  For Pauli columns the coefficients
-Phi of A_i W are gathered from shift tables cached per pattern set into
-Re/Im buffers that each Gram call allocates and frees, and since W is
-Hermitian the Gram is real:  Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi
-Im Phi^T, two real symmetric products.
+dense congruences column by column.  Pauli columns split into two
+classes, single products P_s (x) 1 that leave some qubits idle and dense
+rows Q_l over a pattern support, and their Gram is assembled per class
+pair (after SDPA's F1/F2/F3 choice, Fujisawa, Kojima & Nakata 1997):
+unit x unit as the Pauli-basis matrix of one superoperator on the units'
+active qubits, unit x dense from one congruence on the dense rows' active
+qubits, and dense x dense from the coefficients Phi of Q_l W, gathered
+from the support's shift tables into Re/Im buffers that each Gram call
+allocates and frees.  W is Hermitian, so that block is real:
+Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi Im Phi^T, two real symmetric
+products.
 
 The NT scaling of a block comes from X = L L^H, Z = R R^H and the SVD
 R^H L = U Lam V^H:  G = L V Lam^-1/2 gives G^-1 X G^-H = G^H Z G = Lam,
@@ -37,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paulialg import (PauliContext, ShiftCache, pauli_coeffs,
+from .paulialg import (PauliContext, ShiftCache, coeffs_to_matrix,
+                       pauli_coeffs, pauli_coeffs_batch, pauli_pair_traces,
                        sparse_coeffs_to_matrix)
 
 # -- column providers ----------------------------------------------------------
@@ -67,6 +74,28 @@ class DenseColumns:
         return np.tensordot(yloc, self.mats, axes=(0, 0))
 
 
+def _active_qubits(patterns, ctx):
+    """Sorted qubits on which some pattern is not the identity."""
+    return np.flatnonzero((ctx.digits[patterns] != 0).any(axis=0))
+
+
+def _local_patterns(patterns, ctx, qubits):
+    """Indices of the patterns as Pauli products on ``qubits`` alone; the
+    patterns are the identity on every other qubit."""
+    place = 4 ** np.arange(len(qubits) - 1, -1, -1)
+    return ctx.digits[patterns][:, qubits].astype(np.int64) @ place
+
+
+def _idle_blocks(w, nqubits, active):
+    """W as blocks W_ij over the idle qubits (those not in ``active``):
+    (2^i, 2^i, 2^a, 2^a) with W_ij[b, c] = <b, i| W |c, j>."""
+    idle = np.setdiff1d(np.arange(nqubits), active)
+    perm = np.concatenate([idle, nqubits + idle, active, nqubits + active])
+    ni, na = 2 ** len(idle), 2 ** len(active)
+    return w.reshape((2,) * (2 * nqubits)).transpose(perm).reshape(
+        ni, ni, na, na)
+
+
 class PauliColumns:
     """Constraint operators given by real Pauli-pattern coefficient rows.
 
@@ -74,11 +103,24 @@ class PauliColumns:
     ``dense_rows`` is a real (k, len(dense_support)) coefficient matrix
     over ``dense_support`` patterns.  Unit columns come first in the local
     index order.
+
+    The Gram Tr[A_i W A_j W] is assembled per column class.  The unit
+    patterns are P_s (x) 1 with P_s on their active qubits A_u, and the
+    dense operators Q'_l (x) 1 with Q'_l on A_d, the units' and the
+    support's active qubits together.  With W_ij the blocks of W over the
+    idle qubits:
+
+      unit x unit    sum_ij Tr[P_s W_ij P_t W_ji], the Pauli-basis matrix of
+                     the superoperator S = sum_ij W_ij (x) W_ji^T on A_u;
+      unit x dense   Tr[(P_s (x) 1) N_l] with N_l = sum_ij W_ij Q'_l W_ji on
+                     A_d (Q'_l synthesized once);
+      dense x dense  side Re(Phi Phi^T) with Phi the coefficients of Q_l W,
+                     gathered from the support's ``ShiftCache``.
     """
 
     def __init__(self, nqubits, unit_indices, unit_patterns,
                  dense_indices, dense_rows, dense_support):
-        self.ctx = PauliContext(nqubits)
+        self.ctx = ctx = PauliContext(nqubits)
         self.side = 2**nqubits
         self.nqubits = nqubits
         self.unit_patterns = np.asarray(unit_patterns, dtype=np.int64)
@@ -88,29 +130,67 @@ class PauliColumns:
             np.asarray(unit_indices, dtype=np.int64),
             np.asarray(dense_indices, dtype=np.int64),
         ])
-        self._unit_cache = (
-            ShiftCache(self.ctx, self.unit_patterns)
-            if len(self.unit_patterns) else None
-        )
+        # A_u and A_d; the unit patterns' indices as products on each
+        self.unit_qubits = _active_qubits(self.unit_patterns, ctx)
+        self.dense_qubits = np.union1d(
+            self.unit_qubits, _active_qubits(self.dense_support, ctx))
+        self._unit_local = _local_patterns(
+            self.unit_patterns, ctx, self.unit_qubits)
         self._dense_cache = (
-            ShiftCache(self.ctx, self.dense_support)
+            ShiftCache(ctx, self.dense_support)
             if len(self.dense_rows) else None
         )
+        if len(self.unit_patterns) and len(self.dense_rows):
+            qubits, q = self.dense_qubits, len(self.dense_qubits)
+            self._unit_on_dense = _local_patterns(
+                self.unit_patterns, ctx, qubits)
+            coeffs = np.zeros((4**q, len(self.dense_rows)))
+            np.add.at(coeffs, _local_patterns(self.dense_support, ctx, qubits),
+                      self.dense_rows.T)
+            # Q'_l side by side: (2^q, k 2^q) with column blocks Q'_l
+            ops = coeffs_to_matrix(coeffs.T, q)
+            self._dense_ops = ops.transpose(1, 0, 2).reshape(2**q, -1)
 
     def gram(self, w):
-        # W is Hermitian, so its Pauli coefficients are real; Phi holds the
-        # (Re, Im) coefficients of A_i W for every local column and lives
-        # only for this call
-        vhat = np.real(pauli_coeffs(w, self.nqubits))
         n_unit = len(self.unit_patterns)
-        shape = (len(self.indices), len(vhat))
-        re, im = np.empty(shape), np.empty(shape)
+        g = np.empty((len(self.indices),) * 2)
         if n_unit:
-            self._unit_cache.apply(vhat, out=(re[:n_unit], im[:n_unit]))
+            g[:n_unit, :n_unit] = self._unit_gram(w)
         if len(self.dense_rows):
-            self._dense_cache.apply_combined(
-                vhat, self.dense_rows, out=(re[n_unit:], im[n_unit:])
-            )
+            g[n_unit:, n_unit:] = self._dense_gram(w)
+            if n_unit:
+                ud = self._cross_gram(w)
+                g[:n_unit, n_unit:] = ud
+                g[n_unit:, :n_unit] = ud.T
+        return g
+
+    def _unit_gram(self, w):
+        # Tr[(P_s (x) 1) W (P_t (x) 1) W] = sum_ij Tr[P_s W_ij P_t W_ji]
+        wb = _idle_blocks(w, self.nqubits, self.unit_qubits)
+        n = wb.shape[2]
+        return np.real(pauli_pair_traces(
+            wb.reshape(-1, n, n), wb.transpose(1, 0, 2, 3).reshape(-1, n, n),
+            self._unit_local, len(self.unit_qubits)))
+
+    def _cross_gram(self, w):
+        q = len(self.dense_qubits)
+        wb = _idle_blocks(w, self.nqubits, self.dense_qubits)
+        ni, n, k = wb.shape[0], wb.shape[2], len(self.dense_rows)
+        # N[(r, l), c] = sum_ij (W_ij Q'_l W_ji)[r, c], two GEMMs per (i, j)
+        nl = np.zeros((n * k, n), dtype=complex)
+        for i in range(ni):
+            for j in range(ni):
+                nl += (wb[i, j] @ self._dense_ops).reshape(n * k, n) @ wb[j, i]
+        nl = nl.reshape(n, k, n).transpose(1, 0, 2)
+        # Tr[(P_s (x) 1) N_l] = 2^q times the (P_s (x) 1)-coefficient of N_l
+        coeffs = pauli_coeffs_batch(nl, q)[:, self._unit_on_dense]
+        return 2**q * np.real(coeffs).T
+
+    def _dense_gram(self, w):
+        # W is Hermitian, so its Pauli coefficients are real; Phi holds the
+        # (Re, Im) coefficients of Q_l W and lives only for this call
+        vhat = np.real(pauli_coeffs(w, self.nqubits))
+        re, im = self._dense_cache.apply_combined(vhat, self.dense_rows)
         g = re @ re.T
         g -= im @ im.T
         g *= self.side
@@ -309,8 +389,11 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
     free_f.  ``callback(it, gap, pinf, dinf)``, when given, is called once
     per iteration before the stopping test.  A NaN or infinite entry in
     ``b``, a block's ``c`` or the free-variable data returns
-    ``numerical_failure`` at once, with no iterates.
+    ``numerical_failure`` at once, with no iterates; ``maxiter < 1``
+    raises ValueError.
     """
+    if maxiter < 1:
+        raise ValueError("maxiter must be at least 1")
     b = np.asarray(b, dtype=float)
     m = len(b)
     if free_g is None:

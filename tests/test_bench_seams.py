@@ -3,7 +3,8 @@
 A refactor that moves one of them otherwise shows up only as a KeyError
 under ``perfbench/run.py --trace 1`` or as failed benchmark operations.
 The last test runs one operation of each workload through the workload's
-own correctness gate (two capped solve iterations per solve).
+own correctness gate (two capped solve iterations per solve) under the
+benchmark's tracer, and applies its stale-wrap guard.
 """
 
 import importlib.util
@@ -48,11 +49,18 @@ def test_workload_names_resolve(owner, names):
 @pytest.mark.parametrize("name", ["paper_run", "cone_certify"])
 def test_one_operation_passes_the_workload_gate(name, tmp_path):
     # the gates pin the capped iterate, the alpha identity and an
-    # undecided capped cone check with strictly interior iterates
+    # undecided capped cone check with strictly interior iterates; the
+    # benchmark's stale-wrap guard then finds a call in every span the
+    # workload expects
+    tracing = load("tracing")
     workload = load("workloads").WORKLOADS[name]
+    tracer = tracing.Tracer()
     state = workload.setup(0)
     try:
+        tracer.install()
         workload.run(state, workload.inputs(state, 0), tmp_path)
     finally:
+        tracer.uninstall()
         workload.teardown(state)
     assert witness.solve_conic is state["cap"].solve
+    assert tracing.stale_spans(tracer, workload.spans) == []

@@ -7,6 +7,7 @@ from icoswitch.paulialg import (
     coeffs_to_matrix,
     pauli_coeffs,
     pauli_coeffs_batch,
+    pauli_pair_traces,
     sparse_coeffs_to_matrix,
 )
 
@@ -56,6 +57,10 @@ def test_coeff_batch_matches_single():
     batch = pauli_coeffs_batch(mats, q)
     for k in range(4):
         assert np.abs(batch[k] - pauli_coeffs(mats[k], q)).max() < 1e-12
+    # synthesis takes the same leading batch axes
+    assert np.abs(coeffs_to_matrix(batch, q) - mats).max() < 1e-12
+    assert np.abs(coeffs_to_matrix(batch.reshape(2, 2, -1), q)
+                  - mats.reshape(2, 2, 8, 8)).max() < 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -134,12 +139,35 @@ def test_shift_cache_matches_shift_rows(q, n_rows):
     vhat = np.real(pauli_coeffs(rand_herm(rng, ctx.dim), q))
     rows = (np.arange(ctx.npatterns) if n_rows is None
             else rng.choice(ctx.npatterns, size=n_rows, replace=False))
-    re, im = ShiftCache(ctx, rows).apply(vhat)
+    cache = ShiftCache(ctx, rows)
+    re, im = cache.apply(vhat)
     f = ctx.shift_rows(rows, vhat)
     assert np.array_equal(re, f.real)
     assert np.array_equal(im, f.imag)
     # Hermitian V: every entry is purely real or purely imaginary
     assert not np.any((re != 0) & (im != 0))
+    # a column slice gathers the same entries
+    cols = slice(5, 5 + ctx.npatterns // 3)
+    re_c, im_c = cache.apply(vhat, cols=cols)
+    assert np.array_equal(re_c, f.real[:, cols])
+    assert np.array_equal(im_c, f.imag[:, cols])
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_pauli_pair_traces_match_dense_products(q):
+    # general (not Hermitian) X_k, Y_k, so G is not symmetric
+    ctx = PauliContext(q)
+    rng = np.random.default_rng(q + 47)
+    shape = (3, ctx.dim, ctx.dim)
+    xs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ys = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pats = rng.permutation(ctx.npatterns)[:ctx.npatterns - 1]
+    p = [ctx.dense(int(s)) for s in pats]
+    expected = np.array([[sum(np.trace(ps @ x @ pt @ y)
+                              for x, y in zip(xs, ys)) for pt in p]
+                         for ps in p])
+    got = pauli_pair_traces(xs, ys, pats, q)
+    assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("q", [3, 6])   # one partial slice; four slices

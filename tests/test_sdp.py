@@ -2,8 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icoswitch import procmat as pm
 from icoswitch import sdp
+from icoswitch.paulialg import PauliContext, sparse_coeffs_to_matrix
 from icoswitch.sdp import (Block, DenseColumns, PauliColumns, _max_step,
                            _nt_scaling, _scaling_and_schur, solve_conic)
 
@@ -154,6 +158,70 @@ def test_pauli_gram_matches_dense_gram_with_witness_signs():
     assert np.abs(cols.gram(w) - expected).max() < 1e-12 * np.abs(expected).max()
 
 
+def gram_oracle_error(q, units, support, rows, rng):
+    """max |PauliColumns.gram - DenseColumns.gram| / max |G| at a random
+    positive definite W."""
+    ctx = PauliContext(q)
+    n_unit, k = len(units), len(rows)
+    cols = PauliColumns(
+        q, unit_indices=range(n_unit), unit_patterns=units,
+        dense_indices=range(n_unit, n_unit + k), dense_rows=rows,
+        dense_support=support,
+    )
+    mats = ([ctx.dense(int(s)) for s in units]
+            + [sparse_coeffs_to_matrix(support, r, ctx) for r in rows])
+    dense = DenseColumns(ctx.dim, range(n_unit + k),
+                         np.reshape(mats, (-1, ctx.dim, ctx.dim)))
+    g = rng.normal(size=(ctx.dim,) * 2) + 1j * rng.normal(size=(ctx.dim,) * 2)
+    w = g @ g.conj().T + 0.1 * np.eye(ctx.dim)
+    expected = dense.gram(w)
+    return np.abs(cols.gram(w) - expected).max() / np.abs(expected).max()
+
+
+def patterns_on(data, q, qubits, min_size, max_size, unique):
+    """Pattern indices that are the identity off ``qubits``."""
+    digit = [st.integers(0, 3) if k in qubits else st.just(0)
+             for k in range(q)]
+    pats = data.draw(st.lists(st.tuples(*digit), min_size=min_size,
+                              max_size=max_size, unique=unique))
+    place = 4 ** np.arange(q - 1, -1, -1)
+    return np.array([np.dot(d, place) for d in pats], dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), data=st.data())
+def test_pauli_gram_matches_dense_gram_per_column_class(q, data):
+    # unit patterns active on one qubit up to all of them; a dense support
+    # active on a superset, a subset of, or qubits disjoint from the units'
+    qubits = st.sets(st.integers(0, q - 1), min_size=1)
+    unit_qubits = data.draw(qubits)
+    relation = data.draw(st.sampled_from(["superset", "subset", "disjoint"]))
+    if relation == "superset":
+        dense_qubits = unit_qubits | data.draw(qubits)
+    elif relation == "subset":
+        dense_qubits = data.draw(st.sets(st.sampled_from(sorted(unit_qubits))))
+    else:
+        dense_qubits = set(range(q)) - unit_qubits
+    units = patterns_on(data, q, unit_qubits, 0, 6, unique=True)
+    support = patterns_on(data, q, dense_qubits, 1, 5, unique=False)
+    n_dense = data.draw(st.integers(0 if len(units) else 1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n_dense, len(support)))
+    if data.draw(st.booleans()):
+        rows = -rows
+    assert gram_oracle_error(q, units, support, rows, rng) < 1e-12
+
+
+def test_pauli_gram_matches_dense_gram_at_the_witness_size(full_span):
+    # A->B patterns leave F_c and F_t idle, the span support F_t
+    rng = np.random.default_rng(23)
+    units = rng.choice(np.flatnonzero(pm.forbidden_mask("A->B")), size=40,
+                       replace=False)
+    rows = -full_span.onb[rng.choice(full_span.rank, size=5, replace=False)]
+    err = gram_oracle_error(pm.NQUBITS, units, full_span.support, rows, rng)
+    assert err < 1e-12
+
+
 def test_unit_pattern_columns_and_signs():
     # negating a column's operator and its b entry negates its y entry
     from icoswitch.paulialg import PauliContext
@@ -266,6 +334,12 @@ def test_iteration_cap_returns_max_iterations():
     assert sol.status == "max_iterations"
     assert sol.iterations == 1
     assert not sol.optimal
+
+
+@pytest.mark.parametrize("maxiter", [0, -1])
+def test_iteration_cap_below_one_is_rejected(maxiter):
+    with pytest.raises(ValueError, match="maxiter must be at least 1"):
+        solve_conic([two_by_two()], np.array([1.0]), maxiter=maxiter)
 
 
 def test_dual_infeasible_problem_stalls():

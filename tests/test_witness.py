@@ -202,15 +202,15 @@ def test_witness_blocks_build_each_table_set_once(full_span):
     _cached_shift_tables.cache_clear()
     blocks, *_ = wt._span_blocks(full_span, "white-noise")
     t_ab, t_ba = (bl.columns for bl in blocks)
-    # A->B patterns, B->A patterns and the span support: the support's
-    # tables are built for T_ab and reused by T_ba
+    # only the span support holds shift tables: built for T_ab and reused
+    # by T_ba; the unit patterns' Gram needs none
     info = _cached_shift_tables.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
+    assert (info.misses, info.hits) == (1, 1)
+    assert not hasattr(t_ab, "_unit_cache")
     shared = t_ab._dense_cache, t_ba._dense_cache
     for name in ("tgt", "re", "im"):
-        assert getattr(shared[0], name) is getattr(shared[1], name)
-    for cache in (t_ab._unit_cache, t_ab._dense_cache, t_ba._unit_cache):
-        for table in (cache.tgt, cache.re, cache.im):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 0
+        table = getattr(shared[0], name)
+        assert table is getattr(shared[1], name)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
