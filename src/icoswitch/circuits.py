@@ -193,6 +193,11 @@ def parse_circuit(text: str) -> CircuitSpec:
         for p in epaths:
             if p not in paths:
                 errors.append(Diagnostic(line_no, col, f"undeclared path {p!r}"))
+        try:  # the element's own arity rule, at default parameters
+            OpticalElement(head, epaths)
+        except ValueError as exc:
+            errors.append(Diagnostic(line_no, col, str(exc)))
+            continue
         params = {}
         stage = kv.pop("stage", current_stage)
         for key, value in kv.items():

@@ -144,17 +144,15 @@ def _convention_report(sol):
     return "\n".join(lines)
 
 
-def solve_reference_witness(config, span=None):
+def solve_reference_witness(config):
     """Optimize the witness for the (possibly dephased) switch process."""
-    d_value = config["distinguishability"]
-    span = span or witness.build_span()
-    w = pm.dephase_order_coherence(pm.w_switch(), d_value)
+    w = pm.dephase_order_coherence(pm.w_switch(), config["distinguishability"])
     with warnings.catch_warnings():
         # witness.json reports span_rank; the full span is rank-deficient
         warnings.simplefilter("ignore", witness.SpanRankWarning)
         return witness.optimize_witness(
-            w, span, convention=config.get("convention",
-                                           witness.DEFAULT_CONVENTION),
+            w, witness.build_span(),
+            convention=config.get("convention", witness.DEFAULT_CONVENTION),
         )
 
 
@@ -194,10 +192,9 @@ def cmd_witness(config) -> int:
 
 def cmd_sweep(config) -> int:
     grid = config["grid"]
-    span = witness.build_span()
     base = dict(config)
     base["distinguishability"] = 0.0
-    sol = solve_reference_witness(base, span)
+    sol = solve_reference_witness(base)
     if sol.status != "optimal":
         print(f"solver did not reach optimality: {sol.status}", file=sys.stderr)
         return EXIT_SOLVER

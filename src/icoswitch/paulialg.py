@@ -178,14 +178,12 @@ class ShiftCache:
         self.tgt, self.re, self.im = _cached_shift_tables(
             ctx.nqubits, tuple(self.rows.tolist()))
 
-    def apply(self, vhat, out=None, cols=slice(None)):
+    def apply(self, vhat, cols=slice(None)):
         """(Re F, Im F) over the pattern columns ``cols`` of F, for the
         cached patterns and real vhat, as float64."""
         tgt = self.tgt[:, cols]
         re_sign, im_sign = self.re[:, cols], self.im[:, cols]
-        if out is None:
-            out = (np.empty(tgt.shape), np.empty(tgt.shape))
-        re, im = out
+        re, im = np.empty((2, *tgt.shape))
         for lo in range(0, len(self.rows), _GATHER_ROWS):
             hi = lo + _GATHER_ROWS
             part = re[lo:hi]
@@ -194,20 +192,18 @@ class ShiftCache:
             part *= re_sign[lo:hi]
         return re, im
 
-    def apply_combined(self, vhat, weights, out=None):
+    def apply_combined(self, vhat, weights):
         """(Re, Im) of weights @ F for real weights.
 
         F is gathered by ``apply`` one column slice at a time, so it is
         never held whole.
         """
-        if out is None:
-            shape = (len(weights), self.tgt.shape[1])
-            out = (np.empty(shape), np.empty(shape))
+        out = np.empty((2, len(weights), self.tgt.shape[1]))
         for lo in range(0, self.tgt.shape[1], _COMBINE_COLS):
             cols = slice(lo, lo + _COMBINE_COLS)
             re, im = self.apply(vhat, cols=cols)
-            np.matmul(weights, re, out=out[0][:, cols])
-            np.matmul(weights, im, out=out[1][:, cols])
+            np.matmul(weights, re, out=out[0, :, cols])
+            np.matmul(weights, im, out=out[1, :, cols])
         return out
 
 

@@ -14,6 +14,9 @@ contraction convention (validated against the circuit-level oracle):
 channel Chois enter untransposed as (1 (x) M)(|I>><<I|), the prepared
 state enters untransposed, and the final POVM element enters transposed.
 
+The catalog is kept as four Pauli-coefficient tables (``factor_coeffs``);
+each outcome operator is the tensor product of one row of each.
+
 Causally ordered subspaces are characterized by forbidden Pauli-product
 patterns (the trace-and-replace comb conditions); projectors onto them are
 diagonal in the Pauli-product basis.
@@ -219,29 +222,26 @@ def probability(w: ProcessMatrix, elements) -> float:
 
 # -- fast per-setting tables -----------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _factor_coeff_cache():
-    """Pauli coefficient vectors of every catalog factor, by label group."""
-    prep = {z: pauli_coeffs(instrument("prep", z).choi.entries, 1)
-            for z in (1, 2, 3)}
-    alice = {x: pauli_coeffs(instrument("alice", x).choi.entries, 2)
-             for x in range(1, 11)}
-    bob = {(y, r, b): pauli_coeffs(instrument("bob", (y, r), b).choi.entries, 2)
-           for y in (1, 2) for r in (1, 2, 3) for b in (0, 1)}
-    det = {d: pauli_coeffs(instrument("detect", "x", d).choi.entries.T, 2)
-           for d in (0, 1)}
-    return prep, alice, bob, det
-
-
-def outcome_operator_coeffs(z, x, y, r, b, d) -> np.ndarray:
-    """Pauli coefficients of rho_z (x) C^A_x (x) C^B_{b|y,r} (x) E_d^T.
-
-    Laid out in the canonical label order (A_I A_O B_I B_O F_c F_t P).
-    """
-    prep, alice, bob, det = _factor_coeff_cache()
-    return np.kron(
-        np.kron(np.kron(alice[x], bob[(y, r, b)]), det[d]), prep[z]
-    )
+@lru_cache(maxsize=1)
+def factor_coeffs():
+    """Read-only Pauli-coefficient tables of the catalog factors: prep
+    (3, 4) on P; alice (10, 16) on (A_I, A_O); bob (2, 3, 2, 16) indexed
+    (y-1, r-1, b) on (B_I, B_O); detect (2, 16), the transposed POVM element
+    on (F_c, F_t).  Outcome (z, x, y, r, b, d) has the coefficient
+    alice[a] bob[c] detect[f] prep[p] on the pattern with digit groups
+    (a, c, f, p)."""
+    prep = [pauli_coeffs(instrument("prep", z).choi.entries, 1)
+            for z in (1, 2, 3)]
+    alice = [pauli_coeffs(instrument("alice", x).choi.entries, 2)
+             for x in range(1, 11)]
+    bob = [[[pauli_coeffs(instrument("bob", (y, r), b).choi.entries, 2)
+             for b in (0, 1)] for r in (1, 2, 3)] for y in (1, 2)]
+    det = [pauli_coeffs(instrument("detect", "x", d).choi.entries.T, 2)
+           for d in (0, 1)]
+    tables = tuple(np.array(t) for t in (prep, alice, bob, det))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def probability_table(d_value: float = 0.0,
@@ -249,20 +249,20 @@ def probability_table(d_value: float = 0.0,
     """All 180 x 4 probabilities keyed by (z, x, y, r, b, d)."""
     if w is None:
         w = dephase_order_coherence(w_switch(), d_value)
-    what = pauli_coeffs(w.entries, NQUBITS)
-    # contract W against the product structure group by group
-    t = what.reshape(16, 16, 16, 4)  # (A_I A_O), (B_I B_O), (F_c F_t), P
-    prep, alice, bob, det = _factor_coeff_cache()
+    # contract W against the product structure group by group:
+    # (A_I A_O), (B_I B_O), (F_c F_t), P
+    t = pauli_coeffs(w.entries, NQUBITS).reshape(16, 16, 16, 4)
+    prep, alice, bob, det = factor_coeffs()
     table = {}
     for x in range(1, 11):
-        ta = np.tensordot(alice[x], t, axes=([0], [0]))        # (16, 4, 4)
-        for (y, r, b), cb in bob.items():
-            tb = np.tensordot(cb, ta, axes=([0], [0]))          # (4, 4)
+        ta = np.tensordot(alice[x - 1], t, axes=([0], [0]))     # (16, 4, 4)
+        for y, r, b in np.ndindex(bob.shape[:3]):
+            tb = np.tensordot(bob[y, r, b], ta, axes=([0], [0]))  # (4, 4)
             for d in (0, 1):
-                tf = np.tensordot(det[d], tb, axes=([0], [0]))  # (4,)
+                tf = np.tensordot(det[d], tb, axes=([0], [0]))    # (4,)
                 for z in (1, 2, 3):
-                    p = float(np.real(SIDE * np.dot(prep[z], tf)))
-                    table[(z, x, y, r, b, d)] = p
+                    p = float(np.real(SIDE * np.dot(prep[z - 1], tf)))
+                    table[(z, x, y + 1, r + 1, b, d)] = p
     return table
 
 

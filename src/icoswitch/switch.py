@@ -123,7 +123,7 @@ def dephase_control(state: LabeledOperator, d_value: float) -> LabeledOperator:
     factor[0, 0] = factor[1, 1] = 1.0
     shape = [1] * (2 * n)
     shape[ci] = shape[n + ci] = 2
-    arr *= factor.reshape([2 if i in (ci, n + ci) else 1 for i in range(2 * n)])
+    arr *= factor.reshape(shape)
     side = state.entries.shape[0]
     return LabeledOperator(state.labels, state.dims, arr.reshape(side, side))
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -73,25 +74,25 @@ class SpanBasis:
 def build_span(x_subset=None) -> SpanBasis:
     """Span of outcome operators, cleaned of commonly forbidden patterns.
 
-    ``x_subset`` restricts Alice's unitaries (nested-span studies).
+    ``x_subset`` restricts Alice's unitaries (nested-span studies).  The
+    largest |coefficient| on a pattern is the product of the factor tables'
+    column maxima (the settings form a full grid); the support is where it
+    exceeds SPAN_TOL, less the patterns forbidden in both orders.
     """
     xs = list(range(1, 11)) if x_subset is None else sorted(x_subset)
-    keys, rows = [], []
-    for z in (1, 2, 3):
-        for x in xs:
-            for y in (1, 2):
-                for r in (1, 2, 3):
-                    for b in (0, 1):
-                        for d in (0, 1):
-                            keys.append(setting_key(z, x, y, r, b, d))
-                            rows.append(np.real(
-                                pm.outcome_operator_coeffs(z, x, y, r, b, d)
-                            ))
-    mat = np.asarray(rows)
+    prep, alice, bob, det = (t.real for t in pm.factor_coeffs())
+    alice, bob = alice[np.asarray(xs) - 1], bob.reshape(-1, 16)
+    ma, mb, mf, mp = (np.abs(t).max(axis=0) for t in (alice, bob, det, prep))
+    peak = ma[:, None, None, None] * mb[:, None, None] * mf[:, None] * mp
     forb_ab, forb_ba, _ = pm._pattern_masks()
-    mat[:, forb_ab & forb_ba] = 0.0
-    support = np.flatnonzero(np.abs(mat).max(axis=0) > SPAN_TOL)
-    mat = mat[:, support]
+    support = np.flatnonzero((peak.ravel() > SPAN_TOL) & ~(forb_ab & forb_ba))
+    a, c, f, p = np.unravel_index(support, (16, 16, 16, 4))
+    # rows in key order (z, x, (y, r, b), d)
+    mat = (alice[None, :, None, None, a] * bob[None, None, :, None, c]
+           * det[None, None, None, :, f] * prep[:, None, None, None, p]
+           ).reshape(-1, len(support))
+    keys = [setting_key(*k) for k in
+            product((1, 2, 3), xs, (1, 2), (1, 2, 3), (0, 1), (0, 1))]
     u, sing, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int((sing > SPAN_TOL * sing[0]).sum())
     onb = vt[:rank]

@@ -159,6 +159,19 @@ def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+def test_element_with_wrong_path_count_exits_with_one_line(tmp_path, capsys):
+    old = "bs50 paths=c0,c1 stage=switch-out"
+    line = 1 + REFERENCE_CIRCUIT.splitlines().index(old)
+    (tmp_path / "switch.circuit").write_text(
+        REFERENCE_CIRCUIT.replace(old, "bs50 paths=c0"))
+    rc = cli.main(["check", "--circuit", str(tmp_path / "switch.circuit"),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_PARSE
+    assert err == [f"circuit: line {line}, col 1: bs50 needs two paths, "
+                   f"got ('c0',)"]
+
+
 def test_witness_exits_4_when_the_solve_is_not_optimal(tmp_path, capsys,
                                                       monkeypatch, recwarn):
     solve = witness.solve_conic

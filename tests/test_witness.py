@@ -5,6 +5,8 @@ ideal switch takes a couple of minutes), so it runs once as a session
 fixture shared with the acceptance suite (see conftest).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,49 @@ def test_alpha_map_reproduces_onb():
     alpha = span.alpha_map @ s
     rebuilt = span.raw.T @ alpha
     assert np.abs(rebuilt - coeffs).max() < 1e-9
+
+
+def dense_span(xs):
+    """Support and raw rows the direct way: every outcome operator written
+    out over all 4^7 patterns, patterns forbidden in both orders zeroed,
+    support = the columns left non-zero."""
+    prep, alice, bob, det = pm.factor_coeffs()
+    settings = [(z, x, y, r, b, d) for z in (1, 2, 3) for x in xs
+                for y in (1, 2) for r in (1, 2, 3) for b in (0, 1)
+                for d in (0, 1)]
+    rows = np.empty((len(settings), 4**pm.NQUBITS))
+    for i, (z, x, y, r, b, d) in enumerate(settings):
+        rows[i] = np.real(np.kron(np.kron(np.kron(
+            alice[x - 1], bob[y - 1, r - 1, b]), det[d]), prep[z - 1]))
+    forb_ab, forb_ba, _ = pm._pattern_masks()
+    rows[:, forb_ab & forb_ba] = 0.0
+    support = np.flatnonzero(np.abs(rows).max(axis=0) > wt.SPAN_TOL)
+    return support, rows[:, support]
+
+
+@pytest.mark.parametrize("xs", [[1, 2], None], ids=["x-subset", "full"])
+def test_factorized_span_matches_dense_construction(xs, full_span):
+    span = full_span if xs is None else wt.build_span(x_subset=xs)
+    support, raw = dense_span(range(1, 11) if xs is None else xs)
+    assert np.array_equal(span.support, support)
+    assert np.abs(span.raw - raw).max() < 1e-15
+    # same row space: equal projectors onb^T onb
+    sing, vt = np.linalg.svd(raw, full_matrices=False)[1:]
+    onb = vt[:int((sing > wt.SPAN_TOL * sing[0]).sum())]
+    assert len(onb) == span.rank
+    assert np.abs(span.onb.T @ span.onb - onb.T @ onb).max() < 1e-12
+
+
+def test_build_span_memory_stays_small():
+    # the outcome rows are formed on the support only, never over 4^7
+    pm.factor_coeffs.cache_clear()
+    tracemalloc.start()
+    try:
+        wt.build_span()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_dual_cone_identity_and_negative_identity():
