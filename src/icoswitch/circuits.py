@@ -6,22 +6,21 @@ physical sequence through the unfolded table).
 
     path c0 c1 p0 p1
     source pair paths=c0:p0,c1:p1
-    hwp path=c0 angle=22.5 stage=prep
-    pbs paths=c0,p0 stage=bob
-    delay path=p1 overlap=1 bin=2 stage=eraser
-    phase path=c1 angle=180 stage=switch-out
-    bs50 paths=c0,c1 stage=switch-out
+    hwp path=c0 angle=$prep_hwp
+    pbs paths=c0,p0
+    delay path=p1 overlap=$overlap bin=2
+    phase path=c1 angle=180
+    bs50 paths=c0,c1
     detector name=system paths=c0,c1
     detector name=ancilla paths=p0,p1
+
+Each element kind takes the parameters in ``ELEMENT_PARAMS``.  A value
+is a number, used as written, or a ``$slot`` from ``SLOTS``, bound per run
+to a catalog waveplate angle or the run's eraser mode overlap.
 
 The ``system`` and ``ancilla`` detectors are required; each lists its
 paths in port order (port 0 first).  The last ``bs50`` on exactly the
 system paths closes the interferometer; the scan phase acts before it.
-
-Stage tags group elements for per-setting angle binding: ``prep`` carries
-[qwp, hwp] per switch arm, ``alice`` [qwp, hwp, qwp] per arm, ``bob`` one
-measurement hwp before and one repreparation hwp after each pbs, and
-``eraser`` delay elements take the run's mode overlap.
 """
 
 from __future__ import annotations
@@ -31,14 +30,22 @@ from importlib import resources
 
 import numpy as np
 
-from .fock import (
-    FockState,
-    Mode,
-    OpticalElement,
-    SwitchProgram,
-)
+from .fock import FockState, Mode, OpticalElement, SwitchProgram
 
-ELEMENT_KINDS = {"bs50", "pbs", "hwp", "qwp", "phase", "delay", "swap"}
+# element kind -> the parameters it takes
+ELEMENT_PARAMS = {
+    "bs50": (), "pbs": (), "swap": (),
+    "hwp": ("angle",), "qwp": ("angle",), "phase": ("angle",),
+    "delay": ("overlap", "bin"),
+}
+# slot -> the (element kind, parameter) it binds
+SLOTS = {
+    "prep_qwp": ("qwp", "angle"), "prep_hwp": ("hwp", "angle"),
+    "alice_qwp1": ("qwp", "angle"), "alice_hwp": ("hwp", "angle"),
+    "alice_qwp2": ("qwp", "angle"),
+    "meas_hwp": ("hwp", "angle"), "reprep_hwp": ("hwp", "angle"),
+    "overlap": ("delay", "overlap"),
+}
 REQUIRED_DETECTORS = ("system", "ancilla")
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -76,8 +83,7 @@ class DetectorDecl:
 class ElementDecl:
     kind: str
     paths: tuple
-    params: dict
-    stage: str
+    params: dict  # parameter -> number, or "$slot" bound per run
     line: int
 
 
@@ -87,7 +93,6 @@ class CircuitSpec:
     source: SourceDecl
     elements: tuple
     detectors: tuple
-    stages: dict  # stage name -> tuple of element indices
 
     def detector(self, name):
         for d in self.detectors:
@@ -104,6 +109,25 @@ def _parse_kv(token, line_no, col, errors):
     return key, value
 
 
+def _param_value(kind, key, value):
+    """A number or a ``$slot`` that binds this parameter; else ValueError."""
+    if key not in ELEMENT_PARAMS[kind]:
+        takes = ", ".join(ELEMENT_PARAMS[kind]) or "none"
+        raise ValueError(f"{kind} has no parameter {key!r} (takes: {takes})")
+    if not value.startswith("$"):
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"parameter {key}={value!r} not numeric") from None
+    binds = SLOTS.get(value[1:])
+    if binds is None:
+        raise ValueError(f"unknown slot {value!r} (slots: {', '.join(SLOTS)})")
+    if binds != (kind, key):
+        raise ValueError(f"slot {value} binds a {' '.join(binds)}, "
+                         f"not a {kind} {key}")
+    return value
+
+
 def parse_circuit(text: str) -> CircuitSpec:
     """Parse and validate; raises CircuitParseError with positions."""
     errors: list = []
@@ -111,9 +135,6 @@ def parse_circuit(text: str) -> CircuitSpec:
     source = None
     elements: list = []
     detectors: list = []
-    stages: dict = {}
-    current_stage = ""
-    declared_stages: set = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -128,17 +149,6 @@ def parse_circuit(text: str) -> CircuitSpec:
                 if p in paths:
                     errors.append(Diagnostic(line_no, col, f"path {p!r} redeclared"))
                 paths.append(p)
-            continue
-
-        if head == "stage":
-            if len(tokens) != 2:
-                errors.append(Diagnostic(line_no, col, "stage needs one name"))
-                continue
-            name = tokens[1]
-            if name in declared_stages:
-                errors.append(Diagnostic(line_no, col, f"duplicate stage {name!r}"))
-            declared_stages.add(name)
-            current_stage = name
             continue
 
         if head == "source":
@@ -173,41 +183,35 @@ def parse_circuit(text: str) -> CircuitSpec:
                                           dpaths, line_no))
             continue
 
-        if head not in ELEMENT_KINDS:
+        if head not in ELEMENT_PARAMS:
             errors.append(Diagnostic(line_no, col,
                                      f"unknown element kind {head!r}"))
             continue
 
-        kv = {}
+        epaths, params = None, {}
         for tok in tokens[1:]:
-            key, value = _parse_kv(tok, line_no, line.find(tok) + 1, errors)
-            if key is not None:
-                kv[key] = value
-        if "paths" in kv:
-            epaths = tuple(kv.pop("paths").split(","))
-        elif "path" in kv:
-            epaths = (kv.pop("path"),)
-        else:
+            tcol = line.find(tok) + 1
+            key, value = _parse_kv(tok, line_no, tcol, errors)
+            if key in ("path", "paths"):
+                epaths = tuple(value.split(","))
+            elif key is not None:
+                try:
+                    params[key] = _param_value(head, key, value)
+                except ValueError as exc:
+                    errors.append(Diagnostic(line_no, tcol, str(exc)))
+        if epaths is None:
             errors.append(Diagnostic(line_no, col, f"{head} needs path(s)"))
             continue
         for p in epaths:
             if p not in paths:
                 errors.append(Diagnostic(line_no, col, f"undeclared path {p!r}"))
-        try:  # the element's own arity rule, at default parameters
-            OpticalElement(head, epaths)
+        try:  # the element's own rules, at its numeric parameters
+            _to_element(head, epaths, {k: v for k, v in params.items()
+                                       if not isinstance(v, str)})
         except ValueError as exc:
             errors.append(Diagnostic(line_no, col, str(exc)))
             continue
-        params = {}
-        stage = kv.pop("stage", current_stage)
-        for key, value in kv.items():
-            try:
-                params[key] = float(value)
-            except ValueError:
-                errors.append(Diagnostic(line_no, col,
-                                         f"parameter {key}={value!r} not numeric"))
-        elements.append(ElementDecl(head, epaths, params, stage, line_no))
-        stages.setdefault(stage, []).append(len(elements) - 1)
+        elements.append(ElementDecl(head, epaths, params, line_no))
 
     if source is None:
         errors.append(Diagnostic(0, 0, "exactly one source required, found none"))
@@ -218,22 +222,16 @@ def parse_circuit(text: str) -> CircuitSpec:
                 0, 0, f"detector name={name} required, found none"))
     if errors:
         raise CircuitParseError(errors)
-    stages = {k: tuple(v) for k, v in stages.items() if k}
-    return CircuitSpec(tuple(paths), source, tuple(elements),
-                       tuple(detectors), stages)
+    return CircuitSpec(tuple(paths), source, tuple(elements), tuple(detectors))
 
 
 # -- realization -------------------------------------------------------------------
 
-def _to_element(decl: ElementDecl) -> OpticalElement:
-    if decl.kind in ("hwp", "qwp", "phase"):
-        return OpticalElement(decl.kind, decl.paths,
-                              float(np.deg2rad(decl.params.get("angle", 0.0))))
-    if decl.kind == "delay":
-        return OpticalElement("delay", decl.paths,
-                              float(decl.params.get("overlap", 1.0)),
-                              bin=int(decl.params.get("bin", 1)))
-    return OpticalElement(decl.kind, decl.paths)
+def _to_element(kind, paths, params) -> OpticalElement:
+    if kind == "delay":
+        return OpticalElement(kind, paths, float(params.get("overlap", 1.0)),
+                              bin=int(params.get("bin", 1)))
+    return OpticalElement(kind, paths, float(np.deg2rad(params.get("angle", 0.0))))
 
 
 def source_state(spec: CircuitSpec) -> FockState:
@@ -246,76 +244,17 @@ def source_state(spec: CircuitSpec) -> FockState:
 
 
 def bind_setting(spec: CircuitSpec, setting, overlap: float) -> list:
-    """Concrete elements with the setting's angles substituted by stage.
-
-    prep arms get (qwp, hwp) from the input-state row; alice arms the
-    waveplate triple; in the bob stage the hwp before each pbs takes the
-    measurement angle and the hwp after it the repreparation angle; delay
-    elements take the run's eraser overlap.
-    """
-    system_paths = {a for a, _ in spec.source.pairs}
-    angle_of = {}
-
-    def per_path(stage_name):
-        groups: dict = {}
-        for idx in spec.stages.get(stage_name, ()):
-            decl = spec.elements[idx]
-            if len(decl.paths) == 1:
-                groups.setdefault(decl.paths[0], []).append(idx)
-        return groups
-
-    for path, idxs in per_path("prep").items():
-        if path not in system_paths:
-            continue  # probe initialization plates keep their file angles
-        plates = [i for i in idxs if spec.elements[i].kind in ("qwp", "hwp")]
-        expect = ("qwp", "hwp")
-        kinds = tuple(spec.elements[i].kind for i in plates)
-        if kinds != expect:
-            raise CircuitParseError([Diagnostic(
-                spec.elements[idxs[0]].line, 1,
-                f"prep stage on {path!r} must hold plates {expect}, found {kinds}")])
-        angle_of[plates[0]] = setting.prep_qwp
-        angle_of[plates[1]] = setting.prep_hwp
-
-    for path, idxs in per_path("alice").items():
-        kinds = tuple(spec.elements[i].kind for i in idxs)
-        if kinds != ("qwp", "hwp", "qwp"):
-            raise CircuitParseError([Diagnostic(
-                spec.elements[idxs[0]].line, 1,
-                f"alice stage on {path!r} must hold (qwp, hwp, qwp), found {kinds}")])
-        for i, angle in zip(idxs, setting.alice_angles):
-            angle_of[i] = angle
-
-    bob_idxs = spec.stages.get("bob", ())
-    pbs_positions = [i for i in bob_idxs if spec.elements[i].kind == "pbs"]
-    for pbs_i in pbs_positions:
-        sys_path = next(p for p in spec.elements[pbs_i].paths
-                        if p in system_paths)
-        before = [i for i in bob_idxs
-                  if i < pbs_i and spec.elements[i].kind == "hwp"
-                  and spec.elements[i].paths == (sys_path,)]
-        after = [i for i in bob_idxs
-                 if i > pbs_i and spec.elements[i].kind == "hwp"
-                 and spec.elements[i].paths == (sys_path,)]
-        if not before or not after:
-            raise CircuitParseError([Diagnostic(
-                spec.elements[pbs_i].line, 1,
-                f"bob stage on {sys_path!r} needs an hwp before and after the pbs")])
-        angle_of[before[-1]] = setting.meas_hwp
-        angle_of[after[0]] = setting.reprep_hwp
-
-    out = []
-    for idx, decl in enumerate(spec.elements):
-        if idx in angle_of:
-            decl = ElementDecl(decl.kind, decl.paths,
-                               {**decl.params, "angle": angle_of[idx]},
-                               decl.stage, decl.line)
-        elif decl.kind == "delay":
-            decl = ElementDecl(decl.kind, decl.paths,
-                               {**decl.params, "overlap": overlap},
-                               decl.stage, decl.line)
-        out.append(_to_element(decl))
-    return out
+    """Concrete elements, each ``$slot`` replaced by its value for the
+    setting (waveplate angles) and the run (mode overlap)."""
+    qwp1, hwp, qwp2 = setting.alice_angles
+    values = {"prep_qwp": setting.prep_qwp, "prep_hwp": setting.prep_hwp,
+              "alice_qwp1": qwp1, "alice_hwp": hwp, "alice_qwp2": qwp2,
+              "meas_hwp": setting.meas_hwp, "reprep_hwp": setting.reprep_hwp,
+              "overlap": overlap}
+    return [_to_element(d.kind, d.paths,
+                        {k: values[v[1:]] if isinstance(v, str) else v
+                         for k, v in d.params.items()})
+            for d in spec.elements]
 
 
 def program_from_spec(spec: CircuitSpec, setting, overlap: float) -> SwitchProgram:

@@ -23,6 +23,7 @@ from . import switch as qubit_model
 from . import tomo, witness
 from .circuits import (
     CircuitParseError,
+    Diagnostic,
     parse_circuit,
     program_from_spec,
     reference_circuit_text,
@@ -48,7 +49,13 @@ def _fmt(x):
 
 
 def load_circuit(path=None):
-    text = Path(path).read_text() if path else reference_circuit_text()
+    if not path:
+        return parse_circuit(reference_circuit_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CircuitParseError(
+            [Diagnostic(0, 0, f"cannot read circuit file: {exc}")]) from None
     return parse_circuit(text)
 
 
@@ -210,10 +217,6 @@ def cmd_sweep(config) -> int:
     for d_value, val, vis in rows:
         lines.append(f"{_fmt(d_value)},{_fmt(val)},{_fmt(vis)}")
     values = [v for _, v, _ in rows]
-    model_at_ref = None
-    if any(abs(d - REFERENCE_LAB_POINT[0]) < 1e-9 for d, _, _ in rows):
-        model_at_ref = next(v for d, v, _ in rows
-                            if abs(d - REFERENCE_LAB_POINT[0]) < 1e-9)
     files = {
         "sweep.csv": "\n".join(lines) + "\n",
         "witness_vs_D.svg": sweep_svg([r[0] for r in rows], values,
@@ -228,9 +231,7 @@ def cmd_sweep(config) -> int:
           f"C_W(1) = {values[-1]:+.6f}, sign change "
           f"{'at D in (%.2f, %.2f]' % (rows[crossing - 1][0], rows[crossing][0]) if crossing else 'absent'}")
     ref_d = REFERENCE_LAB_POINT[0]
-    model_val = model_at_ref if model_at_ref is not None else float(
-        np.interp(ref_d, [r[0] for r in rows], values)
-    )
+    model_val = float(np.interp(ref_d, [r[0] for r in rows], values))
     print(f"sweep: model value at D = {ref_d}: {model_val:+.4f} "
           f"(reported experimental value {REFERENCE_LAB_POINT[1]:+.3f} "
           f"includes lab imperfections)")
@@ -408,6 +409,8 @@ def config_from_args(args) -> dict:
                                  and all(map(_is_unit_number, grid))):
         _reject(f"grid must be a non-empty list of numbers in [0, 1], "
                 f"got {grid!r}")
+    if grid is not None and any(a >= b for a, b in zip(grid, grid[1:])):
+        _reject(f"grid must be strictly increasing, got {grid!r}")
     for key in ("seed", "steps", "pairs", "input_state"):
         if not _is_int(config[key]):
             _reject(f"{key} must be an integer, got {config[key]!r}")
@@ -437,9 +440,6 @@ def main(argv=None) -> int:
     except CircuitParseError as exc:
         for diag in exc.diagnostics:
             print(f"circuit: {diag}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
         return EXIT_PARSE
 
 

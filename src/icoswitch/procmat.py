@@ -68,7 +68,6 @@ class ProcessMatrix:
     """PSD operator over the seven-label process space."""
 
     operator: LabeledOperator
-    kind: str = "custom"
 
     def __post_init__(self):
         if self.operator.labels != CANONICAL:
@@ -121,12 +120,12 @@ def w_switch() -> ProcessMatrix:
     ab, ba = _branch("A->B"), _branch("B->A")
     amp = (ab.amplitudes + ba.amplitudes) / np.sqrt(2.0)
     vec = LabeledVector(ab.labels, ab.dims, amp)
-    return ProcessMatrix(vec.outer(), kind="pure-switch")
+    return ProcessMatrix(vec.outer())
 
 
 def w_ordered(order: str) -> ProcessMatrix:
     """Definite-order reduction of the switch (one branch of |w>)."""
-    return ProcessMatrix(_branch(order).outer(), kind=f"ordered-{order}")
+    return ProcessMatrix(_branch(order).outer())
 
 
 def dephase_order_coherence(w: ProcessMatrix, d_value: float) -> ProcessMatrix:
@@ -144,8 +143,7 @@ def dephase_order_coherence(w: ProcessMatrix, d_value: float) -> ProcessMatrix:
     factor[0, 0] = factor[1, 1] = 1.0
     arr *= factor.reshape(shape)
     op = LabeledOperator(CANONICAL, DIMS, arr.reshape(SIDE, SIDE))
-    kind = "mixture" if d_value == 1.0 else "custom"
-    return ProcessMatrix(op, kind=kind)
+    return ProcessMatrix(op)
 
 
 # -- instruments ---------------------------------------------------------------
@@ -336,7 +334,7 @@ def mix_orders(p: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix) -> ProcessMat
         if dev > 1e-9:
             raise ValueError(f"argument is not {order} ordered (dev {dev:.2e})")
     op = p * w_ab.operator + (1.0 - p) * w_ba.operator
-    return ProcessMatrix(op, kind="mixture")
+    return ProcessMatrix(op)
 
 
 def random_ordered(order: str, rng: np.random.Generator,
@@ -372,4 +370,4 @@ def random_ordered(order: str, rng: np.random.Generator,
         vec = tensor(parts)
         total += vec.outer().entries
     op = LabeledOperator(CANONICAL, DIMS, total)
-    return ProcessMatrix(op, kind=f"ordered-{order}")
+    return ProcessMatrix(op)

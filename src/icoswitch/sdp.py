@@ -433,9 +433,8 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
             break
         h_reg = _regularized(h) if np.isfinite(h).all() else None
         if h_reg is None:
-            return SdpSolution("numerical_failure", y, x, z, u, res.pobj,
-                               res.dobj, res.gap, it,
-                               {"pinf": res.pinf, "dinf": res.dinf})
+            status = "numerical_failure"
+            break
 
         pred = _directions(blocks, scal, res, h_reg, free_g, 0.0)
         ap, ad = _step_lengths(pred, scal)

@@ -14,7 +14,8 @@ def full_span():
 @pytest.fixture(scope="session")
 def witness_solution(full_span):
     """Optimal witness for the ideal switch over the full 180-setting span."""
-    sol = wt.optimize_witness(pm.w_switch(), full_span)
+    with pytest.warns(wt.SpanRankWarning):
+        sol = wt.optimize_witness(pm.w_switch(), full_span)
     assert sol.status == "optimal", f"witness solve failed: {sol.status}"
     return sol
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from icoswitch.circuits import (
+    SLOTS,
     CircuitParseError,
+    bind_setting,
     parse_circuit,
     program_from_spec,
     reference_circuit_text,
@@ -32,7 +34,9 @@ def test_parse_minimal_grammar():
 
 def test_parse_reference_file():
     spec = parse_circuit(reference_circuit_text())
-    assert set(spec.stages) == {"prep", "alice", "bob", "eraser", "switch-out"}
+    bound = {v[1:] for d in spec.elements for v in d.params.values()
+             if isinstance(v, str)}
+    assert bound == set(SLOTS)
     assert len(spec.elements) == 23
     assert {d.name for d in spec.detectors} == {"system", "ancilla"}
 
@@ -48,13 +52,6 @@ def test_undeclared_path_diagnostic():
     with pytest.raises(CircuitParseError) as err:
         parse_circuit("path a\nsource pair paths=a:a\nhwp path=q angle=0\n")
     assert any("'q'" in d.message for d in err.value.diagnostics)
-
-
-def test_duplicate_stage_diagnostic():
-    text = "path a\nsource pair paths=a:a\nstage prep\nstage prep\n"
-    with pytest.raises(CircuitParseError) as err:
-        parse_circuit(text)
-    assert any("duplicate stage" in d.message for d in err.value.diagnostics)
 
 
 def test_missing_source_diagnostic():
@@ -91,10 +88,58 @@ def test_renamed_detector_paths_give_reference_program(seed):
     assert max(abs(got[k] - ref[k]) for k in ref) < 1e-12
 
 
-def test_alice_stage_validation():
+def test_slot_binds_only_its_waveplate_kind():
     text = reference_circuit_text().replace(
-        "qwp path=c0 angle=0 stage=alice", "hwp path=c0 angle=0 stage=alice", 1
+        "qwp path=c0 angle=$alice_qwp1", "hwp path=c0 angle=$alice_qwp1", 1
     )
+    line = 1 + text.splitlines().index("hwp path=c0 angle=$alice_qwp1")
+    with pytest.raises(CircuitParseError, match="alice_qwp1") as err:
+        parse_circuit(text)
+    assert [d.line for d in err.value.diagnostics] == [line]
+
+
+def test_unknown_parameter_diagnostic():
+    # a misspelled key must not leave the plate at its default angle
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(MINIMAL.replace("angle=22.5", "angel=22.5"))
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col) == (5, 12)
+    assert "'angel'" in diag.message
+
+
+def test_slot_binds_only_its_parameter():
+    element = "delay path=a overlap=$overlap bin=$overlap"
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(MINIMAL.replace("hwp path=a angle=22.5", element))
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col) == (5, 31)
+    assert "not a delay bin" in diag.message
+
+
+def test_stage_tags_fail_once_per_element():
+    # a file in the tagged format names each tagged element
+    lines = reference_circuit_text().splitlines()
+    tagged = [i for i, ln in enumerate(lines)
+              if ln and not ln.startswith(("#", "path", "source", "detector"))]
+    for i in tagged:
+        lines[i] += " stage=prep"
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit("\n".join(lines))
+    diags = err.value.diagnostics
+    assert [d.line for d in diags] == [i + 1 for i in tagged]
+    assert all("'stage'" in d.message for d in diags)
+
+
+def test_numeric_overlap_is_used_as_written():
+    text = reference_circuit_text()
     spec = parse_circuit(text)
-    with pytest.raises(CircuitParseError, match="alice"):
-        program_from_spec(spec, ExperimentSetting(1, 1, 1, 1), 1.0)
+    fixed = parse_circuit(text.replace("overlap=$overlap", "overlap=0.2"))
+    s = ExperimentSetting(2, 5, 1, 3)
+    assert bind_setting(fixed, s, 1.0) == bind_setting(spec, s, 0.2)
+    assert bind_setting(fixed, s, 1.0) != bind_setting(spec, s, 1.0)
+
+
+def test_numeric_overlap_out_of_range_diagnostic():
+    text = reference_circuit_text().replace("overlap=$overlap", "overlap=1.5", 1)
+    with pytest.raises(CircuitParseError, match="overlap must be in"):
+        parse_circuit(text)

@@ -97,6 +97,7 @@ def test_invalid_distinguishability_exit_code(tmp_path):
 REFERENCE_CIRCUIT = reference_circuit_text()
 SYSTEM_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index(
     "detector name=system paths=c0,c1")
+PHASE_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index("phase path=c1 angle=180")
 
 
 @pytest.mark.parametrize("command, config, circuit, message", [
@@ -142,6 +143,20 @@ SYSTEM_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index(
                  id="grid-not-numbers"),
     pytest.param("sweep", {"grid": [0.0, 1.5]}, None, "grid",
                  id="grid-out-of-range"),
+    pytest.param("sweep", {"grid": [1.0, 0.5, 0.0]}, None,
+                 "grid must be strictly increasing", id="grid-decreasing"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("angle=180", "angel=180"),
+                 f"circuit: line {PHASE_LINE}, col 15: phase has no "
+                 f"parameter 'angel'", id="unknown-parameter"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("angle=180", "angle=$phase"),
+                 f"circuit: line {PHASE_LINE}, col 15: unknown slot '$phase'",
+                 id="unknown-slot"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("angle=180", "angle=$meas_hwp"),
+                 f"circuit: line {PHASE_LINE}, col 15: slot $meas_hwp binds "
+                 f"a hwp angle, not a phase angle", id="slot-on-wrong-kind"),
 ])
 def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
                                            config, circuit, message):
@@ -160,7 +175,7 @@ def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
 
 
 def test_element_with_wrong_path_count_exits_with_one_line(tmp_path, capsys):
-    old = "bs50 paths=c0,c1 stage=switch-out"
+    old = "bs50 paths=c0,c1"
     line = 1 + REFERENCE_CIRCUIT.splitlines().index(old)
     (tmp_path / "switch.circuit").write_text(
         REFERENCE_CIRCUIT.replace(old, "bs50 paths=c0"))
@@ -170,6 +185,25 @@ def test_element_with_wrong_path_count_exits_with_one_line(tmp_path, capsys):
     assert rc == cli.EXIT_PARSE
     assert err == [f"circuit: line {line}, col 1: bs50 needs two paths, "
                    f"got ('c0',)"]
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "Is a directory"),
+    (b"path c0\xff\n", "can't decode byte 0xff"),
+], ids=["directory", "not-utf8"])
+def test_unreadable_circuit_exits_with_one_line(tmp_path, capsys, content,
+                                                reason):
+    circuit = tmp_path / "switch.circuit"
+    if content is None:
+        circuit.mkdir()
+    else:
+        circuit.write_bytes(content)
+    rc = cli.main(["check", "--circuit", str(circuit),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_PARSE
+    assert len(err) == 1 and reason in err[0]
+    assert err[0].startswith("circuit: line 0, col 0: cannot read circuit file")
 
 
 def test_witness_exits_4_when_the_solve_is_not_optimal(tmp_path, capsys,

@@ -327,6 +327,7 @@ def test_non_finite_schur_complement_fails_in_first_iteration():
     sol = solve_conic([block], np.array([1.0]))
     assert sol.status == "numerical_failure"
     assert sol.iterations == 1
+    assert set(sol.residuals) == {"pinf", "dinf", "relgap"}
 
 
 def test_iteration_cap_returns_max_iterations():

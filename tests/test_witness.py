@@ -211,7 +211,8 @@ def test_nested_span_monotonicity(witness_solution):
     values = []
     for xs in subsets:
         span = wt.build_span(x_subset=xs)
-        sol = wt.optimize_witness(w, span)
+        with pytest.warns(wt.SpanRankWarning):
+            sol = wt.optimize_witness(w, span)
         assert sol.status == "optimal"
         values.append(sol.value)
     values.append(witness_solution.value)  # the full span
