@@ -15,8 +15,8 @@ physical sequence through the unfolded table).
     detector name=ancilla paths=p0,p1
 
 Each element kind takes the parameters in ``ELEMENT_PARAMS``.  A value
-is a number, used as written, or a ``$slot`` from ``SLOTS``, bound per run
-to a catalog waveplate angle or the run's eraser mode overlap.
+is a finite number, used as written, or a ``$slot`` from ``SLOTS``, bound
+per run to a catalog waveplate angle or the run's eraser mode overlap.
 
 The ``system`` and ``ancilla`` detectors are required; each lists its
 paths in port order (port 0 first).  The last ``bs50`` on exactly the
@@ -116,9 +116,12 @@ def _param_value(kind, key, value):
         raise ValueError(f"{kind} has no parameter {key!r} (takes: {takes})")
     if not value.startswith("$"):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ValueError(f"parameter {key}={value!r} not numeric") from None
+        if not np.isfinite(number):
+            raise ValueError(f"parameter {key}={value!r} not finite")
+        return number
     binds = SLOTS.get(value[1:])
     if binds is None:
         raise ValueError(f"unknown slot {value!r} (slots: {', '.join(SLOTS)})")

@@ -29,6 +29,7 @@ from .circuits import (
     reference_circuit_text,
 )
 from .plots import fringe_svg, sweep_svg
+from .qmath import coherence
 from .settings import ExperimentSetting, enumerate_settings
 
 REFERENCE_IDEAL_VALUE = -0.4248   # reported minimal value, ideal switch
@@ -71,7 +72,7 @@ def model_probability_table(model, d_value, circuit=None):
         return table
     if model == "fock":
         spec = circuit if circuit is not None else load_circuit()
-        overlap = float(np.sqrt(1.0 - d_value**2))
+        overlap = coherence(d_value)
         for s in enumerate_settings():
             prog = program_from_spec(spec, s, overlap)
             for (b, d), p in prog.outcome_probabilities().items():
@@ -91,9 +92,12 @@ def probabilities_csv(table) -> str:
 
 
 def write_report_files(outdir: Path, files: dict):
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        (outdir / name).write_text(content)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            (outdir / name).write_text(content)
+    except OSError as exc:
+        _reject(f"cannot write report files to {outdir}: {exc.strerror or exc}")
 
 
 def run_metadata(config):
@@ -211,8 +215,7 @@ def cmd_sweep(config) -> int:
         val = witness.evaluate_witness(
             sol.alpha, witness.probs_to_witness_table(table)
         )
-        vis = float(np.sqrt(max(0.0, 1.0 - float(d_value) ** 2)))
-        rows.append((float(d_value), val, vis))
+        rows.append((float(d_value), val, coherence(d_value)))
     lines = ["distinguishability,witness_value,visibility"]
     for d_value, val, vis in rows:
         lines.append(f"{_fmt(d_value)},{_fmt(val)},{_fmt(vis)}")
@@ -261,7 +264,7 @@ def cmd_tomo(config) -> int:
     d_value = config["distinguishability"]
     circuit = load_circuit(config.get("circuit"))
     prog = program_from_spec(circuit, ExperimentSetting(z, 1, 1, 1),
-                             float(np.sqrt(1.0 - d_value**2)))
+                             coherence(d_value))
     grid = np.linspace(0.0, 2.0 * np.pi, 61)
     vis, flat, rates = tomo.fringe_scan(prog.coincidence_probability, grid)
     payload = {
@@ -432,11 +435,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-    except SystemExit as exc:
+        return args.func(config_from_args(args))
+    except SystemExit as exc:  # _reject: the one line is already printed
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    try:
-        return args.func(config)
     except CircuitParseError as exc:
         for diag in exc.diagnostics:
             print(f"circuit: {diag}", file=sys.stderr)

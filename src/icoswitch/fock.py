@@ -124,15 +124,6 @@ class OpticalElement:
                 return [(Mode(a, m.pol, m.tbin), 1.0)]
         return [(m, 1.0)]
 
-    def transfer_matrix(self, modes):
-        """Single-photon matrix of the element on an explicit mode basis."""
-        idx = {m: i for i, m in enumerate(modes)}
-        t = np.zeros((len(modes), len(modes)), dtype=complex)
-        for m in modes:
-            for m2, amp in self.image(m):
-                t[idx[m2], idx[m]] = amp
-        return t
-
 
 def _config_weight(config) -> int:
     """Product of occupation factorials: <config|config> for monomials."""
@@ -188,12 +179,6 @@ class FockState:
             raise NullPostselectionError("cannot renormalize a null state")
         return FockState({c: a / n for c, a in self.terms.items()},
                          paths=self.paths)
-
-    def modes(self):
-        out = set()
-        for c in self.terms:
-            out.update(c)
-        return sorted(out)
 
 
 def evolve(state: FockState, element: OpticalElement) -> FockState:
@@ -289,9 +274,6 @@ class SwitchProgram:
                    self.ancilla_paths.index(am.path), am.pol)
             out[key] = out.get(key, 0.0) + p
         return out
-
-    def success_probability(self, phase: float = 0.0) -> float:
-        return float(sum(self.joint_distribution(phase).values()))
 
     def outcome_probabilities(self, phase: float = 0.0) -> dict:
         """Normalized p[(b, d)]: b = ancilla polarization, d = folded port."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import settings as catalog
 from .paulialg import PauliContext, coeffs_to_matrix, pauli_coeffs
-from .qmath import LabeledOperator, LabeledVector, link_vector, tensor
+from .qmath import LabeledOperator, LabeledVector, dephase, link_vector, tensor
 
 LABELS = ("P", "A_I", "A_O", "B_I", "B_O", "F_t", "F_c")
 CANONICAL = tuple(sorted(LABELS))  # A_I A_O B_I B_O F_c F_t P
@@ -76,9 +76,6 @@ class ProcessMatrix:
     @property
     def entries(self):
         return self.operator.entries
-
-    def is_psd(self, tol=1e-10):
-        return self.operator.is_psd(tol)
 
 
 @dataclass(frozen=True)
@@ -130,20 +127,7 @@ def w_ordered(order: str) -> ProcessMatrix:
 
 def dephase_order_coherence(w: ProcessMatrix, d_value: float) -> ProcessMatrix:
     """Shrink the off-diagonal F_c blocks by sqrt(1 - D^2)."""
-    if not 0.0 <= d_value <= 1.0:
-        raise ValueError(f"distinguishability must be in [0, 1], got {d_value}")
-    if d_value == 0.0:
-        return w
-    f = np.sqrt(1.0 - d_value**2)
-    k = _IDX["F_c"]
-    arr = w.entries.reshape(DIMS * 2).copy()
-    shape = [1] * 14
-    shape[k] = shape[7 + k] = 2
-    factor = np.full((2, 2), f)
-    factor[0, 0] = factor[1, 1] = 1.0
-    arr *= factor.reshape(shape)
-    op = LabeledOperator(CANONICAL, DIMS, arr.reshape(SIDE, SIDE))
-    return ProcessMatrix(op)
+    return ProcessMatrix(dephase(w.operator, "F_c", d_value))
 
 
 # -- instruments ---------------------------------------------------------------
@@ -273,12 +257,21 @@ def _nontrivial():
     return {l: dg[:, _IDX[l]] != 0 for l in CANONICAL}
 
 
-@lru_cache(maxsize=4)
-def forbidden_mask(order: str) -> np.ndarray:
-    """Patterns no process of the given order carries (comb conditions)."""
-    _, first_out, second_in, second_out, _ = _order(order)
+@lru_cache(maxsize=3)
+def forbidden_mask(kind: str) -> np.ndarray:
+    """Patterns no process of the given kind carries (comb conditions).
+
+    ``kind`` is an order, "A->B" or "B->A", or "valid" for the patterns
+    no valid process carries, whatever its order.
+    """
     nz = _nontrivial()
     f_trivial = ~nz["F_c"] & ~nz["F_t"]
+    if kind == "valid":
+        a_pairable = nz["A_O"] | (~nz["A_I"] & ~nz["A_O"])
+        b_pairable = nz["B_O"] | (~nz["B_I"] & ~nz["B_O"])
+        nontrivial = nz["P"] | nz["A_O"] | nz["B_O"]
+        return f_trivial & a_pairable & b_pairable & nontrivial
+    _, first_out, second_in, second_out, _ = _order(kind)
     c1 = nz[second_out] & f_trivial
     c2 = nz[first_out] & ~nz[second_in] & ~nz[second_out] & f_trivial
     c3 = (nz["P"] & ~nz["A_I"] & ~nz["A_O"] & ~nz["B_I"] & ~nz["B_O"]
@@ -286,40 +279,12 @@ def forbidden_mask(order: str) -> np.ndarray:
     return c1 | c2 | c3
 
 
-@lru_cache(maxsize=4)
-def _pattern_masks():
-    """Forbidden Pauli-pattern masks for the ordered and valid subspaces."""
-    nz = _nontrivial()
-    f_trivial = ~nz["F_c"] & ~nz["F_t"]
-    a_pairable = nz["A_O"] | (~nz["A_I"] & ~nz["A_O"])
-    b_pairable = nz["B_O"] | (~nz["B_I"] & ~nz["B_O"])
-    nontrivial = nz["P"] | nz["A_O"] | nz["B_O"]
-    forb_valid = f_trivial & a_pairable & b_pairable & nontrivial
-    return forbidden_mask("A->B"), forbidden_mask("B->A"), forb_valid
-
-
-def ordered_projector_mask(order: str) -> np.ndarray:
-    return ~forbidden_mask(order)
-
-
-def valid_projector_mask() -> np.ndarray:
-    _, _, forb_valid = _pattern_masks()
-    return ~forb_valid
-
-
 def project_ordered(m: LabeledOperator, order: str) -> LabeledOperator:
     """Orthogonal projection onto the order-compatible linear subspace."""
     if m.labels != CANONICAL:
         raise ValueError(f"operator labels must be {CANONICAL}")
     coeffs = pauli_coeffs(m.entries, NQUBITS)
-    coeffs = coeffs * ordered_projector_mask(order)
-    return LabeledOperator(CANONICAL, DIMS, coeffs_to_matrix(coeffs, NQUBITS))
-
-
-def project_valid(m: LabeledOperator) -> LabeledOperator:
-    """Orthogonal projection onto the span of valid process matrices."""
-    coeffs = pauli_coeffs(m.entries, NQUBITS)
-    coeffs = coeffs * valid_projector_mask()
+    coeffs = coeffs * ~forbidden_mask(order)
     return LabeledOperator(CANONICAL, DIMS, coeffs_to_matrix(coeffs, NQUBITS))
 
 

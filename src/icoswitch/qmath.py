@@ -5,6 +5,10 @@ per-label dimensions.  Labels are canonicalized to lexicographic order at
 construction time, so two objects over the same subsystems always agree on
 index layout.  All values are immutable after construction and all
 operations are pure.
+
+``dephase`` is the one which-path decoherence rule that the qubit and
+process-matrix models share: distinguishability D shrinks a qubit's
+coherence by ``coherence(D)`` = sqrt(1 - D^2).
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-
-HERM_TOL = 1e-10  # absolute tolerance for hermiticity / positivity checks
 
 
 class LabelError(ValueError):
@@ -75,25 +77,6 @@ class LabeledVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amplitudes)
 
-    @property
-    def dim(self):
-        return self.amplitudes.size
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return LabeledVector(self.labels, self.dims, self.amplitudes / n)
-
-    def overlap(self, other):
-        """<self|other>; label sets must match."""
-        if self.labels != other.labels or self.dims != other.dims:
-            raise LabelError("overlap requires identical subsystems")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def outer(self, other=None):
         """|self><other| as a LabeledOperator (other defaults to self)."""
         ket = self.amplitudes
@@ -121,10 +104,6 @@ class LabeledOperator:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hermitian", None)
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
 
     def is_hermitian(self):
         cached = object.__getattribute__(self, "_hermitian")
@@ -176,31 +155,6 @@ class LabeledOperator:
         if self.labels != state.labels:
             raise LabelError("operator and state subsystems differ")
         return complex(np.trace(self.entries @ state.entries))
-
-    def embed(self, labels, dims) -> "LabeledOperator":
-        """Pad with identities so the operator acts on the larger label set."""
-        labels = tuple(labels)
-        dims = tuple(int(d) for d in dims)
-        missing = [
-            (l, d) for l, d in zip(labels, dims) if l not in self.labels
-        ]
-        for l in self.labels:
-            if l not in labels:
-                raise LabelError(f"embedding target misses label {l!r}")
-        if not missing:
-            return self
-        pads = [identity([l], [d]) for l, d in missing]
-        return tensor([self] + pads)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)[0])
-
-    def is_psd(self, tol=HERM_TOL) -> bool:
-        return self.is_hermitian() and self.min_eigenvalue() > -tol
-
-
-def identity(labels, dims) -> LabeledOperator:
-    return LabeledOperator(labels, dims, np.eye(prod(dims)))
 
 
 def tensor(factors):
@@ -269,3 +223,33 @@ def link_vector(dim: int, label_in: str, label_out: str) -> LabeledVector:
         raise ValueError(f"link_vector dimension must be >= 1, got {dim}")
     amp = np.eye(dim).reshape(dim * dim)
     return LabeledVector((label_in, label_out), (dim, dim), amp)
+
+
+def coherence(d_value: float) -> float:
+    """sqrt(1 - D^2): the coherence left between two paths whose which-path
+    distinguishability is D in [0, 1]."""
+    if not 0.0 <= d_value <= 1.0:
+        raise ValueError(f"distinguishability must be in [0, 1], got {d_value}")
+    return float(np.sqrt(1.0 - d_value**2))
+
+
+def dephase(op: LabeledOperator, label: str, d_value: float) -> LabeledOperator:
+    """Shrink the off-diagonal blocks of the qubit ``label`` by coherence(D).
+
+    D = 0 returns ``op`` itself; D = 1 leaves the block-diagonal part.
+    """
+    f = coherence(d_value)
+    if label not in op.labels:
+        raise LabelError(f"unknown subsystem label: {label!r}")
+    k = op.labels.index(label)
+    if op.dims[k] != 2:
+        raise LabelError(f"subsystem {label!r} has dimension {op.dims[k]}, not 2")
+    if d_value == 0.0:
+        return op
+    n = len(op.labels)
+    factor = np.full((2, 2), f)
+    factor[0, 0] = factor[1, 1] = 1.0
+    shape = [1] * (2 * n)
+    shape[k] = shape[n + k] = 2
+    arr = op.entries.reshape(op.dims * 2) * factor.reshape(shape)
+    return LabeledOperator(op.labels, op.dims, arr.reshape(op.entries.shape))

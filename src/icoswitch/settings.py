@@ -69,11 +69,6 @@ class ExperimentSetting:
     def reprep_hwp(self):
         return BOB_REPREP_HWP[self.r - 1]
 
-    @property
-    def bob_combined(self):
-        """Bob's (measurement, repreparation) pair as a single 1..6 index."""
-        return (self.y - 1) * 3 + self.r
-
 
 def enumerate_settings():
     """All 180 settings in fixed (z, x, y, r) lexicographic order."""

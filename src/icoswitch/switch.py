@@ -5,9 +5,8 @@ a = probe ancilla qubit.  The control branch |0>_c applies Alice's unitary
 before the measurement interaction; |1>_c applies it after.  Bob's
 interaction couples the system to the ancilla through a CNOT sandwiched
 between a measurement-basis rotation (before) and a repreparation rotation
-(after).  Which-path information carried by the environment is modeled as
-a dephasing channel on the control with knob D: off-diagonal control
-blocks shrink by sqrt(1 - D^2).
+(after).  Which-path information carried by the environment dephases the
+control with knob D (``qmath.dephase``).
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import LabeledOperator, LabeledVector, partial_trace, tensor
+from .qmath import LabeledOperator, LabeledVector, dephase, partial_trace, tensor
 from .settings import ExperimentSetting, alice_unitary, jones, prep_state
 
 UNITARY_TOL = 1e-10
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
-KET1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
@@ -60,23 +58,6 @@ def _vn_operator(meas, reprep) -> LabeledOperator:
     return r @ _cnot_sa() @ m
 
 
-def von_neumann(system, basis) -> LabeledVector:
-    """Probe-coupled measurement of the system along ``basis``.
-
-    Applies (basis^dag (x) 1) CNOT (basis (x) 1) to |psi>_s |0>_a, so the
-    ancilla's sigma_z expectation equals the system expectation of
-    basis^dag sigma_z basis.
-    """
-    psi = _as_qubit(system)
-    u = _check_unitary(basis)
-    op = _vn_operator(u, u.conj().T)
-    joint = tensor([
-        LabeledVector(["s"], [2], psi),
-        LabeledVector(["a"], [2], KET0),
-    ])
-    return op @ joint
-
-
 def switch_evolve(u_alice, bob_basis, system, control=PLUS,
                   bob_reprep=None) -> LabeledVector:
     """Joint {c, s, a} state after the coherently ordered interactions.
@@ -109,25 +90,6 @@ def switch_evolve(u_alice, bob_basis, system, control=PLUS,
     return LabeledVector(amps[0].labels, amps[0].dims, total)
 
 
-def dephase_control(state: LabeledOperator, d_value: float) -> LabeledOperator:
-    """Shrink off-diagonal control blocks by sqrt(1 - D^2)."""
-    if not 0.0 <= d_value <= 1.0:
-        raise ValueError(f"distinguishability must be in [0, 1], got {d_value}")
-    if "c" not in state.labels:
-        raise ValueError("state has no control subsystem 'c'")
-    f = np.sqrt(1.0 - d_value**2)
-    n = len(state.labels)
-    ci = state.labels.index("c")
-    arr = state.entries.reshape(state.dims * 2).copy()
-    factor = np.ones((2, 2)) * f
-    factor[0, 0] = factor[1, 1] = 1.0
-    shape = [1] * (2 * n)
-    shape[ci] = shape[n + ci] = 2
-    arr *= factor.reshape(shape)
-    side = state.entries.shape[0]
-    return LabeledOperator(state.labels, state.dims, arr.reshape(side, side))
-
-
 @dataclass(frozen=True)
 class DualityReport:
     """Fringe visibility, saturating distinguishability, purity bound."""
@@ -153,15 +115,6 @@ def duality(state: LabeledOperator) -> DualityReport:
     return DualityReport(v, d, bound)
 
 
-def control_schmidt_values(state: LabeledVector) -> np.ndarray:
-    """Singular values of the control-vs-rest bipartition."""
-    n = len(state.labels)
-    ci = state.labels.index("c")
-    arr = state.amplitudes.reshape(state.dims)
-    arr = np.moveaxis(arr, ci, 0).reshape(2, -1)
-    return np.linalg.svd(arr, compute_uv=False)
-
-
 # -- the measurement campaign in the qubit model -----------------------------
 
 def setting_probabilities(setting: ExperimentSetting, d_value: float) -> dict:
@@ -176,7 +129,7 @@ def setting_probabilities(setting: ExperimentSetting, d_value: float) -> dict:
         alice_unitary(setting.x), meas, prep_state(setting.z),
         bob_reprep=reprep,
     )
-    rho = dephase_control(state.outer(), d_value)
+    rho = dephase(state.outer(), "c", d_value)
     probs = {}
     plus_minus = [PLUS, np.array([1.0, -1.0]) / np.sqrt(2.0)]
     for b in (0, 1):

@@ -222,7 +222,7 @@ def reconstruct(records, method="mle", target=None) -> TomoResult:
     return TomoResult(op, fid, purity, method, psd, ll, it)
 
 
-# -- csv interchange ------------------------------------------------------------
+# -- csv export -----------------------------------------------------------------
 
 CSV_HEADER = "setting_a,setting_b,outcome_a,outcome_b,counts"
 
@@ -233,17 +233,6 @@ def records_to_csv(records) -> str:
         lines.append(f"{r.setting[0]},{r.setting[1]},"
                      f"{r.outcome[0]},{r.outcome[1]},{r.counts}")
     return "\n".join(lines) + "\n"
-
-
-def records_from_csv(text: str) -> list:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected header {lines[0]!r}")
-    out = []
-    for ln in lines[1:]:
-        sa, sb, oa, ob, n = ln.split(",")
-        out.append(CountRecord((sa, sb), (int(oa), int(ob)), int(n)))
-    return out
 
 
 # -- fringe scans ------------------------------------------------------------------

@@ -84,8 +84,8 @@ def build_span(x_subset=None) -> SpanBasis:
     alice, bob = alice[np.asarray(xs) - 1], bob.reshape(-1, 16)
     ma, mb, mf, mp = (np.abs(t).max(axis=0) for t in (alice, bob, det, prep))
     peak = ma[:, None, None, None] * mb[:, None, None] * mf[:, None] * mp
-    forb_ab, forb_ba, _ = pm._pattern_masks()
-    support = np.flatnonzero((peak.ravel() > SPAN_TOL) & ~(forb_ab & forb_ba))
+    forb_both = pm.forbidden_mask("A->B") & pm.forbidden_mask("B->A")
+    support = np.flatnonzero((peak.ravel() > SPAN_TOL) & ~forb_both)
     a, c, f, p = np.unravel_index(support, (16, 16, 16, 4))
     # rows in key order (z, x, (y, r, b), d)
     mat = (alice[None, :, None, None, a] * bob[None, None, :, None, c]
@@ -205,7 +205,7 @@ def _span_blocks(span: SpanBasis, convention: str):
         # carries (generalized robustness) or R = 0 (identity cap)
         pats_v = np.zeros(0, dtype=np.int64)
         if convention == "generalized-robustness":
-            pats_v = np.flatnonzero(pm._pattern_masks()[2])
+            pats_v = np.flatnonzero(pm.forbidden_mask("valid"))
         layout["v_valid"] = np.arange(off, off + len(pats_v))
         off += len(pats_v)
         cols = PauliColumns(
@@ -315,11 +315,3 @@ def solution_to_json(sol: WitnessSolution) -> str:
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def alpha_from_json(text: str) -> dict:
-    payload = json.loads(text)
-    return {
-        tuple(int(v) for v in key.split(",")): val
-        for key, val in payload["alpha"].items()
-    }

@@ -24,8 +24,8 @@ from icoswitch.fock import (
     one_photon_per_group,
     postselect,
 )
-from icoswitch.qmath import partial_trace
-from icoswitch.switch import dephase_control, switch_evolve
+from icoswitch.qmath import dephase, partial_trace
+from icoswitch.switch import switch_evolve
 
 
 def report(num, description, ok, detail=""):
@@ -152,7 +152,7 @@ def test_criterion_07_duality():
     psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     pure = switch_evolve(np.eye(2), np.eye(2), psi).outer()
     for d_value in np.linspace(0.0, 1.0, 21):
-        rho = dephase_control(pure, float(d_value))
+        rho = dephase(pure, "c", float(d_value))
         vis = 2.0 * abs(partial_trace(rho, {"c"}).entries[0, 1])
         worst_pure = max(worst_pure, abs(d_value**2 + vis**2 - 1.0))
     # mixed input: convex mixture of two pure-system runs
@@ -161,7 +161,7 @@ def test_criterion_07_duality():
                               [0, 1]).outer()
     worst_mixed = -np.inf
     for d_value in np.linspace(0.0, 1.0, 11):
-        rho = dephase_control(rho_mix, float(d_value))
+        rho = dephase(rho_mix, "c", float(d_value))
         vis = 2.0 * abs(partial_trace(rho, {"c"}).entries[0, 1])
         worst_mixed = max(worst_mixed, d_value**2 + vis**2 - 1.0)
     ok = worst_pure < 1e-9 and worst_mixed < 1e-9

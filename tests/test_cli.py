@@ -157,6 +157,14 @@ PHASE_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index("phase path=c1 angle=180")
                  REFERENCE_CIRCUIT.replace("angle=180", "angle=$meas_hwp"),
                  f"circuit: line {PHASE_LINE}, col 15: slot $meas_hwp binds "
                  f"a hwp angle, not a phase angle", id="slot-on-wrong-kind"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("angle=180", "angle=inf"),
+                 f"circuit: line {PHASE_LINE}, col 15: parameter "
+                 f"angle='inf' not finite", id="angle-inf"),
+    pytest.param("simulate", None,
+                 REFERENCE_CIRCUIT.replace("angle=180", "angle=nan"),
+                 f"circuit: line {PHASE_LINE}, col 15: parameter "
+                 f"angle='nan' not finite", id="angle-nan"),
 ])
 def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
                                            config, circuit, message):
@@ -172,6 +180,18 @@ def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
     assert rc == cli.EXIT_PARSE
     assert len(err) == 1 and message in err[0]
     assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file_exits_with_one_line(tmp_path, capsys):
+    out = tmp_path / "report"
+    out.write_text("kept\n")
+    rc = cli.main(["simulate", "--model", "qubit", "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert rc == cli.EXIT_PARSE
+    assert err == [f"cannot write report files to {out}: File exists"]
+    assert captured.out == ""
+    assert out.read_text() == "kept\n"
 
 
 def test_element_with_wrong_path_count_exits_with_one_line(tmp_path, capsys):

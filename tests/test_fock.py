@@ -82,7 +82,11 @@ def all_two_path_modes():
     OpticalElement("swap", ("a", "b")),
 ])
 def test_single_photon_transfer_unitary(el):
-    t = el.transfer_matrix(all_two_path_modes())
+    modes = all_two_path_modes()
+    t = np.zeros((len(modes), len(modes)), dtype=complex)
+    for j, m in enumerate(modes):
+        for m2, amp in el.image(m):
+            t[modes.index(m2), j] = amp
     assert np.abs(t @ t.conj().T - np.eye(t.shape[0])).max() < 1e-12
 
 
@@ -245,7 +249,7 @@ def test_switch_program_matches_qubit_oracle_random_settings(seed):
 def test_success_probability_half_for_all_settings_sample():
     for s in enumerate_settings()[::23]:
         prog = switch_program(s, 0.9)
-        assert abs(prog.success_probability() - 0.5) < 1e-12
+        assert abs(sum(prog.joint_distribution().values()) - 0.5) < 1e-12
 
 
 def test_fringe_visibility_tracks_overlap():

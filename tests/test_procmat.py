@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from icoswitch import procmat as pm
+from icoswitch.paulialg import coeffs_to_matrix, pauli_coeffs
 from icoswitch.qmath import LabeledOperator
 from icoswitch.settings import ExperimentSetting
 from icoswitch.switch import setting_probabilities as qubit_probs
@@ -162,10 +163,11 @@ def test_non_signalling_from_the_future(w):
 # -- ordered subspaces ----------------------------------------------------------
 
 def test_forbidden_pattern_counts():
-    forb_ab, forb_ba, forb_valid = pm._pattern_masks()
-    assert int(forb_ab.sum()) == 819
-    assert int(forb_ba.sum()) == 819
-    assert int(forb_valid.sum()) == 675
+    assert int(pm.forbidden_mask("A->B").sum()) == 819
+    assert int(pm.forbidden_mask("B->A").sum()) == 819
+    assert int(pm.forbidden_mask("valid").sum()) == 675
+    with pytest.raises(ValueError, match="unknown order"):
+        pm.forbidden_mask("A<->B")
 
 
 @pytest.mark.parametrize("order", ["A->B", "B->A"])
@@ -210,8 +212,9 @@ def test_valid_projection_keeps_normalization():
     # any operator in the valid span with trace 8 yields normalized
     # probability distributions for every catalog setting
     rng = np.random.default_rng(11)
-    m = pm.project_valid(rand_herm(rng))
-    ent = m.entries + (pm.TRACE_NORM - np.trace(m.entries)) / 128 * np.eye(128)
+    coeffs = pauli_coeffs(rand_herm(rng).entries, pm.NQUBITS)
+    m = coeffs_to_matrix(coeffs * ~pm.forbidden_mask("valid"), pm.NQUBITS)
+    ent = m + (pm.TRACE_NORM - np.trace(m)) / 128 * np.eye(128)
     wr = pm.ProcessMatrix(LabeledOperator(pm.CANONICAL, pm.DIMS, ent))
     table = pm.probability_table(0.0, w=wr)
     sums = {}

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from icoswitch import procmat as pm
 from icoswitch.qmath import (
     LabelError,
     LabeledOperator,
     LabeledVector,
-    identity,
+    dephase,
     link_vector,
     partial_trace,
     tensor,
 )
+from icoswitch.switch import switch_evolve
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -27,8 +29,8 @@ def rand_state(rng, d):
 
 
 def test_tensor_identity_case():
-    i2 = identity(["a"], [2])
-    out = tensor([i2, identity(["b"], [2])])
+    i2 = LabeledOperator(["a"], [2], np.eye(2))
+    out = tensor([i2, LabeledOperator(["b"], [2], np.eye(2))])
     assert np.allclose(out.entries, np.eye(4))
 
 
@@ -52,8 +54,8 @@ def test_tensor_control_and_diagonal_ancilla():
 
 
 def test_tensor_rejects_duplicate_label():
-    a1 = identity(["a"], [2])
-    a2 = identity(["a"], [2])
+    a1 = LabeledOperator(["a"], [2], np.eye(2))
+    a2 = LabeledOperator(["a"], [2], np.eye(2))
     with pytest.raises(LabelError, match="'a'"):
         tensor([a1, a2])
 
@@ -107,13 +109,13 @@ def test_partial_trace_product_state():
 
 
 def test_partial_trace_keep_all_is_identity_case():
-    op = identity(["a", "b"], [2, 2])
+    op = LabeledOperator(["a", "b"], [2, 2], np.eye(4))
     assert partial_trace(op, {"a", "b"}) is op
 
 
 def test_partial_trace_unknown_label():
     with pytest.raises(LabelError, match="'q'"):
-        partial_trace(identity(["a"], [2]), {"q"})
+        partial_trace(LabeledOperator(["a"], [2], np.eye(2)), {"q"})
 
 
 def test_partial_trace_of_tensor_factorizes():
@@ -132,7 +134,7 @@ def test_partial_trace_of_tensor_factorizes():
 def test_link_vector_definition_and_norm():
     lv = link_vector(2, "i", "o")
     assert np.allclose(lv.amplitudes, [1, 0, 0, 1])
-    assert abs(lv.norm() ** 2 - 2) < 1e-12
+    assert abs(np.linalg.norm(lv.amplitudes) ** 2 - 2) < 1e-12
 
 
 def test_link_vector_rejects_dim_zero():
@@ -165,7 +167,7 @@ def test_choi_of_identity_reproduces_channel_action():
         rho = np.outer(psi, psi.conj())
         arg = tensor([
             LabeledOperator(["in"], [2], rho.T),
-            identity(["out"], [2]),
+            LabeledOperator(["out"], [2], np.eye(2)),
         ])
         prodop = LabeledOperator(("in", "out"), (2, 2), choi.entries @ arg.entries)
         out = partial_trace(prodop, {"out"})
@@ -184,14 +186,6 @@ def test_operator_helpers():
     assert abs(ev - op.expectation(psi.outer())) < 1e-12
 
 
-def test_embed_pads_with_identity():
-    rng = np.random.default_rng(23)
-    op = LabeledOperator(["s"], [2], rand_herm(rng, 2))
-    big = op.embed(("a", "c", "s"), (2, 2, 2))
-    assert big.labels == ("a", "c", "s")
-    assert np.allclose(big.entries, np.kron(np.eye(4), op.entries))
-
-
 def test_vector_shape_validation():
     with pytest.raises(ValueError):
         LabeledVector(["a"], [2], [1, 0, 0])
@@ -203,3 +197,57 @@ def test_immutability():
     v = LabeledVector(["a"], [2], [1, 0])
     with pytest.raises(ValueError):
         v.amplitudes[0] = 5
+
+
+# -- dephasing ----------------------------------------------------------------
+
+def dephasing_subject(label):
+    """The qubit model's {a, c, s} state (label "c") or the 128-side switch
+    process (label "F_c")."""
+    if label == "c":
+        rng = np.random.default_rng(17)
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        had = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        return switch_evolve(u, had, rand_state(rng, 2)).outer()
+    return pm.w_switch().operator
+
+
+def block_diagonal(op, label):
+    """sum_k P_k op P_k, P_k the projector onto |k> of the qubit ``label``."""
+    rest = [(l, d) for l, d in zip(op.labels, op.dims) if l != label]
+    eye = LabeledOperator([l for l, _ in rest], [d for _, d in rest],
+                          np.eye(op.entries.shape[0] // 2))
+    total = np.zeros_like(op.entries)
+    for k in range(2):
+        p = tensor([LabeledOperator([label], [2], np.diag(np.eye(2)[k])), eye])
+        total += p.entries @ op.entries @ p.entries
+    return total
+
+
+@pytest.mark.parametrize("label", ["c", "F_c"])
+def test_dephase_identity_and_full(label):
+    op = dephasing_subject(label)
+    assert dephase(op, label, 0.0) is op
+    full = dephase(op, label, 1.0)
+    assert np.abs(block_diagonal(op, label) - op.entries).max() > 0.1
+    assert np.abs(full.entries - block_diagonal(op, label)).max() < 1e-15
+    assert abs(full.trace() - op.trace()) < 1e-12
+
+
+@pytest.mark.parametrize("label", ["c", "F_c"])
+def test_dephase_composition_law(label):
+    op = dephasing_subject(label)
+    d1, d2 = 0.3, 0.77
+    combined = np.sqrt(1 - (1 - d1**2) * (1 - d2**2))
+    lhs = dephase(dephase(op, label, d1), label, d2)
+    rhs = dephase(op, label, combined)
+    assert np.abs(lhs.entries - rhs.entries).max() < 1e-12
+
+
+@pytest.mark.parametrize("label", ["c", "F_c"])
+def test_dephase_rejects_out_of_range(label):
+    op = dephasing_subject(label)
+    with pytest.raises(ValueError, match="distinguishability"):
+        dephase(op, label, 1.2)
+    with pytest.raises(LabelError, match="'q'"):
+        dephase(op, "q", 0.5)

@@ -17,6 +17,7 @@ from icoswitch.settings import (
     enumerate_settings,
     prep_state,
 )
+from icoswitch.witness import setting_key
 
 
 def test_exactly_180_settings():
@@ -38,7 +39,7 @@ def test_setting_angle_fields():
     assert s.alice_angles == (90.0, 45.0, 45.0)
     assert s.meas_hwp == 22.5
     assert s.reprep_hwp == 45.0
-    assert s.bob_combined == 6
+    assert setting_key(s.z, s.x, s.y, s.r, 0, 0)[3] == 6  # combined (y, r)
 
 
 def test_index_ranges_enforced():

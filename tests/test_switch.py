@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from icoswitch.qmath import LabeledOperator, partial_trace
+from icoswitch.qmath import LabeledOperator, dephase, partial_trace, tensor
 from icoswitch.settings import ExperimentSetting
 from icoswitch.switch import (
     DualityReport,
-    control_schmidt_values,
-    dephase_control,
     duality,
     setting_probabilities,
     switch_evolve,
-    von_neumann,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -25,11 +22,23 @@ def haar_unitary(rng, d=2):
 
 
 def ancilla_z(state):
-    za = LabeledOperator(["a"], [2], SZ).embed(state.labels, state.dims)
-    return float(np.real(za.expectation(state)))
+    rho_a = partial_trace(state.outer(), {"a"}).entries
+    return float(np.real(np.trace(SZ @ rho_a)))
 
 
-# -- von_neumann -----------------------------------------------------------
+def von_neumann(system, basis):
+    """Bob's probe coupling alone: the |0>_c branch of the switch with
+    Alice's unitary the identity."""
+    return switch_evolve(np.eye(2), basis, system, control=[1, 0])
+
+
+def control_schmidt_values(state):
+    """Singular values of the control-vs-rest split; labels sort as (a, c, s)."""
+    arr = state.amplitudes.reshape(2, 2, 2).transpose(1, 0, 2).reshape(2, 4)
+    return np.linalg.svd(arr, compute_uv=False)
+
+
+# -- probe coupling ----------------------------------------------------------
 
 def test_vn_identity_basis_z_expectation():
     rng = np.random.default_rng(0)
@@ -57,15 +66,15 @@ def test_vn_zero_input_separable():
 
 
 def tensor_ket(s, a):
-    # canonical label order is (a, s)
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(s, dtype=complex))
+    # canonical label order is (a, c, s), with the control in |0>
+    return np.kron(np.kron(a, [1, 0]), s).astype(complex)
 
 
 def test_vn_diag_input_hadamard_basis():
     out = von_neumann([SQ2, SQ2], HAD)
     assert abs(ancilla_z(out) - 1.0) < 1e-12
-    sv = np.linalg.svd(out.amplitudes.reshape(2, 2), compute_uv=False)
-    assert sv[1] < 1e-12  # separable
+    sv = np.linalg.svd(out.amplitudes.reshape(2, 4), compute_uv=False)
+    assert sv[1] < 1e-12  # the ancilla is separable
 
 
 def test_vn_rejects_nonunitary():
@@ -177,8 +186,8 @@ def test_ancilla_projection_leaves_control_state():
     total = np.zeros((2, 2), dtype=complex)
     for k in range(2):
         ketk = basis[:, k]
-        proj = LabeledOperator(["a"], [2], np.outer(ketk, ketk.conj()))
-        eff = proj.embed(out.labels, out.dims)
+        eff = tensor([LabeledOperator(["a"], [2], np.outer(ketk, ketk.conj())),
+                      LabeledOperator(["c", "s"], [2, 2], np.eye(4))])
         sub = LabeledOperator(out.labels, out.dims,
                               eff.entries @ out.entries @ eff.entries)
         total += partial_trace(sub, {"c"}).entries
@@ -187,38 +196,9 @@ def test_ancilla_projection_leaves_control_state():
 
 # -- dephasing ---------------------------------------------------------------
 
-def test_dephase_identity_and_full():
-    rng = np.random.default_rng(15)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    rho = switch_evolve(np.eye(2), np.eye(2), v).outer()
-    assert np.abs(dephase_control(rho, 0.0).entries - rho.entries).max() < 1e-15
-    full = dephase_control(rho, 1.0)
-    assert abs(partial_trace(full, {"c"}).entries[0, 1]) < 1e-15
-    assert abs(full.trace() - rho.trace()) < 1e-12
-
-
-def test_dephase_composition_law():
-    rng = np.random.default_rng(17)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    rho = switch_evolve(haar_unitary(rng), HAD, v).outer()
-    d1, d2 = 0.3, 0.77
-    combined = np.sqrt(1 - (1 - d1**2) * (1 - d2**2))
-    lhs = dephase_control(dephase_control(rho, d1), d2)
-    rhs = dephase_control(rho, combined)
-    assert np.abs(lhs.entries - rhs.entries).max() < 1e-12
-
-
-def test_dephase_rejects_out_of_range():
-    rho = switch_evolve(np.eye(2), np.eye(2), [1, 0]).outer()
-    with pytest.raises(ValueError):
-        dephase_control(rho, 1.2)
-
-
 def test_dephase_visibility_fig4_point():
     rho = switch_evolve(np.eye(2), np.eye(2), [SQ2, SQ2]).outer()
-    rep = duality(dephase_control(rho, 0.29))
+    rep = duality(dephase(rho, "c", 0.29))
     assert abs(rep.visibility - 0.957) < 1e-3
 
 
@@ -233,8 +213,8 @@ def test_duality_pure_plus_control():
 
 
 def test_duality_fully_dephased():
-    rho = dephase_control(
-        switch_evolve(np.eye(2), np.eye(2), [1, 0]).outer(), 1.0
+    rho = dephase(
+        switch_evolve(np.eye(2), np.eye(2), [1, 0]).outer(), "c", 1.0
     )
     rep = duality(rho)
     assert rep.visibility < 1e-12
@@ -245,7 +225,7 @@ def test_duality_visibility_0957_gives_d_029():
     rho = switch_evolve(np.eye(2), np.eye(2), [SQ2, SQ2]).outer()
     target = None
     for dv in np.linspace(0, 1, 2001):
-        rep = duality(dephase_control(rho, dv))
+        rep = duality(dephase(rho, "c", dv))
         if abs(rep.visibility - 0.957) < 2.5e-4:
             target = rep
             break
@@ -256,7 +236,7 @@ def test_duality_visibility_0957_gives_d_029():
 def test_duality_saturation_and_mixed_bound():
     rho = switch_evolve(np.eye(2), np.eye(2), [SQ2, -1j * SQ2]).outer()
     for dv in np.linspace(0, 1, 11):
-        rep = duality(dephase_control(rho, dv))
+        rep = duality(dephase(rho, "c", dv))
         assert abs(rep.distinguishability**2 + rep.visibility**2 - 1) < 1e-10
         assert rep.visibility <= rep.coherence_bound + 1e-10
 
