@@ -14,17 +14,20 @@ physical sequence through the unfolded table).
     detector name=system paths=c0,c1
     detector name=ancilla paths=p0,p1
 
-Each element kind takes the parameters in ``ELEMENT_PARAMS``.  A value
-is a finite number, used as written, or a ``$slot`` from ``SLOTS``, bound
-per run to a catalog waveplate angle or the run's eraser mode overlap.
+Each line head takes the keys in ``LINE_KEYS``, each at most once.  An
+element parameter is a finite number, used as written, or a ``$slot``
+from ``SLOTS``, bound per run to a catalog waveplate angle or the run's
+eraser mode overlap.
 
-The ``system`` and ``ancilla`` detectors are required; each lists its
-paths in port order (port 0 first).  The last ``bs50`` on exactly the
-system paths closes the interferometer; the scan phase acts before it.
+The file declares one source and the ``system`` and ``ancilla``
+detectors once each; a detector lists its paths in port order (port 0
+first).  The last ``bs50`` on exactly the system paths closes the
+interferometer; the scan phase acts before it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -32,11 +35,14 @@ import numpy as np
 
 from .fock import FockState, Mode, OpticalElement, SwitchProgram
 
-# element kind -> the parameters it takes
-ELEMENT_PARAMS = {
-    "bs50": (), "pbs": (), "swap": (),
-    "hwp": ("angle",), "qwp": ("angle",), "phase": ("angle",),
-    "delay": ("overlap", "bin"),
+# line head -> {key: default}; a key without a default is required
+LINE_KEYS = {
+    "source": {"paths": None, "pol": "H"},
+    "detector": {"name": None, "paths": None},
+    "bs50": {"paths": None}, "pbs": {"paths": None}, "swap": {"paths": None},
+    "hwp": {"path": None, "angle": 0.0}, "qwp": {"path": None, "angle": 0.0},
+    "phase": {"path": None, "angle": 0.0},
+    "delay": {"path": None, "overlap": 1.0, "bin": 1},
 }
 # slot -> the (element kind, parameter) it binds
 SLOTS = {
@@ -46,8 +52,7 @@ SLOTS = {
     "meas_hwp": ("hwp", "angle"), "reprep_hwp": ("hwp", "angle"),
     "overlap": ("delay", "overlap"),
 }
-REQUIRED_DETECTORS = ("system", "ancilla")
-_SQ2 = 1.0 / np.sqrt(2.0)
+DETECTORS = ("system", "ancilla")
 
 
 @dataclass(frozen=True)
@@ -67,53 +72,41 @@ class CircuitParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class SourceDecl:
-    pairs: tuple   # ((system path, ancilla path), ...) entangled branches
-    pol: str = "H"
-
-
-@dataclass(frozen=True)
-class DetectorDecl:
-    name: str
-    paths: tuple
-    line: int
-
-
-@dataclass(frozen=True)
 class ElementDecl:
     kind: str
     paths: tuple
     params: dict  # parameter -> number, or "$slot" bound per run
-    line: int
 
 
 @dataclass(frozen=True)
 class CircuitSpec:
     paths: tuple
-    source: SourceDecl
+    pairs: tuple     # ((system path, ancilla path), ...) entangled branches
+    pol: str
     elements: tuple
-    detectors: tuple
-
-    def detector(self, name):
-        for d in self.detectors:
-            if d.name == name:
-                return d
-        raise KeyError(f"no detector named {name!r}")
+    system: tuple    # detector paths in port order
+    ancilla: tuple
+    closing: int     # index of the bs50 that closes the interferometer
 
 
-def _parse_kv(token, line_no, col, errors):
-    if "=" not in token:
-        errors.append(Diagnostic(line_no, col, f"expected key=value, got {token!r}"))
-        return None, None
-    key, _, value = token.partition("=")
-    return key, value
-
-
-def _param_value(kind, key, value):
-    """A number or a ``$slot`` that binds this parameter; else ValueError."""
-    if key not in ELEMENT_PARAMS[kind]:
-        takes = ", ".join(ELEMENT_PARAMS[kind]) or "none"
-        raise ValueError(f"{kind} has no parameter {key!r} (takes: {takes})")
+def _value(head, key, value, paths):
+    """The value of ``key=value`` on a ``head`` line; else ValueError."""
+    if key in ("path", "paths"):
+        for p in re.split("[,:]" if head == "source" else ",", value):
+            if p not in paths:
+                raise ValueError(f"undeclared path {p!r}")
+        if head != "source":
+            return tuple(value.split(","))
+        pairs = tuple(tuple(pair.split(":")) for pair in value.split(","))
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError(f"source pair {':'.join(pair)!r} needs sys:anc")
+        return pairs
+    if key in ("pol", "name"):
+        allowed = ("H", "V") if key == "pol" else DETECTORS
+        if value not in allowed:
+            raise ValueError(f"{key} must be {' or '.join(allowed)}, got {value!r}")
+        return value
     if not value.startswith("$"):
         try:
             number = float(value)
@@ -125,124 +118,128 @@ def _param_value(kind, key, value):
     binds = SLOTS.get(value[1:])
     if binds is None:
         raise ValueError(f"unknown slot {value!r} (slots: {', '.join(SLOTS)})")
-    if binds != (kind, key):
+    if binds != (head, key):
         raise ValueError(f"slot {value} binds a {' '.join(binds)}, "
-                         f"not a {kind} {key}")
+                         f"not a {head} {key}")
     return value
 
 
 def parse_circuit(text: str) -> CircuitSpec:
-    """Parse and validate; raises CircuitParseError with positions."""
+    """Parse and validate; raises CircuitParseError with positions.
+
+    Each line is checked against its head's keys.  The whole-file rules
+    (one source, both detectors, the closing bs50) are checked once every
+    line is valid, so that one faulty line gives one diagnostic.
+    """
     errors: list = []
     paths: list = []
-    source = None
     elements: list = []
-    detectors: list = []
+    decls: dict = {}  # "source", "system", "ancilla" -> (line, values)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        tokens = [(m.start() + 1, m.group())
+                  for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not tokens:
             continue
-        col = len(line) - len(line.lstrip()) + 1
-        tokens = line.split()
-        head = tokens[0].lower()
+        (col, head), *rest = tokens
+        head = head.lower()
+        line_errors = len(errors)
+
+        def error(message, at=col):
+            errors.append(Diagnostic(line_no, at, message))
 
         if head == "path":
-            for p in tokens[1:]:
+            for _, p in rest:
                 if p in paths:
-                    errors.append(Diagnostic(line_no, col, f"path {p!r} redeclared"))
+                    error(f"path {p!r} redeclared")
                 paths.append(p)
             continue
-
+        keys = LINE_KEYS.get(head)
+        if keys is None:
+            error(f"unknown element kind {head!r}")
+            continue
         if head == "source":
-            if source is not None:
-                errors.append(Diagnostic(line_no, col, "more than one source"))
-            kv = dict(
-                _parse_kv(t, line_no, col, errors) for t in tokens[2:]
-            )
-            pairs = []
-            for pair in kv.get("paths", "").split(","):
-                if ":" not in pair:
-                    errors.append(Diagnostic(
-                        line_no, col, f"source pair {pair!r} needs sys:anc"))
-                    continue
-                a, _, b = pair.partition(":")
-                pairs.append((a, b))
-            source = SourceDecl(tuple(pairs), kv.get("pol", "H"))
-            for a, b in pairs:
-                for p in (a, b):
-                    if p not in paths:
-                        errors.append(Diagnostic(
-                            line_no, col, f"undeclared path {p!r}"))
+            word = rest.pop(0)[1] if rest and "=" not in rest[0][1] else ""
+            if word != "pair":
+                error(f"source takes the keyword pair, got {word!r}")
+        values = {}
+        for tcol, tok in rest:
+            key, eq, value = tok.partition("=")
+            try:
+                if not eq:
+                    raise ValueError(f"expected key=value, got {tok!r}")
+                if key not in keys:
+                    raise ValueError(f"{head} has no parameter {key!r} "
+                                     f"(takes: {', '.join(keys)})")
+                if key in values:
+                    raise ValueError(f"{head} takes {key} once")
+                values[key] = _value(head, key, value, paths)
+            except ValueError as exc:
+                error(str(exc), tcol)
+        for key, default in keys.items():
+            if default is None and key not in values:
+                error(f"{head} needs {key}=...")
+            values.setdefault(key, default)
+        if len(errors) > line_errors:
             continue
 
-        if head == "detector":
-            kv = dict(_parse_kv(t, line_no, col, errors) for t in tokens[1:])
-            dpaths = tuple(kv.get("paths", "").split(","))
-            for p in dpaths:
-                if p not in paths:
-                    errors.append(Diagnostic(line_no, col, f"undeclared path {p!r}"))
-            detectors.append(DetectorDecl(kv.get("name", f"d{len(detectors)}"),
-                                          dpaths, line_no))
+        if head in ("source", "detector"):
+            name = values.get("name", head)
+            if name in decls:
+                error(f"more than one {head}"
+                      + (f" name={name}" if head == "detector" else ""))
+            decls[name] = (line_no, values)
             continue
-
-        if head not in ELEMENT_PARAMS:
-            errors.append(Diagnostic(line_no, col,
-                                     f"unknown element kind {head!r}"))
-            continue
-
-        epaths, params = None, {}
-        for tok in tokens[1:]:
-            tcol = line.find(tok) + 1
-            key, value = _parse_kv(tok, line_no, tcol, errors)
-            if key in ("path", "paths"):
-                epaths = tuple(value.split(","))
-            elif key is not None:
-                try:
-                    params[key] = _param_value(head, key, value)
-                except ValueError as exc:
-                    errors.append(Diagnostic(line_no, tcol, str(exc)))
-        if epaths is None:
-            errors.append(Diagnostic(line_no, col, f"{head} needs path(s)"))
-            continue
-        for p in epaths:
-            if p not in paths:
-                errors.append(Diagnostic(line_no, col, f"undeclared path {p!r}"))
-        try:  # the element's own rules, at its numeric parameters
-            _to_element(head, epaths, {k: v for k, v in params.items()
-                                       if not isinstance(v, str)})
+        epaths = values.pop("path" if "path" in keys else "paths")
+        try:  # the element's own rules, slots at their key's default
+            _to_element(head, epaths, {k: keys[k] if isinstance(v, str) else v
+                                       for k, v in values.items()})
         except ValueError as exc:
-            errors.append(Diagnostic(line_no, col, str(exc)))
+            error(str(exc))
             continue
-        elements.append(ElementDecl(head, epaths, params, line_no))
+        elements.append(ElementDecl(head, epaths, values))
 
-    if source is None:
-        errors.append(Diagnostic(0, 0, "exactly one source required, found none"))
-    names = {d.name for d in detectors}
-    for name in REQUIRED_DETECTORS:
-        if name not in names:
-            errors.append(Diagnostic(
-                0, 0, f"detector name={name} required, found none"))
     if errors:
         raise CircuitParseError(errors)
-    return CircuitSpec(tuple(paths), source, tuple(elements), tuple(detectors))
+    return _whole_file(tuple(paths), decls, tuple(elements))
+
+
+def _whole_file(paths, decls, elements) -> CircuitSpec:
+    """The spec of valid lines, once the file declares one source, both
+    detectors and a bs50 on exactly the system paths."""
+    missing = [Diagnostic(0, 0, "exactly one source required, found none"
+                          if name == "source" else
+                          f"detector name={name} required, found none")
+               for name in ("source", *DETECTORS) if name not in decls]
+    if missing:
+        raise CircuitParseError(missing)
+    system_line, system = decls["system"]
+    closing = [i for i, d in enumerate(elements)
+               if d.kind == "bs50" and set(d.paths) == set(system["paths"])]
+    if not closing:
+        raise CircuitParseError([Diagnostic(
+            system_line, 1,
+            f"detector name=system needs a bs50 on exactly its paths "
+            f"{','.join(system['paths'])}, found none")])
+    source = decls["source"][1]
+    return CircuitSpec(paths, source["paths"], source["pol"], elements,
+                       system["paths"], decls["ancilla"][1]["paths"],
+                       closing[-1])
 
 
 # -- realization -------------------------------------------------------------------
 
 def _to_element(kind, paths, params) -> OpticalElement:
     if kind == "delay":
-        return OpticalElement(kind, paths, float(params.get("overlap", 1.0)),
-                              bin=int(params.get("bin", 1)))
+        return OpticalElement(kind, paths, float(params["overlap"]),
+                              bin=params["bin"])
     return OpticalElement(kind, paths, float(np.deg2rad(params.get("angle", 0.0))))
 
 
 def source_state(spec: CircuitSpec) -> FockState:
-    amp = _SQ2 if len(spec.source.pairs) == 2 else 1.0
-    terms = {
-        (Mode(a, spec.source.pol, 0), Mode(b, spec.source.pol, 0)): amp
-        for a, b in spec.source.pairs
-    }
+    amp = 1.0 / np.sqrt(len(spec.pairs))
+    terms = {(Mode(a, spec.pol, 0), Mode(b, spec.pol, 0)): amp
+             for a, b in spec.pairs}
     return FockState(terms, paths=spec.paths)
 
 
@@ -261,25 +258,16 @@ def bind_setting(spec: CircuitSpec, setting, overlap: float) -> list:
 
 
 def program_from_spec(spec: CircuitSpec, setting, overlap: float) -> SwitchProgram:
-    """SwitchProgram for one setting; scan phase goes before the final
+    """SwitchProgram for one setting; scan phase goes before the closing
     beamsplitter on the system detector paths."""
     elements = bind_setting(spec, setting, overlap)
-    system = spec.detector("system")
-    closing = [i for i, d in enumerate(spec.elements)
-               if d.kind == "bs50" and set(d.paths) == set(system.paths)]
-    if not closing:
-        raise CircuitParseError([Diagnostic(
-            system.line, 1,
-            f"detector name=system needs a bs50 on exactly its paths "
-            f"{','.join(system.paths)}, found none")])
-    final_bs = closing[-1]
     return SwitchProgram(
         initial=source_state(spec),
-        before_scan=tuple(elements[:final_bs]),
-        after_scan=tuple(elements[final_bs:]),
-        scan_path=system.paths[-1],
-        system_paths=system.paths,
-        ancilla_paths=spec.detector("ancilla").paths,
+        before_scan=tuple(elements[:spec.closing]),
+        after_scan=tuple(elements[spec.closing:]),
+        scan_path=spec.system[-1],
+        system_paths=spec.system,
+        ancilla_paths=spec.ancilla,
     )
 
 

@@ -280,6 +280,7 @@ def cmd_tomo(config) -> int:
             "purity": res.purity,
             "psd": res.psd,
             "iterations": res.iterations,
+            "converged": res.converged,
         }
     files = {
         "counts.csv": tomo.records_to_csv(records),

@@ -60,7 +60,7 @@ class OpticalElement:
     paths     acted path names (two for bs50/pbs/swap, one otherwise)
     param     angle in radians (hwp, qwp, phase) or mode overlap in [0, 1]
               (delay); unused otherwise
-    bin       private temporal bin populated by a delay element
+    bin       private temporal bin (an integer >= 1) populated by a delay
     """
 
     kind: str
@@ -70,12 +70,17 @@ class OpticalElement:
 
     def __post_init__(self):
         two = {"bs50", "pbs", "swap"}
-        if self.kind in two and len(self.paths) != 2:
-            raise ValueError(f"{self.kind} needs two paths, got {self.paths}")
+        if self.kind in two and (len(self.paths) != 2
+                                 or self.paths[0] == self.paths[1]):
+            raise ValueError(f"{self.kind} needs two distinct paths, "
+                             f"got {self.paths}")
         if self.kind in {"hwp", "qwp", "phase", "delay"} and len(self.paths) != 1:
             raise ValueError(f"{self.kind} acts on one path, got {self.paths}")
         if self.kind == "delay" and not 0.0 <= self.param <= 1.0:
             raise ValueError(f"delay overlap must be in [0, 1], got {self.param}")
+        if self.kind == "delay" and not (self.bin >= 1
+                                         and float(self.bin).is_integer()):
+            raise ValueError(f"delay bin must be an integer >= 1, got {self.bin}")
         if self.kind not in {"bs50", "pbs", "hwp", "qwp", "phase", "delay", "swap"}:
             raise ValueError(f"unknown element kind: {self.kind!r}")
 

@@ -51,6 +51,7 @@ class TomoResult:
     psd: bool
     log_likelihood: float = float("nan")
     iterations: int = 0
+    converged: bool = True   # False: MLE stopped at MLE_MAXITER
 
 
 def _eigbasis(pauli: str):
@@ -157,12 +158,13 @@ def _linear_inversion(records) -> np.ndarray:
 
 
 def _mle(records):
-    """R rho R fixed point for the Poisson likelihood."""
+    """R rho R fixed point for the Poisson likelihood: (rho, log-likelihood,
+    iterations, whether the gain fell below MLE_TOL)."""
     data = [(tuple(r.setting), r.outcome, r.counts) for r in records]
     projs = {s: _outcome_projectors(s) for s in {d[0] for d in data}}
     rho = np.eye(4, dtype=complex) / 4.0
     ll_prev = -np.inf
-    it = 0
+    it, converged = 0, False
     for it in range(1, MLE_MAXITER + 1):
         r_op = np.zeros((4, 4), dtype=complex)
         ll = 0.0
@@ -177,10 +179,11 @@ def _mle(records):
         new = (new + new.conj().T) / 2
         new /= np.real(np.trace(new))
         rho = new
-        if abs(ll - ll_prev) < MLE_TOL:
+        converged = bool(abs(ll - ll_prev) < MLE_TOL)
+        if converged:
             break
         ll_prev = ll
-    return rho, ll_prev, it
+    return rho, ll_prev, it, converged
 
 
 def _psd_sqrt(mat):
@@ -204,14 +207,15 @@ def reconstruct(records, method="mle", target=None) -> TomoResult:
 
     method 'linear' inverts Pauli expectations directly (flagged when the
     estimate has negative eigenvalues); 'mle' iterates the multiplicative
-    fixed point until the log-likelihood gain drops below 1e-10.
+    fixed point until the log-likelihood gain drops below MLE_TOL, and
+    reports ``converged=False`` when MLE_MAXITER iterations end it first.
     """
     _validate_complete(records)
     if method == "linear":
         rho = _linear_inversion(records)
-        ll, it = float("nan"), 0
+        ll, it, converged = float("nan"), 0, True
     elif method == "mle":
-        rho, ll, it = _mle(records)
+        rho, ll, it, converged = _mle(records)
     else:
         raise ValueError(f"unknown reconstruction method {method!r}")
     psd = bool(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0] > -1e-10)
@@ -219,7 +223,7 @@ def reconstruct(records, method="mle", target=None) -> TomoResult:
     purity = float(np.real(np.trace(rho @ rho)))
     # q0 = system photon, q1 = probe photon (label order is preserved)
     op = LabeledOperator(["q0", "q1"], [2, 2], rho)
-    return TomoResult(op, fid, purity, method, psd, ll, it)
+    return TomoResult(op, fid, purity, method, psd, ll, it, converged)
 
 
 # -- csv export -----------------------------------------------------------------

@@ -63,7 +63,6 @@ class SpanBasis:
     support: np.ndarray        # pattern indices carrying the span
     raw: np.ndarray            # (n_ops, len(support)) raw coefficients
     onb: np.ndarray            # (rank, len(support)) orthonormal rows
-    singulars: np.ndarray
     alpha_map: np.ndarray      # (n_ops, rank): alpha = alpha_map @ s
 
     @property
@@ -97,7 +96,7 @@ def build_span(x_subset=None) -> SpanBasis:
     rank = int((sing > SPAN_TOL * sing[0]).sum())
     onb = vt[:rank]
     alpha_map = u[:, :rank] / sing[:rank]
-    return SpanBasis(keys, support, mat, onb, sing[:rank], alpha_map)
+    return SpanBasis(keys, support, mat, onb, alpha_map)
 
 
 @dataclass
@@ -262,12 +261,7 @@ def optimize_witness(w: pm.ProcessMatrix, span: SpanBasis,
     value = -sol.dual_objective
 
     trace_value = float(np.real(np.trace(s_mat @ np.asarray(w.entries))))
-    diagnostics = {
-        "trace_consistency": abs(value - trace_value),
-        "residuals": sol.residuals,
-        "primal_objective": sol.primal_objective,
-        "dual_objective": sol.dual_objective,
-    }
+    diagnostics = {"trace_consistency": abs(value - trace_value)}
     return WitnessSolution(
         value=value, alpha=alpha, s_op=s_op, convention=convention,
         gap=sol.gap, iterations=sol.iterations, status=sol.status,

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from icoswitch.circuits import (
     SLOTS,
     CircuitParseError,
+    ElementDecl,
     bind_setting,
     parse_circuit,
     program_from_spec,
@@ -13,23 +16,25 @@ from icoswitch.settings import ExperimentSetting
 
 
 MINIMAL = """
-path a b
-source pair paths=a:b
-pbs paths=a,b
+path a b c d
+source pair paths=a:c,b:d
+pbs paths=a,c
 hwp path=a angle=22.5
-detector name=system paths=a
-detector name=ancilla paths=b
+bs50 paths=a,b
+detector name=system paths=a,b
+detector name=ancilla paths=c,d
 """
 
 
 def test_parse_minimal_grammar():
     spec = parse_circuit(MINIMAL)
-    assert spec.paths == ("a", "b")
+    assert spec.paths == ("a", "b", "c", "d")
     assert spec.elements[0].kind == "pbs"
-    assert spec.elements[0].paths == ("a", "b")
+    assert spec.elements[0].paths == ("a", "c")
     assert spec.elements[1].kind == "hwp"
     assert spec.elements[1].params["angle"] == 22.5
-    assert spec.source.pairs == (("a", "b"),)
+    assert spec.pairs == (("a", "c"), ("b", "d"))
+    assert (spec.system, spec.ancilla, spec.closing) == (("a", "b"), ("c", "d"), 2)
 
 
 def test_parse_reference_file():
@@ -38,7 +43,8 @@ def test_parse_reference_file():
              if isinstance(v, str)}
     assert bound == set(SLOTS)
     assert len(spec.elements) == 23
-    assert {d.name for d in spec.detectors} == {"system", "ancilla"}
+    assert (spec.system, spec.ancilla) == (("c0", "c1"), ("p0", "p1"))
+    assert spec.elements[spec.closing] == ElementDecl("bs50", ("c0", "c1"), {})
 
 
 def test_unknown_kind_positioned_diagnostic():
@@ -78,7 +84,7 @@ def test_renamed_detector_paths_give_reference_program(seed):
     text = reference_circuit_text()
     spec = parse_circuit(text)
     renamed = parse_circuit(text.replace("c0", "s0").replace("c1", "s1"))
-    assert renamed.detector("system").paths == ("s0", "s1")
+    assert renamed.system == ("s0", "s1")
     s = ExperimentSetting(int(rng.integers(1, 4)), int(rng.integers(1, 11)),
                           int(rng.integers(1, 3)), int(rng.integers(1, 4)))
     overlap = float(rng.uniform())
@@ -143,3 +149,31 @@ def test_numeric_overlap_out_of_range_diagnostic():
     text = reference_circuit_text().replace("overlap=$overlap", "overlap=1.5", 1)
     with pytest.raises(CircuitParseError, match="overlap must be in"):
         parse_circuit(text)
+
+
+def test_one_token_edits_parse_or_fail_with_diagnostics():
+    # every edit either gives a program that runs or a CircuitParseError
+    text = reference_circuit_text()
+    spans, start = [], 0
+    for line in text.splitlines(keepends=True):
+        if not line.startswith("#"):
+            spans += [(start + m.start(), start + m.end())
+                      for m in re.finditer(r"[^\s=,:]+", line)]
+        start += len(line)
+    vocabulary = sorted({text[a:b] for a, b in spans}) + [
+        "", "0", "-1", "1.5", "inf", "X", "V", "#", "=", ",", ":", "pairs",
+        "foo=1", "angle=0", "paths=c0,c1"]
+    rng = np.random.default_rng(0)
+    parsed = 0
+    for _ in range(600):
+        a, b = spans[rng.integers(len(spans))]
+        edited = text[:a] + vocabulary[rng.integers(len(vocabulary))] + text[b:]
+        setting = ExperimentSetting(*(int(rng.integers(1, n)) for n in (4, 11, 3, 4)))
+        try:
+            spec = parse_circuit(edited)
+        except CircuitParseError:
+            continue
+        probs = program_from_spec(spec, setting, 0.8).outcome_probabilities()
+        assert abs(sum(probs.values()) - 1.0) < 1e-9
+        parsed += 1
+    assert parsed > 20

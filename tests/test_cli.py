@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icoswitch import cli, witness
+from icoswitch import cli, tomo, witness
 from icoswitch.circuits import reference_circuit_text
 from icoswitch.plots import fringe_svg, sweep_svg
 
@@ -53,6 +53,19 @@ def test_tomo_outputs_and_determinism(tmp_path):
     assert payload["mle"]["fidelity"] > 0.97
     assert payload["mle"]["psd"] is True
     assert abs(payload["visibility"] - 1.0) < 1e-6
+
+
+def test_tomo_reports_mle_convergence(tmp_path, monkeypatch):
+    args = ["tomo", "--input-state", "3", "--pairs", "30000", "--seed", "7",
+            "--out"]
+    assert cli.main(args + [str(tmp_path / "full")]) == 0
+    monkeypatch.setattr(tomo, "MLE_MAXITER", 1)
+    assert cli.main(args + [str(tmp_path / "capped")]) == 0
+    for run, converged, iterations in (("full", True, None),
+                                       ("capped", False, 1)):
+        mle = json.loads((tmp_path / run / "tomo.json").read_text())["mle"]
+        assert mle["converged"] is converged
+        assert iterations in (None, mle["iterations"])
 
 
 def test_tomo_rejects_bad_state_index(tmp_path):
@@ -203,8 +216,54 @@ def test_element_with_wrong_path_count_exits_with_one_line(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == cli.EXIT_PARSE
-    assert err == [f"circuit: line {line}, col 1: bs50 needs two paths, "
-                   f"got ('c0',)"]
+    assert err == [f"circuit: line {line}, col 1: bs50 needs two distinct "
+                   f"paths, got ('c0',)"]
+
+
+# id -> (text replaced, replacement, text on the diagnostic's line, col,
+# message); each edit of the reference file breaks one rule
+CIRCUIT_EDITS = {
+    "pol-X": ("pol=H", "pol=X", "source", 31, "pol must be H or V, got 'X'"),
+    "bin-0": ("bin=2", "bin=0", "bin=0", 1,
+              "delay bin must be an integer >= 1, got 0.0"),
+    "bin-1.5": ("bin=2", "bin=1.5", "bin=1.5", 1,
+                "delay bin must be an integer >= 1, got 1.5"),
+    "bs50-one-path-twice": ("bs50 paths=p0,p1", "bs50 paths=p0,p0", "p0,p0", 1,
+                            "bs50 needs two distinct paths, got ('p0', 'p0')"),
+    "angle-twice": ("angle=180", "angle=180 angle=0", "angle=180", 25,
+                    "phase takes angle once"),
+    "source-keyword": ("source pair", "source pairs", "source", 1,
+                       "source takes the keyword pair, got 'pairs'"),
+    "detector-unknown-key": ("name=ancilla paths=p0,p1",
+                             "name=ancilla paths=p0,p1 foo=1", "foo=1", 35,
+                             "detector has no parameter 'foo' "
+                             "(takes: name, paths)"),
+    "second-system-detector": ("name=ancilla paths=p0,p1",
+                               "name=ancilla paths=p0,p1\n"
+                               "detector name=system paths=c0,c1",
+                               "name=system", 1,
+                               "more than one detector name=system"),
+    "no-closing-beamsplitter": ("bs50 paths=c0,c1", "# none", "name=system", 1,
+                                "detector name=system needs a bs50 on exactly "
+                                "its paths c0,c1, found none"),
+}
+
+
+@pytest.mark.parametrize("command", [("simulate", "--model", m) for m in cli.MODELS]
+                         + [("check",)], ids=[*cli.MODELS, "check"])
+@pytest.mark.parametrize("edit", CIRCUIT_EDITS)
+def test_circuit_edit_exits_with_one_line(tmp_path, capsys, edit, command):
+    old, new, marker, col, message = CIRCUIT_EDITS[edit]
+    assert REFERENCE_CIRCUIT.count(old) == 1
+    text = REFERENCE_CIRCUIT.replace(old, new)
+    line = 1 + max(i for i, ln in enumerate(text.splitlines()) if marker in ln)
+    (tmp_path / "switch.circuit").write_text(text)
+    rc = cli.main([*command, "--circuit", str(tmp_path / "switch.circuit"),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_PARSE
+    assert err == [f"circuit: line {line}, col {col}: {message}"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("content, reason", [
