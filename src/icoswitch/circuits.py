@@ -96,7 +96,11 @@ def _value(head, key, value, paths):
             if p not in paths:
                 raise ValueError(f"undeclared path {p!r}")
         if head != "source":
-            return tuple(value.split(","))
+            names = tuple(value.split(","))
+            twice = [p for i, p in enumerate(names) if p in names[:i]]
+            if head == "detector" and twice:
+                raise ValueError(f"detector names path {twice[0]!r} twice")
+            return names
         pairs = tuple(tuple(pair.split(":")) for pair in value.split(","))
         for pair in pairs:
             if len(pair) != 2:
@@ -162,7 +166,7 @@ def parse_circuit(text: str) -> CircuitSpec:
             word = rest.pop(0)[1] if rest and "=" not in rest[0][1] else ""
             if word != "pair":
                 error(f"source takes the keyword pair, got {word!r}")
-        values = {}
+        values, given = {}, set()
         for tcol, tok in rest:
             key, eq, value = tok.partition("=")
             try:
@@ -171,13 +175,14 @@ def parse_circuit(text: str) -> CircuitSpec:
                 if key not in keys:
                     raise ValueError(f"{head} has no parameter {key!r} "
                                      f"(takes: {', '.join(keys)})")
-                if key in values:
+                if key in given:
                     raise ValueError(f"{head} takes {key} once")
+                given.add(key)
                 values[key] = _value(head, key, value, paths)
             except ValueError as exc:
                 error(str(exc), tcol)
         for key, default in keys.items():
-            if default is None and key not in values:
+            if default is None and key not in given:
                 error(f"{head} needs {key}=...")
             values.setdefault(key, default)
         if len(errors) > line_errors:
@@ -205,8 +210,9 @@ def parse_circuit(text: str) -> CircuitSpec:
 
 
 def _whole_file(paths, decls, elements) -> CircuitSpec:
-    """The spec of valid lines, once the file declares one source, both
-    detectors and a bs50 on exactly the system paths."""
+    """The spec of valid lines, once the file declares one source, two
+    detectors on distinct paths, at most two each, and a bs50 on exactly
+    the system paths."""
     missing = [Diagnostic(0, 0, "exactly one source required, found none"
                           if name == "source" else
                           f"detector name={name} required, found none")
@@ -221,10 +227,21 @@ def _whole_file(paths, decls, elements) -> CircuitSpec:
             system_line, 1,
             f"detector name=system needs a bs50 on exactly its paths "
             f"{','.join(system['paths'])}, found none")])
+    ancilla_line, ancilla = decls["ancilla"]
+    if len(ancilla["paths"]) > 2:
+        raise CircuitParseError([Diagnostic(
+            ancilla_line, 1, f"detector name=ancilla has ports 0 and 1, "
+            f"not {len(ancilla['paths'])} paths")])
+    shared = [p for p in ancilla["paths"] if p in system["paths"]]
+    if shared:
+        first, later = sorted(DETECTORS, key=lambda n: decls[n][0])
+        raise CircuitParseError([Diagnostic(
+            decls[later][0], 1,
+            f"detector name={later} shares path {shared[0]!r} "
+            f"with detector name={first}")])
     source = decls["source"][1]
     return CircuitSpec(paths, source["paths"], source["pol"], elements,
-                       system["paths"], decls["ancilla"][1]["paths"],
-                       closing[-1])
+                       system["paths"], ancilla["paths"], closing[-1])
 
 
 # -- realization -------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .circuits import (
 )
 from .plots import fringe_svg, sweep_svg
 from .qmath import coherence
-from .settings import ExperimentSetting, enumerate_settings
+from .settings import SHAPE, ExperimentSetting, enumerate_settings
 
 REFERENCE_IDEAL_VALUE = -0.4248   # reported minimal value, ideal switch
 REFERENCE_LAB_POINT = (0.29, -0.305)  # reported witness at D ~ 0.29
@@ -61,33 +61,27 @@ def load_circuit(path=None):
 
 
 def model_probability_table(model, d_value, circuit=None):
-    """(z, x, y, r, b, d) -> p for all 180 settings under one model."""
+    """p[z-1, x-1, y-1, r-1, b, d] for all 180 settings under one model."""
     if model == "procmat":
         return pm.probability_table(d_value)
-    table = {}
     if model == "qubit":
-        for s in enumerate_settings():
-            for (b, d), p in qubit_model.setting_probabilities(s, d_value).items():
-                table[(s.z, s.x, s.y, s.r, b, d)] = p
-        return table
-    if model == "fock":
+        rows = [qubit_model.setting_probabilities(s, d_value)
+                for s in enumerate_settings()]
+    elif model == "fock":
         spec = circuit if circuit is not None else load_circuit()
         overlap = coherence(d_value)
-        for s in enumerate_settings():
-            prog = program_from_spec(spec, s, overlap)
-            for (b, d), p in prog.outcome_probabilities().items():
-                table[(s.z, s.x, s.y, s.r, b, d)] = p
-        return table
-    raise ValueError(f"unknown model {model!r}")
+        rows = [program_from_spec(spec, s, overlap).outcome_probabilities()
+                for s in enumerate_settings()]
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    # enumerate_settings runs in the table's row order
+    return np.reshape(rows, SHAPE + (2, 2))
 
 
 def probabilities_csv(table) -> str:
     lines = ["x,y,r,z,b,d,p"]
-    for s in enumerate_settings():
-        for b in (0, 1):
-            for d in (0, 1):
-                p = table[(s.z, s.x, s.y, s.r, b, d)]
-                lines.append(f"{s.x},{s.y},{s.r},{s.z},{b},{d},{_fmt(p)}")
+    for (z, x, y, r, b, d), p in np.ndenumerate(table):
+        lines.append(f"{x + 1},{y + 1},{r + 1},{z + 1},{b},{d},{_fmt(p)}")
     return "\n".join(lines) + "\n"
 
 
@@ -121,17 +115,15 @@ def cmd_simulate(config) -> int:
     d_value = config["distinguishability"]
     circuit = load_circuit(config.get("circuit"))
     table = model_probability_table(model, d_value, circuit)
-    sums = {}
-    for (z, x, y, r, b, d), p in table.items():
-        sums[(z, x, y, r)] = sums.get((z, x, y, r), 0.0) + p
-    worst = max(abs(v - 1.0) for v in sums.values())
+    sums = table.sum(axis=(-2, -1))
+    worst = np.abs(sums - 1.0).max()
     files = {
         "probabilities.csv": probabilities_csv(table),
         "metadata.json": json.dumps(run_metadata(config), indent=2,
                                     sort_keys=True) + "\n",
     }
     write_report_files(Path(config["out"]), files)
-    print(f"simulate: model={model} D={d_value} settings={len(sums)} "
+    print(f"simulate: model={model} D={d_value} settings={sums.size} "
           f"max|sum(p)-1|={worst:.3e}")
     if worst > 1e-9:
         print("normalization violated beyond 1e-9", file=sys.stderr)
@@ -298,13 +290,11 @@ def cmd_check(config) -> int:
     """Oracle equivalence of the three models over all 180 settings."""
     d_value = config["distinguishability"]
     circuit = load_circuit(config.get("circuit"))
-    tables = {m: model_probability_table(m, d_value, circuit) for m in MODELS}
-    worst = 0.0
-    for key in tables["procmat"]:
-        vals = [tables[m][key] for m in MODELS]
-        worst = max(worst, max(vals) - min(vals))
+    tables = np.stack([model_probability_table(m, d_value, circuit)
+                       for m in MODELS])
+    worst = (tables.max(axis=0) - tables.min(axis=0)).max()
     print(f"check: max cross-model deviation over "
-          f"{len(tables['procmat'])} probabilities = {worst:.3e}")
+          f"{tables[0].size} probabilities = {worst:.3e}")
     if worst > ORACLE_TOLERANCE:
         print(f"models disagree beyond {ORACLE_TOLERANCE}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -280,18 +280,16 @@ class SwitchProgram:
             out[key] = out.get(key, 0.0) + p
         return out
 
-    def outcome_probabilities(self, phase: float = 0.0) -> dict:
-        """Normalized p[(b, d)]: b = ancilla polarization, d = folded port."""
+    def outcome_probabilities(self, phase: float = 0.0) -> np.ndarray:
+        """Normalized p[b, d]: b = ancilla polarization, d = folded port."""
         joint = self.joint_distribution(phase)
         total = sum(joint.values())
-        out = {(b, d): 0.0 for b in (0, 1) for d in (0, 1)}
+        out = np.zeros((2, 2))
         for (sp, _, ap, apol), p in joint.items():
-            out[(0 if apol == "H" else 1, sp ^ ap)] += p / total
+            out[0 if apol == "H" else 1, sp ^ ap] += p / total
         return out
 
-    def coincidence_probability(self, phase: float, sys_port: int = 0,
-                                anc_port: int = 0, sys_pol: str = "H",
-                                anc_pol: str = "H") -> float:
-        """Raw coincidence probability of one detector pair (fringe scans)."""
-        joint = self.joint_distribution(phase)
-        return joint.get((sys_port, sys_pol, anc_port, anc_pol), 0.0)
+    def coincidence_probability(self, phase: float) -> float:
+        """Raw coincidence probability of port 0 of both detectors, both
+        photons H (fringe scans)."""
+        return self.joint_distribution(phase).get((0, "H", 0, "H"), 0.0)

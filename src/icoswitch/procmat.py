@@ -142,22 +142,23 @@ def instrument(party: str, setting, outcome=None) -> InstrumentElement:
     detect: setting basis name ('x' default); outcome d in {0, 1};
             identity on F_t times a rank-1 projector on F_c.
     """
+    nz, nx, ny, nr = catalog.SHAPE
     if party == "prep":
         z = int(setting)
-        if not 1 <= z <= 3:
-            raise CatalogError(f"input-state index z={z} outside 1..3")
+        if not 1 <= z <= nz:
+            raise CatalogError(f"input-state index z={z} outside 1..{nz}")
         psi = catalog.prep_state(z)
         choi = LabeledOperator(["P"], [2], np.outer(psi, psi.conj()))
         return InstrumentElement("prep", (z,), 0, choi)
     if party == "alice":
         x = int(setting)
-        if not 1 <= x <= 10:
-            raise CatalogError(f"unitary index x={x} outside 1..10")
+        if not 1 <= x <= nx:
+            raise CatalogError(f"unitary index x={x} outside 1..{nx}")
         vec = _choi_vector(catalog.alice_unitary(x), "A_I", "A_O")
         return InstrumentElement("alice", (x,), 0, vec.outer())
     if party == "bob":
         y, r = (int(v) for v in setting)
-        if not (1 <= y <= 2 and 1 <= r <= 3):
+        if not (1 <= y <= ny and 1 <= r <= nr):
             raise CatalogError(f"bob setting (y={y}, r={r}) outside catalog")
         if outcome not in (0, 1):
             raise CatalogError(f"bob outcome must be 0 or 1, got {outcome}")
@@ -212,12 +213,14 @@ def factor_coeffs():
     on (F_c, F_t).  Outcome (z, x, y, r, b, d) has the coefficient
     alice[a] bob[c] detect[f] prep[p] on the pattern with digit groups
     (a, c, f, p)."""
+    nz, nx, ny, nr = catalog.SHAPE
     prep = [pauli_coeffs(instrument("prep", z).choi.entries, 1)
-            for z in (1, 2, 3)]
+            for z in range(1, nz + 1)]
     alice = [pauli_coeffs(instrument("alice", x).choi.entries, 2)
-             for x in range(1, 11)]
+             for x in range(1, nx + 1)]
     bob = [[[pauli_coeffs(instrument("bob", (y, r), b).choi.entries, 2)
-             for b in (0, 1)] for r in (1, 2, 3)] for y in (1, 2)]
+             for b in (0, 1)] for r in range(1, nr + 1)]
+           for y in range(1, ny + 1)]
     det = [pauli_coeffs(instrument("detect", "x", d).choi.entries.T, 2)
            for d in (0, 1)]
     tables = tuple(np.array(t) for t in (prep, alice, bob, det))
@@ -227,25 +230,18 @@ def factor_coeffs():
 
 
 def probability_table(d_value: float = 0.0,
-                      w: ProcessMatrix | None = None) -> dict:
-    """All 180 x 4 probabilities keyed by (z, x, y, r, b, d)."""
+                      w: ProcessMatrix | None = None) -> np.ndarray:
+    """All 180 x 4 probabilities as an array p[z-1, x-1, y-1, r-1, b, d]
+    of shape ``settings.SHAPE + (2, 2)``."""
     if w is None:
         w = dephase_order_coherence(w_switch(), d_value)
-    # contract W against the product structure group by group:
-    # (A_I A_O), (B_I B_O), (F_c F_t), P
+    # W's coefficients over the digit groups (A_I A_O), (B_I B_O),
+    # (F_c F_t), P, contracted with alice, bob, detect, then prep
     t = pauli_coeffs(w.entries, NQUBITS).reshape(16, 16, 16, 4)
     prep, alice, bob, det = factor_coeffs()
-    table = {}
-    for x in range(1, 11):
-        ta = np.tensordot(alice[x - 1], t, axes=([0], [0]))     # (16, 4, 4)
-        for y, r, b in np.ndindex(bob.shape[:3]):
-            tb = np.tensordot(bob[y, r, b], ta, axes=([0], [0]))  # (4, 4)
-            for d in (0, 1):
-                tf = np.tensordot(det[d], tb, axes=([0], [0]))    # (4,)
-                for z in (1, 2, 3):
-                    p = float(np.real(SIDE * np.dot(prep[z - 1], tf)))
-                    table[(z, x, y + 1, r + 1, b, d)] = p
-    return table
+    p = np.einsum("xa,yrbc,df,zp,acfp->zxyrbd", alice, bob, det, prep, t,
+                  optimize=["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)])
+    return SIDE * p.real
 
 
 # -- causally ordered subspaces ---------------------------------------------------

@@ -77,11 +77,10 @@ class LabeledVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amplitudes)
 
-    def outer(self, other=None):
-        """|self><other| as a LabeledOperator (other defaults to self)."""
+    def outer(self):
+        """|self><self| as a LabeledOperator."""
         ket = self.amplitudes
-        bra = (self if other is None else other).amplitudes
-        return LabeledOperator(self.labels, self.dims, np.outer(ket, bra.conj()))
+        return LabeledOperator(self.labels, self.dims, np.outer(ket, ket.conj()))
 
 
 @dataclass(frozen=True)
@@ -113,9 +112,6 @@ class LabeledOperator:
             )
             object.__setattr__(self, "_hermitian", cached)
         return cached
-
-    def trace(self):
-        return complex(np.trace(self.entries))
 
     def apply(self, vec: LabeledVector) -> LabeledVector:
         if self.labels != vec.labels or self.dims != vec.dims:

@@ -34,6 +34,11 @@ ALICE_TRIPLES = [
     (90.0, 45.0, 45.0),
 ]
 
+# the catalog's (z, x, y, r) axes; a probability table is an array of
+# shape SHAPE + (2, 2) indexed [z-1, x-1, y-1, r-1, b, d]
+SHAPE = (len(INPUT_STATES), len(ALICE_TRIPLES), len(BOB_MEAS_HWP),
+         len(BOB_REPREP_HWP))
+
 
 @dataclass(frozen=True)
 class ExperimentSetting:
@@ -45,8 +50,8 @@ class ExperimentSetting:
     r: int  # Bob repreparation HWP, 1..3
 
     def __post_init__(self):
-        if not (1 <= self.z <= 3 and 1 <= self.x <= 10
-                and 1 <= self.y <= 2 and 1 <= self.r <= 3):
+        if not all(1 <= i <= n for i, n in
+                   zip((self.z, self.x, self.y, self.r), SHAPE)):
             raise ValueError(f"setting indices out of range: {self}")
 
     @property
@@ -71,14 +76,10 @@ class ExperimentSetting:
 
 
 def enumerate_settings():
-    """All 180 settings in fixed (z, x, y, r) lexicographic order."""
-    return [
-        ExperimentSetting(z=z, x=x, y=y, r=r)
-        for z in range(1, 4)
-        for x in range(1, 11)
-        for y in range(1, 3)
-        for r in range(1, 4)
-    ]
+    """All 180 settings in (z, x, y, r) lexicographic order, the row order
+    of a probability table."""
+    return [ExperimentSetting(*(i + 1 for i in idx))
+            for idx in np.ndindex(SHAPE)]
 
 
 # -- qubit-level operators realized by the catalog angles --------------------

@@ -117,8 +117,8 @@ def duality(state: LabeledOperator) -> DualityReport:
 
 # -- the measurement campaign in the qubit model -----------------------------
 
-def setting_probabilities(setting: ExperimentSetting, d_value: float) -> dict:
-    """p[(b, d)] for one waveplate setting at distinguishability d_value.
+def setting_probabilities(setting: ExperimentSetting, d_value: float) -> np.ndarray:
+    """p[b, d] for one waveplate setting at distinguishability d_value.
 
     b is the ancilla readout in the computational basis and d the control
     readout in the +/- basis (0 maps to '+').
@@ -130,16 +130,15 @@ def setting_probabilities(setting: ExperimentSetting, d_value: float) -> dict:
         bob_reprep=reprep,
     )
     rho = dephase(state.outer(), "c", d_value)
-    probs = {}
+    probs = np.empty((2, 2))
     plus_minus = [PLUS, np.array([1.0, -1.0]) / np.sqrt(2.0)]
-    for b in (0, 1):
+    for b, d in np.ndindex(probs.shape):
         proj_b = np.zeros((2, 2)); proj_b[b, b] = 1.0
-        for d in (0, 1):
-            ket = plus_minus[d]
-            eff = tensor([
-                LabeledOperator(["c"], [2], np.outer(ket, ket.conj())),
-                LabeledOperator(["s"], [2], np.eye(2)),
-                LabeledOperator(["a"], [2], proj_b),
-            ])
-            probs[(b, d)] = float(np.real(eff.expectation(rho)))
+        ket = plus_minus[d]
+        eff = tensor([
+            LabeledOperator(["c"], [2], np.outer(ket, ket.conj())),
+            LabeledOperator(["s"], [2], np.eye(2)),
+            LabeledOperator(["a"], [2], proj_b),
+        ])
+        probs[b, d] = np.real(eff.expectation(rho))
     return probs

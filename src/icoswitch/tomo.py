@@ -83,22 +83,19 @@ def born_probabilities(rho: np.ndarray, setting) -> dict:
     }
 
 
-def simulate_counts(rho, basis_set=BASIS_SET, pairs_total=30000,
-                    seed=0) -> list:
+def simulate_counts(rho, pairs_total=30000, seed=0) -> list:
     """Poisson coincidence counts for every setting and outcome.
 
-    The expected total per setting is pairs_total / len(basis_set);
+    The expected total per setting is pairs_total / len(BASIS_SET);
     a fixed seed makes the record stream reproducible.
     """
-    if not basis_set:
-        raise ValueError("basis set must not be empty")
     if pairs_total <= 0:
         raise ValueError("pairs_total must be positive")
     rho = np.asarray(rho, dtype=complex)
     rng = np.random.default_rng(seed)
-    per_setting = pairs_total / len(basis_set)
+    per_setting = pairs_total / len(BASIS_SET)
     records = []
-    for setting in basis_set:
+    for setting in BASIS_SET:
         probs = born_probabilities(rho, setting)
         for outcome in sorted(probs):
             lam = per_setting * probs[outcome]

@@ -27,11 +27,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from . import procmat as pm
+from .settings import SHAPE
 from .paulialg import PauliContext, pauli_coeffs, sparse_coeffs_to_matrix
 from .qmath import LabeledOperator
 from .sdp import Block, PauliColumns, solve_conic
@@ -50,18 +50,14 @@ class SpanRankWarning(UserWarning):
     pass
 
 
-def setting_key(z, x, y, r, b, d):
-    """Witness-table key (b, d, x, y, z) with y combining (meas, reprep)."""
-    return (b, d, x, (y - 1) * 3 + r, z)
-
-
 @dataclass
 class SpanBasis:
     """Orthonormalized span of the catalog outcome operators."""
 
-    keys: list                 # (b, d, x, y6, z) per raw operator
+    xs: np.ndarray             # Alice unitaries x - 1 of the rows
     support: np.ndarray        # pattern indices carrying the span
-    raw: np.ndarray            # (n_ops, len(support)) raw coefficients
+    raw: np.ndarray            # (n_ops, len(support)) raw coefficients,
+                               # rows in probability-table order
     onb: np.ndarray            # (rank, len(support)) orthonormal rows
     alpha_map: np.ndarray      # (n_ops, rank): alpha = alpha_map @ s
 
@@ -78,25 +74,23 @@ def build_span(x_subset=None) -> SpanBasis:
     column maxima (the settings form a full grid); the support is where it
     exceeds SPAN_TOL, less the patterns forbidden in both orders.
     """
-    xs = list(range(1, 11)) if x_subset is None else sorted(x_subset)
+    xs = np.arange(SHAPE[1]) if x_subset is None else np.sort(x_subset) - 1
     prep, alice, bob, det = (t.real for t in pm.factor_coeffs())
-    alice, bob = alice[np.asarray(xs) - 1], bob.reshape(-1, 16)
+    alice, bob = alice[xs], bob.reshape(-1, 16)
     ma, mb, mf, mp = (np.abs(t).max(axis=0) for t in (alice, bob, det, prep))
     peak = ma[:, None, None, None] * mb[:, None, None] * mf[:, None] * mp
     forb_both = pm.forbidden_mask("A->B") & pm.forbidden_mask("B->A")
     support = np.flatnonzero((peak.ravel() > SPAN_TOL) & ~forb_both)
     a, c, f, p = np.unravel_index(support, (16, 16, 16, 4))
-    # rows in key order (z, x, (y, r, b), d)
+    # rows in table order (z, x, (y, r, b), d)
     mat = (alice[None, :, None, None, a] * bob[None, None, :, None, c]
            * det[None, None, None, :, f] * prep[:, None, None, None, p]
            ).reshape(-1, len(support))
-    keys = [setting_key(*k) for k in
-            product((1, 2, 3), xs, (1, 2), (1, 2, 3), (0, 1), (0, 1))]
     u, sing, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int((sing > SPAN_TOL * sing[0]).sum())
     onb = vt[:rank]
     alpha_map = u[:, :rank] / sing[:rank]
-    return SpanBasis(keys, support, mat, onb, alpha_map)
+    return SpanBasis(xs, support, mat, onb, alpha_map)
 
 
 @dataclass
@@ -159,10 +153,12 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
 
 @dataclass
 class WitnessSolution:
-    """Optimal witness restricted to the accessible span."""
+    """Optimal witness restricted to the accessible span.  ``alpha`` is in
+    the witness layout of ``probs_to_witness_table``, zero on the Alice
+    unitaries outside the span."""
 
     value: float
-    alpha: dict
+    alpha: np.ndarray
     s_op: LabeledOperator = field(repr=False)
     convention: str
     gap: float
@@ -238,10 +234,10 @@ def optimize_witness(w: pm.ProcessMatrix, span: SpanBasis,
     deficient span (alpha not unique; the least-norm table is returned)
     raises a SpanRankWarning carrying the rank.
     """
-    if span.rank < len(span.keys):
+    if span.rank < len(span.raw):
         warnings.warn(
             f"outcome-operator span is rank-deficient: rank {span.rank} "
-            f"of {len(span.keys)} operators; coefficient table is the "
+            f"of {len(span.raw)} operators; coefficient table is the "
             f"least-norm representative",
             SpanRankWarning, stacklevel=2,
         )
@@ -256,8 +252,10 @@ def optimize_witness(w: pm.ProcessMatrix, span: SpanBasis,
     coeffs = span.onb.T @ s_coords
     s_mat = sparse_coeffs_to_matrix(span.support, coeffs, _CTX)
     s_op = LabeledOperator(pm.CANONICAL, pm.DIMS, s_mat)
-    alpha_vec = span.alpha_map @ s_coords
-    alpha = {k: float(a) for k, a in zip(span.keys, alpha_vec)}
+    table = np.zeros(SHAPE + (2, 2))
+    table[:, span.xs] = (span.alpha_map @ s_coords).reshape(
+        table[:, span.xs].shape)
+    alpha = probs_to_witness_table(table)
     value = -sol.dual_objective
 
     trace_value = float(np.real(np.trace(s_mat @ np.asarray(w.entries))))
@@ -269,25 +267,19 @@ def optimize_witness(w: pm.ProcessMatrix, span: SpanBasis,
     )
 
 
-def evaluate_witness(alpha: dict, probs: dict) -> float:
+def evaluate_witness(alpha: np.ndarray, probs: np.ndarray) -> float:
     """sum alpha_{b,d,x,y,z} p(b,d|x,y,z); exactly linear in the table."""
-    a_keys, p_keys = set(alpha), set(probs)
-    if a_keys != p_keys:
-        missing = sorted(a_keys - p_keys)
-        extra = sorted(p_keys - a_keys)
-        raise KeyError(
-            f"index mismatch: missing {missing[:4]}{'...' if len(missing) > 4 else ''}, "
-            f"unexpected {extra[:4]}{'...' if len(extra) > 4 else ''}"
-        )
-    return float(sum(alpha[k] * probs[k] for k in sorted(alpha)))
+    if alpha.shape != probs.shape:
+        raise ValueError(f"alpha has shape {alpha.shape}, "
+                         f"probabilities {probs.shape}")
+    return float((alpha * probs).sum())
 
 
-def probs_to_witness_table(table: dict) -> dict:
-    """Re-key a (z, x, y, r, b, d) probability table to (b, d, x, y6, z)."""
-    return {
-        setting_key(z, x, y, r, b, d): p
-        for (z, x, y, r, b, d), p in table.items()
-    }
+def probs_to_witness_table(table: np.ndarray) -> np.ndarray:
+    """A table p[z-1, x-1, y-1, r-1, b, d] in the witness layout
+    [b, d, x-1, y6-1, z-1], y6 = 3 (y - 1) + r combining (meas, reprep)."""
+    nz, nx, ny, nr, nb, nd = table.shape
+    return table.transpose(4, 5, 1, 2, 3, 0).reshape(nb, nd, nx, ny * nr, nz)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -301,8 +293,8 @@ def solution_to_json(sol: WitnessSolution) -> str:
         "status": sol.status,
         "span_rank": sol.span_rank,
         "alpha": {
-            ",".join(str(i) for i in key): val
-            for key, val in sorted(sol.alpha.items())
+            f"{b},{d},{x + 1},{y + 1},{z + 1}": float(a)
+            for (b, d, x, y, z), a in np.ndenumerate(sol.alpha)
         },
         "diagnostics": {
             "trace_consistency": sol.diagnostics.get("trace_consistency"),

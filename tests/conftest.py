@@ -24,3 +24,10 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running solves (several interior-point runs)"
     )
+
+
+def pytest_collection_modifyitems(items):
+    # every user of the shared full-span solve waits for it
+    for item in items:
+        if "witness_solution" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)

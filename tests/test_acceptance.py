@@ -36,6 +36,7 @@ def report(num, description, ok, detail=""):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_01_ideal_witness_via_cli(tmp_path):
     t0 = time.time()
     rc = cli.main(["witness", "--model", "procmat",
@@ -93,13 +94,9 @@ def test_criterion_03_transition_curve(witness_solution):
 def test_criterion_04_oracle_equivalence():
     worst = 0.0
     for d_value in (0.0, 0.29):
-        tables = {
-            m: cli.model_probability_table(m, d_value)
-            for m in ("procmat", "qubit", "fock")
-        }
-        for key in tables["procmat"]:
-            vals = [tables[m][key] for m in tables]
-            worst = max(worst, max(vals) - min(vals))
+        tables = np.stack([cli.model_probability_table(m, d_value)
+                           for m in ("procmat", "qubit", "fock")])
+        worst = max(worst, (tables.max(axis=0) - tables.min(axis=0)).max())
     ok = worst < 1e-9
     report(4, "fock = qubit = procmat over 180 settings x 4 outcomes",
            ok, f"max deviation {worst:.2e}")
@@ -200,12 +197,9 @@ def test_criterion_08_tomography():
 def test_criterion_09_normalization():
     worst = 0.0
     for model in ("procmat", "fock"):
-        table = cli.model_probability_table(model, 0.29)
-        sums = {}
-        for (z, x, y, r, b, d), p in table.items():
-            sums[(z, x, y, r)] = sums.get((z, x, y, r), 0.0) + p
-        assert len(sums) == 180
-        worst = max(worst, max(abs(v - 1.0) for v in sums.values()))
+        sums = cli.model_probability_table(model, 0.29).sum(axis=(-2, -1))
+        assert sums.size == 180
+        worst = max(worst, np.abs(sums - 1.0).max())
     ok = worst < 1e-9
     report(9, "all 180 outcome distributions sum to 1 +- 1e-9",
            ok, f"max |sum(p)-1| = {worst:.2e}")

@@ -46,7 +46,8 @@ def test_workload_names_resolve(owner, names):
     assert [n for n in names if not hasattr(owner, n)] == []
 
 
-@pytest.mark.parametrize("name", ["paper_run", "cone_certify"])
+@pytest.mark.parametrize("name", [
+    pytest.param("paper_run", marks=pytest.mark.slow), "cone_certify"])
 def test_one_operation_passes_the_workload_gate(name, tmp_path):
     # the gates pin the capped iterate, the alpha identity and an
     # undecided capped cone check with strictly interior iterates; the

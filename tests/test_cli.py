@@ -246,6 +246,18 @@ CIRCUIT_EDITS = {
     "no-closing-beamsplitter": ("bs50 paths=c0,c1", "# none", "name=system", 1,
                                 "detector name=system needs a bs50 on exactly "
                                 "its paths c0,c1, found none"),
+    "ancilla-on-system-paths": ("name=ancilla paths=p0,p1",
+                                "name=ancilla paths=c0,c1", "name=ancilla", 1,
+                                "detector name=ancilla shares path 'c0' with "
+                                "detector name=system"),
+    "ancilla-path-twice": ("name=ancilla paths=p0,p1", "name=ancilla paths=p0,p0",
+                           "name=ancilla", 23, "detector names path 'p0' twice"),
+    "three-ancilla-ports": ("detector name=ancilla paths=p0,p1",
+                            "path p2\ndetector name=ancilla paths=p0,p1,p2",
+                            "name=ancilla", 1, "detector name=ancilla has "
+                            "ports 0 and 1, not 3 paths"),
+    "undeclared-path": ("bs50 paths=p0,p1", "bs50 paths=p0,zz", "p0,zz", 6,
+                        "undeclared path 'zz'"),
 }
 
 

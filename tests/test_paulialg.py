@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icoswitch.paulialg import (
     PauliContext,
@@ -48,6 +50,13 @@ def test_coeff_roundtrip_and_orthogonality(q):
     for s in range(ctx.npatterns):
         assert abs(c[s] - np.trace(ctx.dense(s) @ m) / ctx.dim) < 1e-12
     assert np.abs(coeffs_to_matrix(c, q) - m).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_pauli_transform_round_trip(q, seed):
+    m = rand_herm(np.random.default_rng(seed), 2**q)
+    assert np.abs(coeffs_to_matrix(pauli_coeffs(m, q), q) - m).max() < 1e-12
 
 
 def test_coeff_batch_matches_single():
@@ -119,16 +128,19 @@ def test_gram_identity_tr_avbv():
     assert abs(lhs - rhs) < 1e-10
 
 
-def test_sparse_synthesis_matches_dense():
-    q = 3
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 3), data=st.data())
+def test_sparse_synthesis_matches_dense(q, data):
     ctx = PauliContext(q)
-    rng = np.random.default_rng(31)
-    # the second list repeats patterns, whose values add up
-    for pats in ([0, 9, 33, 51], [9, 0, 33, 9, 51, 0, 9]):
-        vals = rng.normal(size=len(pats)) + 1j * rng.normal(size=len(pats))
-        direct = sum(v * ctx.dense(p) for p, v in zip(pats, vals))
-        synth = sparse_coeffs_to_matrix(pats, vals, ctx)
-        assert np.abs(synth - direct).max() < 1e-13
+    pats = data.draw(st.lists(st.integers(0, ctx.npatterns - 1),
+                              min_size=1, max_size=12))
+    # repeated patterns, whose values add up
+    pats += data.draw(st.lists(st.sampled_from(pats), max_size=6))
+    vals = data.draw(st.lists(st.complex_numbers(max_magnitude=10.0),
+                              min_size=len(pats), max_size=len(pats)))
+    direct = sum(v * ctx.dense(p) for p, v in zip(pats, vals))
+    synth = sparse_coeffs_to_matrix(pats, vals, ctx)
+    assert np.abs(synth - direct).max() < 1e-12
 
 
 @pytest.mark.parametrize("q, n_rows", [(3, None), (7, 48)])

@@ -4,7 +4,7 @@ import pytest
 from icoswitch import procmat as pm
 from icoswitch.paulialg import coeffs_to_matrix, pauli_coeffs
 from icoswitch.qmath import LabeledOperator
-from icoswitch.settings import ExperimentSetting
+from icoswitch.settings import SHAPE, ExperimentSetting
 from icoswitch.switch import setting_probabilities as qubit_probs
 
 
@@ -36,9 +36,8 @@ def test_w_switch_probabilities_match_circuit_oracle(w):
         d_value = float(rng.choice([0.0, 0.29, 0.8]))
         if d_value not in tables:
             tables[d_value] = pm.probability_table(d_value)
-        ref = qubit_probs(s, d_value)
-        assert max(abs(tables[d_value][(s.z, s.x, s.y, s.r, b, d)] - p)
-                   for (b, d), p in ref.items()) < 1e-9
+        got = tables[d_value][s.z - 1, s.x - 1, s.y - 1, s.r - 1]
+        assert np.abs(got - qubit_probs(s, d_value)).max() < 1e-9
 
 
 def test_full_dephasing_equals_half_mixture(w):
@@ -98,11 +97,8 @@ def test_instrument_rejects_out_of_catalog():
 
 def test_probability_normalization_all_settings(w):
     table = pm.probability_table(0.0, w=w)
-    sums = {}
-    for (z, x, y, r, b, d), p in table.items():
-        sums[(z, x, y, r)] = sums.get((z, x, y, r), 0.0) + p
-    assert len(sums) == 180
-    assert max(abs(v - 1.0) for v in sums.values()) < 1e-9
+    assert table.shape == SHAPE + (2, 2) and table[..., 0, 0].size == 180
+    assert np.abs(table.sum(axis=(-2, -1)) - 1.0).max() < 1e-9
 
 
 def test_probability_definite_order_identity_case():
@@ -140,7 +136,7 @@ def test_probability_table_matches_elementwise(w):
                 pm.instrument("bob", (s.y, s.r), b),
                 pm.instrument("detect", "x", d),
             ]
-            assert abs(table[(s.z, s.x, s.y, s.r, b, d)]
+            assert abs(table[s.z - 1, s.x - 1, s.y - 1, s.r - 1, b, d]
                        - pm.probability(w, els)) < 1e-12
 
 
@@ -198,7 +194,7 @@ def test_projector_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(9)
     m = rand_herm(rng)
     out = pm.project_ordered(m, "A->B")
-    assert abs(out.trace() - m.trace()) < 1e-9
+    assert abs(np.trace(out.entries) - np.trace(m.entries)) < 1e-9
     assert out.is_hermitian()
 
 
@@ -217,10 +213,7 @@ def test_valid_projection_keeps_normalization():
     ent = m + (pm.TRACE_NORM - np.trace(m)) / 128 * np.eye(128)
     wr = pm.ProcessMatrix(LabeledOperator(pm.CANONICAL, pm.DIMS, ent))
     table = pm.probability_table(0.0, w=wr)
-    sums = {}
-    for (z, x, y, r, b, d), p in table.items():
-        sums[(z, x, y, r)] = sums.get((z, x, y, r), 0.0) + p
-    assert max(abs(v - 1.0) for v in sums.values()) < 1e-9
+    assert np.abs(table.sum(axis=(-2, -1)) - 1.0).max() < 1e-9
 
 
 # -- mixtures --------------------------------------------------------------------
@@ -248,9 +241,5 @@ def test_random_separable_mixtures_give_valid_probabilities():
         w_ba = pm.random_ordered("B->A", rng, kraus_rank=int(rng.integers(1, 3)))
         mix = pm.mix_orders(float(rng.uniform()), w_ab, w_ba)
         table = pm.probability_table(0.0, w=mix)
-        vals = np.array(list(table.values()))
-        assert vals.min() > -1e-10 and vals.max() < 1 + 1e-10
-        sums = {}
-        for (z, x, y, r, b, d), p in table.items():
-            sums[(z, x, y, r)] = sums.get((z, x, y, r), 0.0) + p
-        assert max(abs(v - 1.0) for v in sums.values()) < 1e-9
+        assert table.min() > -1e-10 and table.max() < 1 + 1e-10
+        assert np.abs(table.sum(axis=(-2, -1)) - 1.0).max() < 1e-9

@@ -5,25 +5,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from icoswitch.settings import (
     ALICE_TRIPLES,
     BOB_MEAS_HWP,
     BOB_REPREP_HWP,
     INPUT_STATES,
+    SHAPE,
     ExperimentSetting,
     alice_unitary,
     bob_kraus,
     enumerate_settings,
     prep_state,
 )
-from icoswitch.witness import setting_key
+from icoswitch.witness import evaluate_witness, probs_to_witness_table
 
 
 def test_exactly_180_settings():
-    settings = enumerate_settings()
-    assert len(settings) == 180
-    assert len(set(settings)) == 180
+    catalog = enumerate_settings()
+    assert SHAPE == (3, 10, 2, 3)
+    assert len(catalog) == 180
+    assert len(set(catalog)) == 180
+    # the row order of a probability table
+    assert [(s.z - 1, s.x - 1, s.y - 1, s.r - 1) for s in catalog] \
+        == list(np.ndindex(SHAPE))
 
 
 def test_catalog_rows_match_table():
@@ -39,7 +47,30 @@ def test_setting_angle_fields():
     assert s.alice_angles == (90.0, 45.0, 45.0)
     assert s.meas_hwp == 22.5
     assert s.reprep_hwp == 45.0
-    assert setting_key(s.z, s.x, s.y, s.r, 0, 0)[3] == 6  # combined (y, r)
+
+
+TABLES = arrays(np.float64, SHAPE + (2, 2),
+                elements=st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=TABLES, index=st.tuples(*(st.integers(1, n) for n in SHAPE),
+                                     st.integers(0, 1), st.integers(0, 1)))
+def test_witness_layout_combines_bob_settings(table, index):
+    z, x, y, r, b, d = index
+    witness_table = probs_to_witness_table(table)
+    assert witness_table.shape == (2, 2, 10, 6, 3)
+    assert witness_table[b, d, x - 1, 3 * (y - 1) + r - 1, z - 1] \
+        == table[z - 1, x - 1, y - 1, r - 1, b, d]
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=TABLES, axis=st.integers(0, 5))
+def test_evaluate_witness_rejects_a_shape_mismatch(table, axis):
+    alpha = probs_to_witness_table(table)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_witness(alpha, probs_to_witness_table(
+            np.delete(table, 0, axis=axis)))
 
 
 def test_index_ranges_enforced():

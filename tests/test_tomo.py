@@ -62,8 +62,6 @@ def test_counts_deterministic_per_seed():
 
 def test_counts_rejects_bad_input():
     with pytest.raises(ValueError):
-        tomo.simulate_counts(PHI_PLUS, basis_set=(), pairs_total=100)
-    with pytest.raises(ValueError):
         tomo.simulate_counts(PHI_PLUS, pairs_total=0)
 
 
