@@ -148,7 +148,14 @@ def _convention_report(sol):
 
 
 def solve_reference_witness(config):
-    """Optimize the witness for the (possibly dephased) switch process."""
+    """Optimize the witness for the (possibly dephased) switch process.
+
+    ``witness`` and ``sweep`` both solve here; a model other than procmat
+    exits 2 before the solve.
+    """
+    if config["model"] != "procmat":
+        _reject("witness optimization runs on the process-matrix model; "
+                "use check/simulate for the other models")
     w = pm.dephase_order_coherence(pm.w_switch(), config["distinguishability"])
     with warnings.catch_warnings():
         # witness.json reports span_rank; the full span is rank-deficient
@@ -160,10 +167,6 @@ def solve_reference_witness(config):
 
 
 def cmd_witness(config) -> int:
-    if config["model"] != "procmat":
-        print("witness optimization runs on the process-matrix model; "
-              "use check/simulate for the other models", file=sys.stderr)
-        return EXIT_PARSE
     d_value = config["distinguishability"]
     sol = solve_reference_witness(config)
     if sol.status not in ("optimal",):
@@ -248,11 +251,14 @@ def cmd_tomo(config) -> int:
     target = TOMO_TARGETS[z]
     pairs = config["pairs"]
     seed = config["seed"]
-    records = tomo.simulate_counts(target, pairs_total=pairs, seed=seed)
-    results = {
-        method: tomo.reconstruct(records, method=method, target=target)
-        for method in ("linear", "mle")
-    }
+    counts = tomo.simulate_counts(target, pairs_total=pairs, seed=seed)
+    try:
+        results = {
+            method: tomo.reconstruct(counts, method=method, target=target)
+            for method in ("linear", "mle")
+        }
+    except ValueError as exc:   # no counts drawn
+        _reject(f"tomo: {exc} at pairs={pairs} seed={seed}")
     d_value = config["distinguishability"]
     circuit = load_circuit(config.get("circuit"))
     prog = program_from_spec(circuit, ExperimentSetting(z, 1, 1, 1),
@@ -275,7 +281,7 @@ def cmd_tomo(config) -> int:
             "converged": res.converged,
         }
     files = {
-        "counts.csv": tomo.records_to_csv(records),
+        "counts.csv": tomo.counts_csv(counts),
         "tomo.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
         "fringe.svg": fringe_svg(grid, rates, vis),
     }

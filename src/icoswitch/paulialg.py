@@ -31,12 +31,12 @@ from functools import lru_cache
 
 import numpy as np
 
-_PAULIS = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
+PAULIS = np.array([
+    np.eye(2),
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)   # I, X, Y, Z
 
 # digit -> (x, z) symplectic bits:  I=(0,0) X=(1,0) Y=(1,1) Z=(0,1)
 _DIGIT_X = np.array([0, 1, 1, 0], dtype=np.int64)
@@ -210,9 +210,9 @@ class ShiftCache:
 # -- dense <-> coefficient transforms ---------------------------------------
 
 # T4[p, 2r+c] = P_p[c, r] / 2  (coefficient extraction per qubit)
-_T4 = np.stack([p.T.reshape(4) / 2 for p in _PAULIS])
+_T4 = np.stack([p.T.reshape(4) / 2 for p in PAULIS])
 # T4INV[2r+c, p] = P_p[r, c]   (synthesis per qubit)
-_T4INV = np.stack([p.reshape(4) for p in _PAULIS]).T
+_T4INV = np.stack([p.reshape(4) for p in PAULIS]).T
 
 
 def _apply_qubitwise(arr, table, nqubits):

@@ -42,9 +42,6 @@ TRACE_NORM = 8.0  # d_P * d_AO * d_BO, pinned by the sum-to-one invariant
 
 _IDX = {l: i for i, l in enumerate(CANONICAL)}
 _PLUSMINUS = [np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)]
-_YBASIS = [np.array([1.0, 1.0j]) / np.sqrt(2), np.array([1.0, -1.0j]) / np.sqrt(2)]
-_ZBASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-DETECT_BASES = {"x": _PLUSMINUS, "y": _YBASIS, "z": _ZBASIS}
 
 # causal order -> (first in, first out, second in, second out, F_c value)
 ORDERS = {
@@ -139,7 +136,7 @@ def instrument(party: str, setting, outcome=None) -> InstrumentElement:
     alice:  setting x in 1..10, no outcome; unitary Choi on (A_I, A_O).
     bob:    setting (y, r) with y in 1..2, r in 1..3; outcome b in {0, 1};
             measure-and-reprepare Choi on (B_I, B_O).
-    detect: setting basis name ('x' default); outcome d in {0, 1};
+    detect: setting 'x', the +/- basis; outcome d in {0, 1};
             identity on F_t times a rank-1 projector on F_c.
     """
     nz, nx, ny, nr = catalog.SHAPE
@@ -165,17 +162,17 @@ def instrument(party: str, setting, outcome=None) -> InstrumentElement:
         vec = _choi_vector(catalog.bob_kraus(y, r, outcome), "B_I", "B_O")
         return InstrumentElement("bob", (y, r), outcome, vec.outer())
     if party == "detect":
-        basis = DETECT_BASES.get(str(setting))
-        if basis is None:
-            raise CatalogError(f"unknown detection basis {setting!r}")
+        if setting != "x":
+            raise CatalogError(f"detection basis must be 'x' (+/-), "
+                               f"got {setting!r}")
         if outcome not in (0, 1):
             raise CatalogError(f"detect outcome must be 0 or 1, got {outcome}")
-        ket = basis[outcome]
+        ket = _PLUSMINUS[outcome]
         povm = tensor([
             LabeledOperator(["F_t"], [2], np.eye(2)),
             LabeledOperator(["F_c"], [2], np.outer(ket, ket.conj())),
         ])
-        return InstrumentElement("detect", (str(setting),), outcome, povm)
+        return InstrumentElement("detect", ("x",), outcome, povm)
     raise CatalogError(f"unknown party {party!r}")
 
 

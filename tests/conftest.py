@@ -1,9 +1,16 @@
 """Shared fixtures: the expensive witness optimization runs once."""
 
 import pytest
+from hypothesis import settings
 
 from icoswitch import procmat as pm
 from icoswitch import witness as wt
+
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("reproducible", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -129,6 +129,12 @@ PHASE_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index("phase path=c1 angle=180")
     pytest.param("tomo", {"pairs": 0}, None, "pairs", id="pairs-zero"),
     pytest.param("tomo", {"input_state": 4}, None, "input state",
                  id="input-state"),
+    pytest.param("sweep", {"model": "fock"}, None,
+                 "witness optimization runs on the process-matrix model",
+                 id="sweep-model-fock"),
+    pytest.param("tomo", {"pairs": 1, "seed": 2}, None,
+                 "tomo: no counts to reconstruct from at pairs=1 seed=2",
+                 id="tomo-no-counts"),
     pytest.param("simulate", None,
                  REFERENCE_CIRCUIT.replace("detector name=system", "# none"),
                  "circuit: line 0, col 0: detector name=system required",

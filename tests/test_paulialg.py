@@ -52,7 +52,7 @@ def test_coeff_roundtrip_and_orthogonality(q):
     assert np.abs(coeffs_to_matrix(c, q) - m).max() < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_pauli_transform_round_trip(q, seed):
     m = rand_herm(np.random.default_rng(seed), 2**q)
@@ -128,7 +128,7 @@ def test_gram_identity_tr_avbv():
     assert abs(lhs - rhs) < 1e-10
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(q=st.integers(1, 3), data=st.data())
 def test_sparse_synthesis_matches_dense(q, data):
     ctx = PauliContext(q)

@@ -3,7 +3,7 @@ import pytest
 
 from icoswitch import procmat as pm
 from icoswitch.paulialg import coeffs_to_matrix, pauli_coeffs
-from icoswitch.qmath import LabeledOperator
+from icoswitch.qmath import LabeledOperator, tensor
 from icoswitch.settings import SHAPE, ExperimentSetting
 from icoswitch.switch import setting_probabilities as qubit_probs
 
@@ -87,8 +87,9 @@ def test_instrument_rejects_out_of_catalog():
         pm.instrument("prep", 0)
     with pytest.raises(pm.CatalogError):
         pm.instrument("bob", (1, 4), 0)
-    with pytest.raises(pm.CatalogError):
-        pm.instrument("detect", "w", 0)
+    for basis in ("w", "y"):
+        with pytest.raises(pm.CatalogError):
+            pm.instrument("detect", basis, 0)
     with pytest.raises(pm.CatalogError):
         pm.instrument("bob", (1, 1), 2)
 
@@ -140,15 +141,28 @@ def test_probability_table_matches_elementwise(w):
                        - pm.probability(w, els)) < 1e-12
 
 
+def detect_element(ket):
+    # a final readout outside the catalog: identity on F_t, |ket><ket| on F_c
+    povm = tensor([LabeledOperator(["F_t"], [2], np.eye(2)),
+                   LabeledOperator(["F_c"], [2], np.outer(ket, np.conj(ket)))])
+    return pm.InstrumentElement("detect", (), 0, povm)
+
+
 def test_non_signalling_from_the_future(w):
     s = ExperimentSetting(2, 6, 1, 2)
     base = [pm.instrument("prep", s.z), pm.instrument("alice", s.x)]
+    detects = {
+        "x": [pm.instrument("detect", "x", d) for d in (0, 1)],
+        "y": [detect_element(np.array([1, 1j * sgn]) / np.sqrt(2))
+              for sgn in (1, -1)],
+        "z": [detect_element(np.eye(2)[d]) for d in (0, 1)],
+    }
     marginals = {}
-    for basis in ("x", "y", "z"):
+    for basis, elements in detects.items():
         marginals[basis] = [
             sum(pm.probability(w, base + [pm.instrument("bob", (s.y, s.r), b),
-                                          pm.instrument("detect", basis, d)])
-                for d in (0, 1))
+                                          det])
+                for det in elements)
             for b in (0, 1)
         ]
     for basis in ("y", "z"):

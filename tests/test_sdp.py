@@ -188,7 +188,7 @@ def patterns_on(data, q, qubits, min_size, max_size, unique):
     return np.array([np.dot(d, place) for d in pats], dtype=np.int64)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(q=st.sampled_from([2, 3, 4]), data=st.data())
 def test_pauli_gram_matches_dense_gram_per_column_class(q, data):
     # unit patterns active on one qubit up to all of them; a dense support

@@ -19,6 +19,7 @@ from icoswitch.settings import (
     alice_unitary,
     bob_kraus,
     enumerate_settings,
+    jones,
     prep_state,
 )
 from icoswitch.witness import evaluate_witness, probs_to_witness_table
@@ -53,7 +54,7 @@ TABLES = arrays(np.float64, SHAPE + (2, 2),
                 elements=st.floats(-1.0, 1.0, allow_nan=False))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(table=TABLES, index=st.tuples(*(st.integers(1, n) for n in SHAPE),
                                      st.integers(0, 1), st.integers(0, 1)))
 def test_witness_layout_combines_bob_settings(table, index):
@@ -64,13 +65,31 @@ def test_witness_layout_combines_bob_settings(table, index):
         == table[z - 1, x - 1, y - 1, r - 1, b, d]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(table=TABLES, axis=st.integers(0, 5))
 def test_evaluate_witness_rejects_a_shape_mismatch(table, axis):
     alpha = probs_to_witness_table(table)
     with pytest.raises(ValueError, match="shape"):
         evaluate_witness(alpha, probs_to_witness_table(
             np.delete(table, 0, axis=axis)))
+
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+@settings(max_examples=50)
+@given(kind=st.sampled_from(["hwp", "qwp"]), theta=ANGLES)
+def test_waveplates_are_unitary(kind, theta):
+    u = jones(kind, theta)
+    assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+
+
+@settings(max_examples=50)
+@given(theta=ANGLES)
+def test_two_quarter_wave_plates_make_a_half_wave_plate(theta):
+    # R diag(1, -i)^2 R^T = R diag(1, -1) R^T, with no global phase
+    qwp = jones("qwp", theta)
+    assert np.abs(qwp @ qwp - jones("hwp", theta)).max() < 1e-12
 
 
 def test_index_ranges_enforced():
