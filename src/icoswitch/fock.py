@@ -130,12 +130,14 @@ class OpticalElement:
         return [(m, 1.0)]
 
 
-def _config_weight(config) -> int:
-    """Product of occupation factorials: <config|config> for monomials."""
-    w = 1
-    for _, group in itertools.groupby(config):
-        w *= factorial(sum(1 for _ in group))
-    return w
+def _born_weights(terms: dict) -> dict:
+    """|a|^2 prod_m n_m! of each configuration: its detection probability,
+    the factorials being <config|config> of the creation monomial."""
+    return {
+        c: abs(a) ** 2 * prod(factorial(len(list(g)))
+                              for _, g in itertools.groupby(c))
+        for c, a in terms.items()
+    }
 
 
 class FockState:
@@ -143,12 +145,13 @@ class FockState:
 
     ``paths`` declares the circuit's path universe; it defaults to the
     paths occupied by the given configurations.  Elements may only touch
-    declared paths (vacuum ports included).
+    declared paths (vacuum ports included).  Configurations whose
+    amplitude is exactly zero are dropped.
     """
 
     __slots__ = ("terms", "photons", "paths")
 
-    def __init__(self, terms: dict, paths=None, drop_below: float = 0.0):
+    def __init__(self, terms: dict, paths=None):
         clean = {}
         photons = None
         seen = set()
@@ -159,7 +162,7 @@ class FockState:
             elif len(config) != photons:
                 raise ValueError("mixed photon numbers in one state")
             seen.update(m.path for m in config)
-            if abs(amp) > drop_below:
+            if amp != 0:
                 clean[config] = clean.get(config, 0.0) + complex(amp)
         if photons is None:
             raise ValueError("empty state")
@@ -168,15 +171,11 @@ class FockState:
         self.paths = frozenset(seen if paths is None else set(paths) | seen)
 
     def norm_sq(self) -> float:
-        return float(sum(
-            abs(a) ** 2 * _config_weight(c) for c, a in self.terms.items()
-        ))
+        return float(sum(self.probabilities().values()))
 
     def probabilities(self) -> dict:
         """Detection probability of each configuration (not renormalized)."""
-        return {
-            c: abs(a) ** 2 * _config_weight(c) for c, a in self.terms.items()
-        }
+        return _born_weights(self.terms)
 
     def renormalized(self) -> "FockState":
         n = np.sqrt(self.norm_sq())
@@ -198,7 +197,7 @@ def evolve(state: FockState, element: OpticalElement) -> FockState:
             modes = tuple(sorted(m for m, _ in combo))
             a = amp * prod(c for _, c in combo)
             new[modes] = new.get(modes, 0.0) + a
-    return FockState(new, paths=state.paths, drop_below=1e-300)
+    return FockState(new, paths=state.paths)
 
 
 def run_elements(state: FockState, elements) -> FockState:
@@ -216,7 +215,7 @@ def postselect(state: FockState, pattern: Callable) -> tuple:
     renormalize numerical noise.
     """
     kept = {c: a for c, a in state.terms.items() if pattern(c)}
-    prob = float(sum(abs(a) ** 2 * _config_weight(c) for c, a in kept.items()))
+    prob = float(sum(_born_weights(kept).values()))
     if prob < NULL_POSTSELECTION:
         raise NullPostselectionError(f"post-selection weight {prob:.3e}")
     kept_state = FockState(kept, paths=state.paths).renormalized()

@@ -4,7 +4,8 @@ The process space carries seven qubit labels: the global past P (target
 preparation), Alice's input/output A_I / A_O, Bob's B_I / B_O, and the
 final detection F_t (target, unmeasured) and F_c (order/control qubit,
 read out in the +/- basis).  The coherently ordered switch process is the
-rank-1 operator built from identity-channel link vectors,
+rank-1 operator built from identity-channel link vectors |I>> (the Choi
+vectors of the identity, ``qmath.choi_vector``),
 
     |w> = ( |I>>^{P A_I} |I>>^{A_O B_I} |I>>^{B_O F_t} |0>^{F_c}
           + |I>>^{P B_I} |I>>^{B_O A_I} |I>>^{A_O F_t} |1>^{F_c} ) / sqrt(2),
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import settings as catalog
 from .paulialg import PauliContext, coeffs_to_matrix, pauli_coeffs
-from .qmath import LabeledOperator, LabeledVector, dephase, link_vector, tensor
+from .qmath import LabeledOperator, LabeledVector, choi_vector, dephase, tensor
 
 LABELS = ("P", "A_I", "A_O", "B_I", "B_O", "F_t", "F_c")
 CANONICAL = tuple(sorted(LABELS))  # A_I A_O B_I B_O F_c F_t P
@@ -41,7 +42,6 @@ SIDE = 2**NQUBITS
 TRACE_NORM = 8.0  # d_P * d_AO * d_BO, pinned by the sum-to-one invariant
 
 _IDX = {l: i for i, l in enumerate(CANONICAL)}
-_PLUSMINUS = [np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)]
 
 # causal order -> (first in, first out, second in, second out, F_c value)
 ORDERS = {
@@ -80,32 +80,17 @@ class InstrumentElement:
     """Choi operator of one party's operation for one setting/outcome."""
 
     party: str   # prep | alice | bob | detect
-    setting: tuple
-    outcome: int
     choi: LabeledOperator
-
-
-def _ket(label, amplitudes):
-    return LabeledVector([label], [2], amplitudes)
-
-
-def _choi_vector(kraus: np.ndarray, label_in: str, label_out: str) -> LabeledVector:
-    """|K>> = sum_i |i>_in (K|i>)_out."""
-    amp = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        amp[i] = kraus @ np.eye(2)[i]
-    vec = LabeledVector([label_in, label_out], [2, 2], amp.reshape(4))
-    return vec
 
 
 def _branch(order: str) -> LabeledVector:
     """Link-vector branch of |w> for one order, F_c set to the order."""
     first_in, first_out, second_in, second_out, fc = _order(order)
     return tensor([
-        link_vector(2, "P", first_in),
-        link_vector(2, first_out, second_in),
-        link_vector(2, second_out, "F_t"),
-        _ket("F_c", np.eye(2)[fc]),
+        choi_vector(np.eye(2), "P", first_in),
+        choi_vector(np.eye(2), first_out, second_in),
+        choi_vector(np.eye(2), second_out, "F_t"),
+        LabeledVector(["F_c"], [2], np.eye(2)[fc]),
     ])
 
 
@@ -146,33 +131,33 @@ def instrument(party: str, setting, outcome=None) -> InstrumentElement:
             raise CatalogError(f"input-state index z={z} outside 1..{nz}")
         psi = catalog.prep_state(z)
         choi = LabeledOperator(["P"], [2], np.outer(psi, psi.conj()))
-        return InstrumentElement("prep", (z,), 0, choi)
+        return InstrumentElement("prep", choi)
     if party == "alice":
         x = int(setting)
         if not 1 <= x <= nx:
             raise CatalogError(f"unitary index x={x} outside 1..{nx}")
-        vec = _choi_vector(catalog.alice_unitary(x), "A_I", "A_O")
-        return InstrumentElement("alice", (x,), 0, vec.outer())
+        vec = choi_vector(catalog.alice_unitary(x), "A_I", "A_O")
+        return InstrumentElement("alice", vec.outer())
     if party == "bob":
         y, r = (int(v) for v in setting)
         if not (1 <= y <= ny and 1 <= r <= nr):
             raise CatalogError(f"bob setting (y={y}, r={r}) outside catalog")
         if outcome not in (0, 1):
             raise CatalogError(f"bob outcome must be 0 or 1, got {outcome}")
-        vec = _choi_vector(catalog.bob_kraus(y, r, outcome), "B_I", "B_O")
-        return InstrumentElement("bob", (y, r), outcome, vec.outer())
+        vec = choi_vector(catalog.bob_kraus(y, r, outcome), "B_I", "B_O")
+        return InstrumentElement("bob", vec.outer())
     if party == "detect":
         if setting != "x":
             raise CatalogError(f"detection basis must be 'x' (+/-), "
                                f"got {setting!r}")
         if outcome not in (0, 1):
             raise CatalogError(f"detect outcome must be 0 or 1, got {outcome}")
-        ket = _PLUSMINUS[outcome]
+        ket = catalog.PLUS_MINUS[outcome]
         povm = tensor([
             LabeledOperator(["F_t"], [2], np.eye(2)),
             LabeledOperator(["F_c"], [2], np.outer(ket, ket.conj())),
         ])
-        return InstrumentElement("detect", ("x",), outcome, povm)
+        return InstrumentElement("detect", povm)
     raise CatalogError(f"unknown party {party!r}")
 
 
@@ -313,19 +298,12 @@ def random_ordered(order: str, rng: np.random.Generator,
         mid = [big[:, k, :, 0] for k in range(2)]  # sum_k K^dag K = 1
     v_fin = haar(4)[:, :2]  # isometry 2 -> 4 on (F_t, F_c)
 
+    wire_in = choi_vector(v_in, "P", first_in)
+    wire_out = choi_vector(v_fin.reshape(2, 2, 2), second_out, ("F_t", "F_c"))
     total = np.zeros((SIDE, SIDE), dtype=complex)
     for k_mid in mid:
-        parts = [
-            _choi_vector(v_in, "P", first_in),
-            _choi_vector(k_mid, first_out, second_in),
-        ]
-        fin = np.zeros((2, 2, 2), dtype=complex)  # (second_out, F_t, F_c)
-        for i in range(2):
-            fin[i] = v_fin[:, i].reshape(2, 2)
-        fin_vec = LabeledVector([second_out, "F_t", "F_c"], [2, 2, 2],
-                                fin.reshape(8))
-        parts.append(fin_vec)
-        vec = tensor(parts)
+        vec = tensor([wire_in, choi_vector(k_mid, first_out, second_in),
+                      wire_out])
         total += vec.outer().entries
     op = LabeledOperator(CANONICAL, DIMS, total)
     return ProcessMatrix(op)

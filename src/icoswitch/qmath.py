@@ -6,7 +6,9 @@ construction time, so two objects over the same subsystems always agree on
 index layout.  All values are immutable after construction and all
 operations are pure.
 
-``dephase`` is the one which-path decoherence rule that the qubit and
+Two model conventions are written here once.  ``choi_vector`` is the
+Choi convention |K>> = sum_i |i>_in (x) K|i>_out of the process-matrix
+model.  ``dephase`` is the which-path decoherence rule that the qubit and
 process-matrix models share: distinguishability D shrinks a qubit's
 coherence by ``coherence(D)`` = sqrt(1 - D^2).
 """
@@ -102,38 +104,20 @@ class LabeledOperator:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hermitian", None)
 
     def is_hermitian(self):
-        cached = object.__getattribute__(self, "_hermitian")
-        if cached is None:
-            cached = bool(
-                np.abs(self.entries - self.entries.conj().T).max() < 1e-12
-            )
-            object.__setattr__(self, "_hermitian", cached)
-        return cached
-
-    def apply(self, vec: LabeledVector) -> LabeledVector:
-        if self.labels != vec.labels or self.dims != vec.dims:
-            raise LabelError("operator and vector subsystems differ")
-        return LabeledVector(self.labels, self.dims, self.entries @ vec.amplitudes)
+        return bool(np.abs(self.entries - self.entries.conj().T).max() < 1e-12)
 
     def __matmul__(self, other):
+        _same_subsystems(self, other)
         if isinstance(other, LabeledVector):
-            return self.apply(other)
-        if self.labels != other.labels or self.dims != other.dims:
-            raise LabelError("operator subsystems differ")
+            return LabeledVector(self.labels, self.dims,
+                                 self.entries @ other.amplitudes)
         return LabeledOperator(self.labels, self.dims, self.entries @ other.entries)
 
     def __add__(self, other):
-        if self.labels != other.labels or self.dims != other.dims:
-            raise LabelError("operator subsystems differ")
+        _same_subsystems(self, other)
         return LabeledOperator(self.labels, self.dims, self.entries + other.entries)
-
-    def __sub__(self, other):
-        if self.labels != other.labels or self.dims != other.dims:
-            raise LabelError("operator subsystems differ")
-        return LabeledOperator(self.labels, self.dims, self.entries - other.entries)
 
     def __mul__(self, scalar):
         return LabeledOperator(self.labels, self.dims, self.entries * scalar)
@@ -142,15 +126,19 @@ class LabeledOperator:
 
     def expectation(self, state) -> complex:
         """<psi|O|psi> for a vector or Tr(O rho) for an operator state."""
+        _same_subsystems(self, state)
         if isinstance(state, LabeledVector):
-            if self.labels != state.labels:
-                raise LabelError("operator and state subsystems differ")
             return complex(
                 np.vdot(state.amplitudes, self.entries @ state.amplitudes)
             )
-        if self.labels != state.labels:
-            raise LabelError("operator and state subsystems differ")
         return complex(np.trace(self.entries @ state.entries))
+
+
+def _same_subsystems(a, b):
+    """Raise LabelError unless a and b carry the same labels and dims."""
+    if a.labels != b.labels or a.dims != b.dims:
+        raise LabelError(f"subsystems differ: {dict(zip(a.labels, a.dims))} "
+                         f"vs {dict(zip(b.labels, b.dims))}")
 
 
 def tensor(factors):
@@ -162,12 +150,6 @@ def tensor(factors):
     factors = list(factors)
     if not factors:
         raise ValueError("tensor of no factors")
-    seen = {}
-    for f in factors:
-        for l in f.labels:
-            if l in seen:
-                raise LabelError(f"duplicate subsystem label: {l!r}")
-            seen[l] = True
     labels = sum((f.labels for f in factors), ())
     dims = sum((f.dims for f in factors), ())
     if all(isinstance(f, LabeledVector) for f in factors):
@@ -213,12 +195,20 @@ def partial_trace(op: LabeledOperator, keep) -> LabeledOperator:
     )
 
 
-def link_vector(dim: int, label_in: str, label_out: str) -> LabeledVector:
-    """Unnormalized identity-channel vector sum_i |ii> over two same-dim labels."""
-    if dim < 1:
-        raise ValueError(f"link_vector dimension must be >= 1, got {dim}")
-    amp = np.eye(dim).reshape(dim * dim)
-    return LabeledVector((label_in, label_out), (dim, dim), amp)
+def choi_vector(kraus, label_in: str, label_out) -> LabeledVector:
+    """|K>> = sum_i |i>_in (x) K|i>_out, the one Choi convention of the models.
+
+    ``kraus`` is a (d_out, d_in) matrix for one output label, or, for a
+    tuple of output labels, an array with one axis per output label and
+    the input axis last.  The identity gives the link vector sum_i |ii>.
+    """
+    labels_out = (label_out,) if isinstance(label_out, str) else tuple(label_out)
+    kraus = np.asarray(kraus)
+    if kraus.ndim != len(labels_out) + 1:
+        raise ValueError(f"Kraus array has {kraus.ndim} axes, expected "
+                         f"{len(labels_out)} output axes and one input axis")
+    amp = np.moveaxis(kraus, -1, 0)
+    return LabeledVector((label_in,) + labels_out, amp.shape, amp.reshape(-1))
 
 
 def coherence(d_value: float) -> float:

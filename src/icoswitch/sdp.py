@@ -212,12 +212,20 @@ class PauliColumns:
 
 @dataclass
 class Block:
-    """One PSD slack block: Z(y) = C - sum_i y_i A_i."""
+    """One PSD slack block: Z(y) = C - sum_i y_i A_i; its side is C's."""
 
     name: str
-    side: int
     c: np.ndarray
     columns: object  # DenseColumns or PauliColumns
+
+    def __post_init__(self):
+        if self.c.shape != (self.columns.side,) * 2:
+            raise ValueError(f"block {self.name!r}: C has shape {self.c.shape}, "
+                             f"its columns side {self.columns.side}")
+
+    @property
+    def side(self):
+        return self.c.shape[0]
 
 
 @dataclass

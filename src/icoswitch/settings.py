@@ -3,9 +3,9 @@
 Three input states x ten polarization unitaries for the party inside the
 switch x two measurement bases x three repreparation settings for the
 measuring party = 180 settings, each with four outcomes (measurement
-result b, switch output port d).  ``jones`` gives the waveplate matrices
-that turn the catalog angles into qubit operators; the optics simulator
-uses the same matrices.
+result b, switch output port d, read in the +/- basis ``PLUS_MINUS``).
+``jones`` gives the waveplate matrices that turn the catalog angles into
+qubit operators; the optics simulator uses the same matrices.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ ALICE_TRIPLES = [
     (90.0, 45.0, 0.0),
     (90.0, 45.0, 45.0),
 ]
+
+# the switch output's readout basis: row d is the ket of outcome d,
+# |+> for d = 0 and |-> for d = 1
+PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+PLUS_MINUS.flags.writeable = False
 
 # the catalog's (z, x, y, r) axes; a probability table is an array of
 # shape SHAPE + (2, 2) indexed [z-1, x-1, y-1, r-1, b, d]

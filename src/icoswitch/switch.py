@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import LabeledOperator, LabeledVector, dephase, partial_trace, tensor
-from .settings import ExperimentSetting, alice_unitary, jones, prep_state
+from .settings import PLUS_MINUS, ExperimentSetting, alice_unitary, jones, prep_state
 
 UNITARY_TOL = 1e-10
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
-PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def _as_qubit(state) -> np.ndarray:
@@ -58,7 +57,7 @@ def _vn_operator(meas, reprep) -> LabeledOperator:
     return r @ _cnot_sa() @ m
 
 
-def switch_evolve(u_alice, bob_basis, system, control=PLUS,
+def switch_evolve(u_alice, bob_basis, system, control=PLUS_MINUS[0],
                   bob_reprep=None) -> LabeledVector:
     """Joint {c, s, a} state after the coherently ordered interactions.
 
@@ -121,7 +120,7 @@ def setting_probabilities(setting: ExperimentSetting, d_value: float) -> np.ndar
     """p[b, d] for one waveplate setting at distinguishability d_value.
 
     b is the ancilla readout in the computational basis and d the control
-    readout in the +/- basis (0 maps to '+').
+    readout in the +/- basis ``PLUS_MINUS`` (0 maps to '+').
     """
     meas = jones("hwp", np.deg2rad(setting.meas_hwp))
     reprep = jones("hwp", np.deg2rad(setting.reprep_hwp))
@@ -131,10 +130,9 @@ def setting_probabilities(setting: ExperimentSetting, d_value: float) -> np.ndar
     )
     rho = dephase(state.outer(), "c", d_value)
     probs = np.empty((2, 2))
-    plus_minus = [PLUS, np.array([1.0, -1.0]) / np.sqrt(2.0)]
     for b, d in np.ndindex(probs.shape):
         proj_b = np.zeros((2, 2)); proj_b[b, b] = 1.0
-        ket = plus_minus[d]
+        ket = PLUS_MINUS[d]
         eff = tensor([
             LabeledOperator(["c"], [2], np.outer(ket, ket.conj())),
             LabeledOperator(["s"], [2], np.eye(2)),

@@ -19,7 +19,7 @@ from .qmath import LabeledOperator
 
 BASES = "XYZ"   # every pair of them: informationally complete
 SHAPE = (3, 3, 2, 2)
-MLE_TOL = 1e-10
+MLE_TOL = 1e-12     # relative log-likelihood gain that ends the MLE
 MLE_MAXITER = 20000
 
 _SIGNS = np.array([1.0, -1.0])   # eigenvalue of outcome 0 and 1
@@ -72,7 +72,9 @@ def _linear_inversion(n) -> np.ndarray:
 
 def _mle(n):
     """R rho R fixed point for the Poisson likelihood: (rho, iterations,
-    whether the log-likelihood gain fell below MLE_TOL)."""
+    whether the log-likelihood gain fell to MLE_TOL |ll| or below).  The
+    bound is relative, so scaling every count by one factor leaves the
+    stopping iteration unchanged."""
     rho = np.eye(4, dtype=complex) / 4.0
     ll_prev = -np.inf
     it, converged = 0, False
@@ -83,7 +85,7 @@ def _mle(n):
         new = r_op @ rho @ r_op
         new = (new + new.conj().T) / 2
         rho = new / np.real(np.trace(new))
-        converged = bool(abs(ll - ll_prev) < MLE_TOL)
+        converged = bool(abs(ll - ll_prev) <= MLE_TOL * abs(ll))
         if converged:
             break
         ll_prev = ll
@@ -111,7 +113,8 @@ def reconstruct(counts, method="mle", target=None) -> TomoResult:
 
     method 'linear' inverts Pauli expectations directly (flagged when the
     estimate has negative eigenvalues); 'mle' iterates the multiplicative
-    fixed point until the log-likelihood gain drops below MLE_TOL, and
+    fixed point until the log-likelihood gain relative to the
+    log-likelihood drops to MLE_TOL, and
     reports ``converged=False`` when MLE_MAXITER iterations end it first.
     """
     n = np.asarray(counts)

@@ -129,7 +129,7 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
             dense_rows=eye_row,
             dense_support=np.array([0]),  # identity pattern
         )
-        block = Block("T", pm.SIDE, np.asarray(s_op.entries), cols)
+        block = Block("T", np.asarray(s_op.entries), cols)
         b = np.zeros(m)
         b[-1] = 1.0  # maximize t
         sol = solve_conic([block], b, tol=CONE_TOL, gap_tol=CONE_TOL,
@@ -192,11 +192,11 @@ def _span_blocks(span: SpanBasis, convention: str):
             dense_indices=layout["s"], dense_rows=-span.onb,
             dense_support=span.support,
         )
-        blocks.append(Block(name, pm.SIDE, zero, cols))
+        blocks.append(Block(name, zero, cols))
 
     free_g = free_f = None
     if convention in ("generalized-robustness", "identity-cap"):
-        # Z = 1/8 - S - R >= 0, with R over the patterns no valid process
+        # Z = 1/TRACE_NORM - S - R >= 0, with R over the patterns no valid process
         # carries (generalized robustness) or R = 0 (identity cap)
         pats_v = np.zeros(0, dtype=np.int64)
         if convention == "generalized-robustness":
@@ -210,15 +210,15 @@ def _span_blocks(span: SpanBasis, convention: str):
             dense_support=span.support,
         )
         blocks.append(Block(
-            "T_norm", pm.SIDE, np.eye(pm.SIDE, dtype=complex) / 8.0, cols
+            "T_norm", np.eye(pm.SIDE, dtype=complex) / pm.TRACE_NORM, cols
         ))
     elif convention == "white-noise":
-        # Tr[S W_white] = 1 with W_white = 1/16: only the identity pattern
-        # of S contributes, Tr[Q_k/16] = 8 * coeff_id(Q_k)
+        # Tr[S W_white] = 1 with W_white = TRACE_NORM / SIDE = 1/16: only
+        # the identity pattern of S contributes, Tr[Q_k/16] = 8 coeff_id(Q_k)
         id_pos = np.flatnonzero(span.support == 0)
         h = np.zeros((off, 1))
         if len(id_pos):
-            h[:span.rank, 0] = 8.0 * span.onb[:, id_pos[0]]
+            h[:span.rank, 0] = pm.TRACE_NORM * span.onb[:, id_pos[0]]
         free_g, free_f = h, np.array([1.0])
     else:
         raise ValueError(f"unknown convention {convention!r}")

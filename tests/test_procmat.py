@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icoswitch import procmat as pm
+from icoswitch import settings as catalog
+from icoswitch.circuits import (parse_circuit, program_from_spec,
+                                reference_circuit_text)
 from icoswitch.paulialg import coeffs_to_matrix, pauli_coeffs
-from icoswitch.qmath import LabeledOperator, tensor
+from icoswitch.qmath import LabeledOperator, coherence, tensor
 from icoswitch.settings import SHAPE, ExperimentSetting
 from icoswitch.switch import setting_probabilities as qubit_probs
 
@@ -38,6 +43,37 @@ def test_w_switch_probabilities_match_circuit_oracle(w):
             tables[d_value] = pm.probability_table(d_value)
         got = tables[d_value][s.z - 1, s.x - 1, s.y - 1, s.r - 1]
         assert np.abs(got - qubit_probs(s, d_value)).max() < 1e-9
+
+
+ANGLE = st.floats(-180.0, 180.0)
+REFERENCE_SPEC = parse_circuit(reference_circuit_text())
+
+
+@settings(max_examples=30)
+@given(angles=st.tuples(*[ANGLE] * 7), d_value=st.floats(0.0, 1.0))
+def test_three_models_agree_off_the_catalog(angles, d_value):
+    # catalog angles are multiples of 22.5 degrees; moving setting
+    # (1, 1, 1, 1) off them checks the shared conventions elsewhere
+    prep_q, prep_h, q1, h, q2, meas, reprep = angles
+    s = ExperimentSetting(1, 1, 1, 1)
+    pm.factor_coeffs.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, first in (("INPUT_STATES", (prep_q, prep_h)),
+                                ("ALICE_TRIPLES", (q1, h, q2)),
+                                ("BOB_MEAS_HWP", meas),
+                                ("BOB_REPREP_HWP", reprep)):
+                mp.setattr(catalog, name, [first] + getattr(catalog, name)[1:])
+            tables = [
+                pm.probability_table(d_value)[0, 0, 0, 0],
+                qubit_probs(s, d_value),
+                program_from_spec(REFERENCE_SPEC, s, coherence(d_value))
+                .outcome_probabilities(),
+            ]
+    finally:
+        pm.factor_coeffs.cache_clear()
+    assert np.abs(tables[0] - tables[1]).max() < 1e-9
+    assert np.abs(tables[0] - tables[2]).max() < 1e-9
 
 
 def test_full_dephasing_equals_half_mixture(w):
@@ -145,7 +181,7 @@ def detect_element(ket):
     # a final readout outside the catalog: identity on F_t, |ket><ket| on F_c
     povm = tensor([LabeledOperator(["F_t"], [2], np.eye(2)),
                    LabeledOperator(["F_c"], [2], np.outer(ket, np.conj(ket)))])
-    return pm.InstrumentElement("detect", (), 0, povm)
+    return pm.InstrumentElement("detect", povm)
 
 
 def test_non_signalling_from_the_future(w):

@@ -6,8 +6,8 @@ from icoswitch.qmath import (
     LabelError,
     LabeledOperator,
     LabeledVector,
+    choi_vector,
     dephase,
-    link_vector,
     partial_trace,
     tensor,
 )
@@ -132,21 +132,52 @@ def test_partial_trace_of_tensor_factorizes():
                    - np.trace(partial_trace(joint, {"b"}).entries)) < 1e-10
 
 
+# -- Choi vectors -------------------------------------------------------------
+
 def test_link_vector_definition_and_norm():
-    lv = link_vector(2, "i", "o")
-    assert np.allclose(lv.amplitudes, [1, 0, 0, 1])
+    # the identity's Choi vector is the link vector sum_i |ii>
+    lv = choi_vector(np.eye(2), "i", "o")
+    assert lv.labels == ("i", "o")
+    assert np.array_equal(lv.amplitudes, [1, 0, 0, 1])
     assert abs(np.linalg.norm(lv.amplitudes) ** 2 - 2) < 1e-12
 
 
 def test_link_vector_rejects_dim_zero():
-    with pytest.raises(ValueError):
-        link_vector(0, "i", "o")
+    with pytest.raises(ValueError, match=">= 1"):
+        choi_vector(np.eye(0), "i", "o")
+    with pytest.raises(ValueError, match="axes"):
+        choi_vector(np.eye(4), "i", ("o", "p"))
+
+
+def test_choi_vector_definition():
+    # |K>> = sum_i |i>_in (x) K|i>_out, for a map between unequal dims
+    rng = np.random.default_rng(23)
+    k = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    vec = choi_vector(k, "in", "out")
+    assert vec.dims == (2, 3)
+    for i in range(2):
+        assert np.array_equal(vec.amplitudes.reshape(2, 3)[i], k[:, i])
+
+
+def test_choi_vector_isometry_matches_component_loop():
+    # the random ordered process's final isometry 2 -> 4 on (F_t, F_c),
+    # laid out component by component as (B_O, F_t, F_c)
+    rng = np.random.default_rng(29)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    v = np.linalg.qr(z)[0][:, :2]
+    fin = np.zeros((2, 2, 2), dtype=complex)
+    for i in range(2):
+        fin[i] = v[:, i].reshape(2, 2)
+    loop = LabeledVector(["B_O", "F_t", "F_c"], [2, 2, 2], fin.reshape(8))
+    vec = choi_vector(v.reshape(2, 2, 2), "B_O", ("F_t", "F_c"))
+    assert vec.labels == loop.labels and vec.dims == loop.dims
+    assert np.array_equal(vec.amplitudes, loop.amplitudes)
 
 
 def test_link_vector_contraction_identity():
     # <<I| (rho^T (x) sigma) |I>> = Tr(rho sigma)
     rng = np.random.default_rng(13)
-    lv = link_vector(2, "i", "o")
+    lv = choi_vector(np.eye(2), "i", "o")
     for _ in range(10):
         rho = rand_herm(rng, 2)
         sig = rand_herm(rng, 2)
@@ -162,7 +193,7 @@ def test_choi_of_identity_reproduces_channel_action():
     # Choi(id) = |I>><<I|; channel action via the probability-rule contraction
     # Tr_in[ Choi (rho^T (x) 1) ] = rho, checked on 10 random states.
     rng = np.random.default_rng(17)
-    choi = link_vector(2, "in", "out").outer()
+    choi = choi_vector(np.eye(2), "in", "out").outer()
     for _ in range(10):
         psi = rand_state(rng, 2)
         rho = np.outer(psi, psi.conj())
@@ -185,6 +216,21 @@ def test_operator_helpers():
     ev = op.expectation(psi)
     assert abs(ev.imag) < 1e-12
     assert abs(ev - op.expectation(psi.outer())) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["vector", "operator"])
+def test_same_labels_other_dims_are_rejected(kind):
+    op = LabeledOperator(["a", "b"], [2, 2], np.eye(4))
+    vec = LabeledVector(["a", "b"], [1, 4], np.eye(4)[0])
+    other = LabeledOperator(["a", "b"], [1, 4], np.eye(4))
+    state = vec if kind == "vector" else other
+    with pytest.raises(LabelError, match="subsystems differ"):
+        op.expectation(state)
+    with pytest.raises(LabelError, match="subsystems differ"):
+        op @ state
+    if kind == "operator":
+        with pytest.raises(LabelError, match="subsystems differ"):
+            op + other
 
 
 def test_vector_shape_validation():

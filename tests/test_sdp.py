@@ -21,7 +21,7 @@ def test_min_trace_with_pinned_corner():
     # minimize Tr(X) s.t. X >= 0, X11 = 1  -> optimum 1
     e11 = np.zeros((3, 3), dtype=complex)
     e11[0, 0] = 1.0
-    block = Block("X", 3, np.eye(3, dtype=complex), DenseColumns(3, [0], [e11]))
+    block = Block("X", np.eye(3, dtype=complex), DenseColumns(3, [0], [e11]))
     sol = solve_conic([block], np.array([1.0]))
     assert sol.optimal
     assert abs(sol.primal_objective - 1.0) < 1e-7
@@ -36,7 +36,7 @@ def test_minimum_eigenvalue_matches_dense_solver(seed):
     rng = np.random.default_rng(seed)
     h = rand_herm(rng, 8)
     # max t s.t. h - t I >= 0
-    block = Block("S", 8, h, DenseColumns(8, [0], [np.eye(8, dtype=complex)]))
+    block = Block("S", h, DenseColumns(8, [0], [np.eye(8, dtype=complex)]))
     sol = solve_conic([block], np.array([1.0]))
     assert sol.optimal
     assert abs(sol.dual_objective - np.linalg.eigvalsh(h)[0]) < 1e-7
@@ -58,16 +58,16 @@ def test_feasibility_classification_matches_grid_oracle():
         # SDP: maximize t s.t. f0 + a f1 + b f2 - t I >= 0, |a|,|b| <= 1
         # box constraints via four 1x1 slack blocks
         blocks = [
-            Block("M", 8, f0, DenseColumns(
+            Block("M", f0, DenseColumns(
                 8, [0, 1, 2], [-f1, -f2, np.eye(8, dtype=complex)]
             )),
-            Block("a+", 1, np.eye(1, dtype=complex),
+            Block("a+", np.eye(1, dtype=complex),
                   DenseColumns(1, [0], [[[1.0]]])),
-            Block("a-", 1, np.eye(1, dtype=complex),
+            Block("a-", np.eye(1, dtype=complex),
                   DenseColumns(1, [0], [[[-1.0]]])),
-            Block("b+", 1, np.eye(1, dtype=complex),
+            Block("b+", np.eye(1, dtype=complex),
                   DenseColumns(1, [1], [[[1.0]]])),
-            Block("b-", 1, np.eye(1, dtype=complex),
+            Block("b-", np.eye(1, dtype=complex),
                   DenseColumns(1, [1], [[[-1.0]]])),
         ]
         sol = solve_conic(blocks, np.array([0.0, 0.0, 1.0]))
@@ -86,7 +86,7 @@ def test_primal_dual_gap_invariant_on_random_instances():
     for _ in range(3):
         c = rand_herm(rng, 6) + 6 * np.eye(6)
         a1, a2 = rand_herm(rng, 6), rand_herm(rng, 6)
-        block = Block("X", 6, c, DenseColumns(6, [0, 1], [a1, a2]))
+        block = Block("X", c, DenseColumns(6, [0, 1], [a1, a2]))
         sol = solve_conic([block], np.array([1.0, 0.5]))
         assert sol.optimal
         assert abs(sol.primal_objective - sol.dual_objective) < 1e-7
@@ -98,7 +98,7 @@ def test_primal_dual_gap_invariant_on_random_instances():
 
 def test_free_variable_equality_is_enforced():
     # max t s.t. diag(3, 1) - t I >= 0 and t pinned to 0.25 by an equality
-    block = Block("S", 2, np.diag([3.0, 1.0]).astype(complex),
+    block = Block("S", np.diag([3.0, 1.0]).astype(complex),
                   DenseColumns(2, [0], [np.eye(2, dtype=complex)]))
     sol = solve_conic([block], np.array([1.0]),
                       free_g=np.array([[1.0]]), free_f=np.array([0.25]))
@@ -117,10 +117,10 @@ def test_pauli_columns_agree_with_dense_columns():
     dense_ops = [sparse_coeffs_to_matrix(pats, row, ctx) for row in coeffs]
     c = rand_herm(rng, 4) + 4 * np.eye(4)
 
-    dense = Block("S", 4, c, DenseColumns(4, [0, 1], dense_ops))
+    dense = Block("S", c, DenseColumns(4, [0, 1], dense_ops))
     sol_d = solve_conic([dense], np.array([0.7, -0.2]))
 
-    pauli = Block("S", 4, c, PauliColumns(
+    pauli = Block("S", c, PauliColumns(
         2, unit_indices=[], unit_patterns=[],
         dense_indices=[0, 1], dense_rows=coeffs, dense_support=pats,
     ))
@@ -232,11 +232,11 @@ def test_unit_pattern_columns_and_signs():
     pats = np.array([5, 10])
     dense_ops = [-ctx.dense(5), ctx.dense(10)]
     sol_d = solve_conic(
-        [Block("S", 4, c, DenseColumns(4, [0, 1], dense_ops))],
+        [Block("S", c, DenseColumns(4, [0, 1], dense_ops))],
         np.array([0.4, 0.1]),
     )
     sol_p = solve_conic(
-        [Block("S", 4, c, PauliColumns(
+        [Block("S", c, PauliColumns(
             2, unit_indices=[0, 1], unit_patterns=pats,
             dense_indices=[], dense_rows=np.zeros((0, 0)),
             dense_support=[],
@@ -249,7 +249,7 @@ def test_unit_pattern_columns_and_signs():
 
 def two_by_two(c=np.diag([3.0, 1.0])):
     """max t s.t. C - t I >= 0 on a 2 x 2 block."""
-    return Block("S", 2, np.asarray(c, dtype=complex),
+    return Block("S", np.asarray(c, dtype=complex),
                  DenseColumns(2, [0], [np.eye(2, dtype=complex)]))
 
 
@@ -323,7 +323,7 @@ def test_non_finite_schur_complement_fails_in_first_iteration():
     # finite data, but a NaN constraint operator makes H non-finite
     a = np.eye(2, dtype=complex)
     a[0, 1] = a[1, 0] = np.nan
-    block = Block("S", 2, np.eye(2, dtype=complex), DenseColumns(2, [0], [a]))
+    block = Block("S", np.eye(2, dtype=complex), DenseColumns(2, [0], [a]))
     sol = solve_conic([block], np.array([1.0]))
     assert sol.status == "numerical_failure"
     assert sol.iterations == 1
@@ -343,10 +343,17 @@ def test_iteration_cap_below_one_is_rejected(maxiter):
         solve_conic([two_by_two()], np.array([1.0]), maxiter=maxiter)
 
 
+def test_block_side_is_c_side_and_must_match_its_columns():
+    assert two_by_two().side == 2
+    with pytest.raises(ValueError, match="columns side 3"):
+        Block("S", np.eye(2, dtype=complex),
+              DenseColumns(3, [0], [np.eye(3, dtype=complex)]))
+
+
 def test_dual_infeasible_problem_stalls():
     # Z = -1 - y diag(1, -1) >= 0 needs y <= -1 and y >= 1: no dual point,
     # so the step lengths collapse
-    block = Block("X", 2, -np.eye(2, dtype=complex),
+    block = Block("X", -np.eye(2, dtype=complex),
                   DenseColumns(2, [0], [np.diag([1.0, -1.0]).astype(complex)]))
     sol = solve_conic([block], np.array([0.5]))
     assert sol.status == "stalled"

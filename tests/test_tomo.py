@@ -124,6 +124,19 @@ def test_mle_always_psd_unit_trace():
         assert abs(np.trace(res.rho.entries) - 1) < 1e-10
 
 
+@pytest.mark.parametrize("z", sorted(TOMO_TARGETS))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_mle_stop_does_not_depend_on_the_count_scale(z, seed):
+    # the stopping bound is relative to the log-likelihood, which scales
+    # with the counts, so n and 10 n stop at the same iteration
+    counts = tomo.simulate_counts(TOMO_TARGETS[z], pairs_total=30000, seed=seed)
+    once = tomo.reconstruct(counts, method="mle")
+    tenfold = tomo.reconstruct(10 * counts, method="mle")
+    assert once.converged and tenfold.converged
+    assert once.iterations == tenfold.iterations
+    assert np.abs(once.rho.entries - tenfold.rho.entries).max() < 1e-12
+
+
 def test_reconstruct_rejects_incomplete_settings():
     counts = tomo.simulate_counts(PHI_PLUS, pairs_total=900, seed=0)
     # the X,Y basis pair missing: the array no longer has every pair
