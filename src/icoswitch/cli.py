@@ -50,7 +50,7 @@ def _fmt(x):
 
 
 def load_circuit(path=None):
-    if not path:
+    if path is None:
         return parse_circuit(reference_circuit_text())
     try:
         text = Path(path).read_text()
@@ -411,11 +411,18 @@ def config_from_args(args) -> dict:
                 f"got {grid!r}")
     if grid is not None and any(a >= b for a, b in zip(grid, grid[1:])):
         _reject(f"grid must be strictly increasing, got {grid!r}")
+    for key in ("out", "circuit"):   # circuit null: the packaged table
+        path = config[key]
+        if not (isinstance(path, str) and path
+                or key == "circuit" and path is None):
+            _reject(f"{key} must be a non-empty path, got {path!r}")
     for key in ("seed", "steps", "pairs", "input_state"):
         if not _is_int(config[key]):
             _reject(f"{key} must be an integer, got {config[key]!r}")
     if config["seed"] < 0:
         _reject(f"seed must be non-negative, got {config['seed']}")
+    if config["steps"] < 2:
+        _reject(f"steps must be at least 2, got {config['steps']}")
     if config["pairs"] < 1:
         _reject(f"pairs must be at least 1, got {config['pairs']}")
     if config["input_state"] not in TOMO_TARGETS:
@@ -423,7 +430,7 @@ def config_from_args(args) -> dict:
 
     config["distinguishability"] = float(d)
     if "grid" not in config:
-        n = max(2, config["steps"])
+        n = config["steps"]
         config["grid"] = [i / (n - 1) for i in range(n)]
     return config
 

@@ -9,7 +9,7 @@ The engine solves the standard conic pair
 with Hermitian blocks, using Nesterov-Todd (NT) scaling and a Mehrotra
 predictor-corrector.  The Schur complement H_ij = sum_b <A_i, W A_j W> is
 assembled per block through a column provider, so witness-sized problems
-(128-side blocks, a few thousand scalar variables) can exploit the
+(64-side blocks, a few thousand scalar variables) can exploit the
 Pauli-product structure of their constraint operators instead of forming
 dense congruences column by column.  Pauli columns split into two
 classes, single products P_s (x) 1 that leave some qubits idle and dense
@@ -17,11 +17,13 @@ rows Q_l over a pattern support, and their Gram is assembled per class
 pair (after SDPA's F1/F2/F3 choice, Fujisawa, Kojima & Nakata 1997):
 unit x unit as the Pauli-basis matrix of one superoperator on the units'
 active qubits, unit x dense from one congruence on the dense rows' active
-qubits, and dense x dense from the coefficients Phi of Q_l W, gathered
-from the support's shift tables into Re/Im buffers that each Gram call
-allocates and frees.  W is Hermitian, so that block is real:
-Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi Im Phi^T, two real symmetric
-products.
+qubits traced down to the units' ones, and dense x dense from the
+coefficients Phi of Q_l W, gathered from the support's shift tables into
+Re/Im buffers that each Gram call allocates and frees.  W is Hermitian,
+so that block is real: Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi Im Phi^T,
+two real symmetric products.  A block may stand for identical copies of
+itself (``Block.copies``), the form every block takes when no operator of
+the problem acts on some factor.
 
 The NT scaling of a block comes from X = L L^H, Z = R R^H and the SVD
 R^H L = U Lam V^H:  G = L V Lam^-1/2 gives G^-1 X G^-H = G^H Z G = Lam,
@@ -112,8 +114,8 @@ class PauliColumns:
 
       unit x unit    sum_ij Tr[P_s W_ij P_t W_ji], the Pauli-basis matrix of
                      the superoperator S = sum_ij W_ij (x) W_ji^T on A_u;
-      unit x dense   Tr[(P_s (x) 1) N_l] with N_l = sum_ij W_ij Q'_l W_ji on
-                     A_d (Q'_l synthesized once);
+      unit x dense   Tr[P_s Tr_rest N_l] with N_l = sum_ij W_ij Q'_l W_ji on
+                     A_d (Q'_l synthesized once), traced over A_d - A_u;
       dense x dense  side Re(Phi Phi^T) with Phi the coefficients of Q_l W,
                      gathered from the support's ``ShiftCache``.
     """
@@ -142,8 +144,12 @@ class PauliColumns:
         )
         if len(self.unit_patterns) and len(self.dense_rows):
             qubits, q = self.dense_qubits, len(self.dense_qubits)
-            self._unit_on_dense = _local_patterns(
-                self.unit_patterns, ctx, qubits)
+            # einsum labels of N[r_1..r_q, l, c_1..c_q]: a dense-only qubit
+            # has one label for its row and column, so it is traced out
+            kept = [j for j in range(q) if qubits[j] in self.unit_qubits]
+            cols = [q + j if j in kept else j for j in range(q)]
+            self._trace_axes = ([*range(q), 2 * q, *cols],
+                                [2 * q, *kept, *(q + j for j in kept)])
             coeffs = np.zeros((4**q, len(self.dense_rows)))
             np.add.at(coeffs, _local_patterns(self.dense_support, ctx, qubits),
                       self.dense_rows.T)
@@ -173,7 +179,7 @@ class PauliColumns:
             self._unit_local, len(self.unit_qubits)))
 
     def _cross_gram(self, w):
-        q = len(self.dense_qubits)
+        q, u = len(self.dense_qubits), len(self.unit_qubits)
         wb = _idle_blocks(w, self.nqubits, self.dense_qubits)
         ni, n, k = wb.shape[0], wb.shape[2], len(self.dense_rows)
         # N[(r, l), c] = sum_ij (W_ij Q'_l W_ji)[r, c], two GEMMs per (i, j)
@@ -181,10 +187,13 @@ class PauliColumns:
         for i in range(ni):
             for j in range(ni):
                 nl += (wb[i, j] @ self._dense_ops).reshape(n * k, n) @ wb[j, i]
-        nl = nl.reshape(n, k, n).transpose(1, 0, 2)
-        # Tr[(P_s (x) 1) N_l] = 2^q times the (P_s (x) 1)-coefficient of N_l
-        coeffs = pauli_coeffs_batch(nl, q)[:, self._unit_on_dense]
-        return 2**q * np.real(coeffs).T
+        # Tr[(P_s (x) 1) N_l] = Tr[P_s M_l] with M_l = Tr_rest N_l, the
+        # partial trace over the dense-only qubits rest = A_d - A_u, and
+        # that is 2^u times the P_s-coefficient of M_l
+        ml = np.einsum(nl.reshape((2,) * q + (k,) + (2,) * q),
+                       *self._trace_axes).reshape(k, 2**u, 2**u)
+        coeffs = pauli_coeffs_batch(ml, u)[:, self._unit_local]
+        return 2**u * np.real(coeffs).T
 
     def _dense_gram(self, w):
         # W is Hermitian, so its Pauli coefficients are real; Phi holds the
@@ -212,16 +221,25 @@ class PauliColumns:
 
 @dataclass
 class Block:
-    """One PSD slack block: Z(y) = C - sum_i y_i A_i; its side is C's."""
+    """One PSD slack block: Z(y) = C - sum_i y_i A_i; its side is C's.
+
+    The block stands for ``copies`` identical copies, 1_copies (x) Z(y):
+    every trace over it (the operator dots, the Gram, Tr(XZ), Tr(CX) and
+    the side in the centering target) is weighed by ``copies``, so the
+    iterates are those of the problem with the copies written out.
+    """
 
     name: str
     c: np.ndarray
     columns: object  # DenseColumns or PauliColumns
+    copies: int = 1
 
     def __post_init__(self):
         if self.c.shape != (self.columns.side,) * 2:
             raise ValueError(f"block {self.name!r}: C has shape {self.c.shape}, "
                              f"its columns side {self.columns.side}")
+        if self.copies < 1:
+            raise ValueError(f"block {self.name!r}: {self.copies} copies")
 
     @property
     def side(self):
@@ -272,13 +290,15 @@ class _Direction(NamedTuple):
 def _residuals(blocks, b, free_g, free_f, scale, x, z, y, u):
     ax = np.zeros(len(b))
     for bl in blocks:
-        ax[bl.columns.indices] += bl.columns.dots(x[bl.name])
+        ax[bl.columns.indices] += bl.copies * bl.columns.dots(x[bl.name])
     r_p = b - ax - free_g @ u
     rd = {bl.name: bl.c - bl.columns.combine(y[bl.columns.indices])
           - z[bl.name] for bl in blocks}
     r_g = free_f - free_g.T @ y
-    gap = float(sum(np.real(np.trace(x[n] @ z[n])) for n in x))
-    pobj = float(sum(np.real(np.trace(bl.c @ x[bl.name])) for bl in blocks))
+    gap = float(sum(bl.copies * np.real(np.trace(x[bl.name] @ z[bl.name]))
+                    for bl in blocks))
+    pobj = float(sum(bl.copies * np.real(np.trace(bl.c @ x[bl.name]))
+                     for bl in blocks))
     pobj += float(free_f @ u)
     dobj = float(b @ y)
     pinf = np.linalg.norm(r_p) / (1.0 + np.linalg.norm(b))
@@ -314,7 +334,7 @@ def _scaling_and_schur(blocks, x, z, rd, m):
         w = (w + w.conj().T) / 2
         scal[bl.name] = (g, lam, w @ rd[bl.name] @ w)
         idx = bl.columns.indices
-        h[np.ix_(idx, idx)] += bl.columns.gram(w)
+        h[np.ix_(idx, idx)] += bl.copies * bl.columns.gram(w)
     return h, scal
 
 
@@ -357,7 +377,7 @@ def _directions(blocks, scal, res, h_reg, free_g, sigma_mu, pred=None):
         t_mats[bl.name] = 2.0 * rmat / (lam[:, None] + lam[None, :])
         # dX = G T G^H - W dZ W with dZ = Rd - At(dy)
         half = g @ t_mats[bl.name] @ g.conj().T - wrdw
-        rhs[bl.columns.indices] -= bl.columns.dots(half)
+        rhs[bl.columns.indices] -= bl.copies * bl.columns.dots(half)
     dy, du = _newton_solve(h_reg, free_g, rhs, res.r_g)
     dx_s, dz_s, dz = {}, {}, {}
     for bl in blocks:
@@ -420,7 +440,8 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
     z = {bl.name: scale * np.eye(bl.side, dtype=complex) for bl in blocks}
     y = np.zeros(m)
     u = np.zeros(len(free_f))
-    total_side = sum(bl.side for bl in blocks)
+    copies = {bl.name: bl.copies for bl in blocks}
+    total_side = sum(bl.copies * bl.side for bl in blocks)
 
     status = "max_iterations"
     for it in range(1, maxiter + 1):
@@ -447,8 +468,8 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
         pred = _directions(blocks, scal, res, h_reg, free_g, 0.0)
         ap, ad = _step_lengths(pred, scal)
         gap_aff = float(sum(
-            np.real(np.trace((np.diag(lam) + ap * pred.dx_s[n])
-                             @ (np.diag(lam) + ad * pred.dz_s[n])))
+            copies[n] * np.real(np.trace((np.diag(lam) + ap * pred.dx_s[n])
+                                         @ (np.diag(lam) + ad * pred.dz_s[n])))
             for n, (_, lam, _) in scal.items()))
         sigma = min(1.0, max(0.0, gap_aff / res.gap)) ** 3
         d = _directions(blocks, scal, res, h_reg, free_g,

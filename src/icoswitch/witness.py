@@ -34,7 +34,7 @@ from . import procmat as pm
 from .settings import SHAPE
 from .paulialg import PauliContext, pauli_coeffs, sparse_coeffs_to_matrix
 from .qmath import LabeledOperator
-from .sdp import Block, PauliColumns, solve_conic
+from .sdp import Block, PauliColumns, SdpSolution, solve_conic
 
 CONVENTIONS = ("white-noise", "generalized-robustness", "identity-cap")
 DEFAULT_CONVENTION = "white-noise"
@@ -44,6 +44,13 @@ CONE_TOL = 1e-8        # dual-cone check: feasibility and gap tolerance
 WITNESS_MAXITER = 45   # witness solve; its tolerances are the solver's
 
 _CTX = PauliContext(pm.NQUBITS)
+
+# The catalog never reads the target's output F_t, so every operator of the
+# witness and dual-cone problems is 1_{F_t} (x) A' with A' on the other six
+# qubits: each block is solved on those six, as one block of two copies.
+_F_T = pm.CANONICAL.index("F_t")
+_REDUCED = pm.NQUBITS - 1
+_F_T_COPIES = pm.DIMS[_F_T]
 
 
 class SpanRankWarning(UserWarning):
@@ -107,29 +114,51 @@ def _order_patterns(order):
     return np.flatnonzero(pm.forbidden_mask(order))
 
 
+def _drop_target(patterns):
+    """The six-qubit indices of patterns that are the identity on F_t."""
+    low = 4 ** (pm.NQUBITS - 1 - _F_T)
+    patterns = np.asarray(patterns, dtype=np.int64)
+    if ((patterns // low) % 4).any():
+        raise ValueError("a pattern acts on F_t")
+    return patterns // (4 * low) * low + patterns % low
+
+
+def _target_block(mat):
+    """S' with S = 1_{F_t} (x) S'; ValueError when S is not of that form."""
+    hi, lo = 2**_F_T, 2 ** (pm.NQUBITS - 1 - _F_T)
+    s = np.asarray(mat).reshape(hi, 2, lo, hi, 2, lo)
+    if (s[:, 0, :, :, 1].any() or s[:, 1, :, :, 0].any()
+            or not np.array_equal(s[:, 0, :, :, 0], s[:, 1, :, :, 1])):
+        raise ValueError("witness candidate must be the identity on F_t")
+    return s[:, 0, :, :, 0].reshape(hi * lo, hi * lo)
+
+
 def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
     """Decide Tr[S W] >= 0 on both ordered cones via phase-1 feasibility.
 
     For each order, maximizes t subject to S - R - t*1 >= 0 with R ranging
     over the order's orthogonal complement; membership requires t* >= 0
-    within ``margin`` for both orders.
+    within ``margin`` for both orders.  S must be 1_{F_t} (x) S' (as is
+    every operator in the catalog span, and the identity); the solve runs
+    on S'.  Any other S raises ValueError.
     """
     if not s_op.is_hermitian():
         raise ValueError("witness candidate must be Hermitian")
+    s_red = _target_block(s_op.entries)
     margins, decomp, statuses = {}, {}, {}
     for order in pm.ORDERS:
         pats = _order_patterns(order)
         m = len(pats) + 1
         eye_row = np.ones((1, 1))
         cols = PauliColumns(
-            pm.NQUBITS,
+            _REDUCED,
             unit_indices=np.arange(len(pats)),
-            unit_patterns=pats,
+            unit_patterns=_drop_target(pats),
             dense_indices=[len(pats)],
             dense_rows=eye_row,
             dense_support=np.array([0]),  # identity pattern
         )
-        block = Block("T", np.asarray(s_op.entries), cols)
+        block = Block("T", s_red, cols, copies=_F_T_COPIES)
         b = np.zeros(m)
         b[-1] = 1.0  # maximize t
         sol = solve_conic([block], b, tol=CONE_TOL, gap_tol=CONE_TOL,
@@ -155,7 +184,9 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
 class WitnessSolution:
     """Optimal witness restricted to the accessible span.  ``alpha`` is in
     the witness layout of ``probs_to_witness_table``, zero on the Alice
-    unitaries outside the span."""
+    unitaries outside the span.  ``solver`` is the engine's solution: y in
+    the layout of ``_span_blocks``, and X and Z on six qubits, each block
+    standing for 1_{F_t} (x) Z."""
 
     value: float
     alpha: np.ndarray
@@ -165,11 +196,13 @@ class WitnessSolution:
     iterations: int
     status: str
     span_rank: int
+    solver: SdpSolution = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
 
 
 def _span_blocks(span: SpanBasis, convention: str):
-    """Engine blocks and index layout for the witness LMI."""
+    """Engine blocks and index layout for the witness LMI; each block is on
+    the six qubits other than F_t, with two copies."""
     r = span.rank
     pats_ab = _order_patterns("A->B")
     pats_ba = _order_patterns("B->A")
@@ -181,18 +214,20 @@ def _span_blocks(span: SpanBasis, convention: str):
     off += len(pats_ba)
 
     blocks = []
-    zero = np.zeros((pm.SIDE, pm.SIDE), dtype=complex)
+    support = _drop_target(span.support)
+    side = 2**_REDUCED
+    zero = np.zeros((side, side), dtype=complex)
     for name, pats, vidx in (("T_ab", pats_ab, layout["v_ab"]),
                              ("T_ba", pats_ba, layout["v_ba"])):
         # Z = 0 - sum s_k (-Q_k) - sum v_j P_j = S - R  (the certificate
         # T = S - R with R on the order's forbidden patterns)
         cols = PauliColumns(
-            pm.NQUBITS,
-            unit_indices=vidx, unit_patterns=pats,
+            _REDUCED,
+            unit_indices=vidx, unit_patterns=_drop_target(pats),
             dense_indices=layout["s"], dense_rows=-span.onb,
-            dense_support=span.support,
+            dense_support=support,
         )
-        blocks.append(Block(name, zero, cols))
+        blocks.append(Block(name, zero, cols, copies=_F_T_COPIES))
 
     free_g = free_f = None
     if convention in ("generalized-robustness", "identity-cap"):
@@ -204,13 +239,15 @@ def _span_blocks(span: SpanBasis, convention: str):
         layout["v_valid"] = np.arange(off, off + len(pats_v))
         off += len(pats_v)
         cols = PauliColumns(
-            pm.NQUBITS,
-            unit_indices=layout["v_valid"], unit_patterns=pats_v,
+            _REDUCED,
+            unit_indices=layout["v_valid"],
+            unit_patterns=_drop_target(pats_v),
             dense_indices=layout["s"], dense_rows=span.onb,
-            dense_support=span.support,
+            dense_support=support,
         )
         blocks.append(Block(
-            "T_norm", np.eye(pm.SIDE, dtype=complex) / pm.TRACE_NORM, cols
+            "T_norm", np.eye(side, dtype=complex) / pm.TRACE_NORM, cols,
+            copies=_F_T_COPIES,
         ))
     elif convention == "white-noise":
         # Tr[S W_white] = 1 with W_white = TRACE_NORM / SIDE = 1/16: only
@@ -263,7 +300,7 @@ def optimize_witness(w: pm.ProcessMatrix, span: SpanBasis,
     return WitnessSolution(
         value=value, alpha=alpha, s_op=s_op, convention=convention,
         gap=sol.gap, iterations=sol.iterations, status=sol.status,
-        span_rank=span.rank, diagnostics=diagnostics,
+        span_rank=span.rank, solver=sol, diagnostics=diagnostics,
     )
 
 

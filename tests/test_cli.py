@@ -201,6 +201,29 @@ def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {"out": 5}, "out must be a non-empty path, got 5"),
+    ("simulate", {"out": None}, "out must be a non-empty path, got None"),
+    ("simulate", {"out": ""}, "out must be a non-empty path, got ''"),
+    ("simulate", {"circuit": 5}, "circuit must be a non-empty path, got 5"),
+    ("simulate", {"circuit": ""}, "circuit must be a non-empty path, got ''"),
+    ("sweep", {"steps": 1}, "steps must be at least 2, got 1"),
+    ("sweep", {"steps": 0}, "steps must be at least 2, got 0"),
+], ids=["out-int", "out-null", "out-empty", "circuit-int", "circuit-empty",
+        "steps-1", "steps-0"])
+def test_config_path_and_steps_are_checked(tmp_path, capsys, monkeypatch,
+                                           command, config, message):
+    # no --out flag: the config's value (or the default "out") is the one
+    # checked, and nothing is written into the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    rc = cli.main([command, "--config", "config.json"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_PARSE
+    assert err == [message]
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_out_naming_a_file_exits_with_one_line(tmp_path, capsys):
     out = tmp_path / "report"
     out.write_text("kept\n")

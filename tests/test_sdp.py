@@ -358,3 +358,39 @@ def test_dual_infeasible_problem_stalls():
     sol = solve_conic([block], np.array([0.5]))
     assert sol.status == "stalled"
     assert sol.iterations < 60
+
+
+def test_block_copies_match_the_written_out_blocks():
+    # a block of two copies stands for 1_2 (x) Z: the same problem as the
+    # kron(1_2, .) block written out, from the same start, next to a block
+    # of one copy and a free variable, so every weighting by copies counts
+    rng = np.random.default_rng(29)
+    mats = [rand_herm(rng, 3) for _ in range(3)]
+    c = rand_herm(rng, 3) + 4 * np.eye(3)
+    scalars = rng.normal(size=(3, 1, 1))
+    x0 = rand_herm(rng, 3) + 4 * np.eye(3)
+    free_g = rng.normal(size=(3, 1))
+    b = (np.array([2 * np.trace(m @ x0).real for m in mats])
+         + scalars.ravel() + free_g[:, 0])
+    pair = np.eye(2)
+    single = Block("d", np.eye(1, dtype=complex), DenseColumns(1, range(3),
+                                                               scalars))
+    sols = [solve_conic([block, single], b, free_g=free_g, free_f=[0.0])
+            for block in (
+                Block("M", c, DenseColumns(3, range(3), mats), copies=2),
+                Block("M", np.kron(pair, c), DenseColumns(
+                    6, range(3), [np.kron(pair, m) for m in mats])))]
+    two, written = sols
+    assert two.optimal and written.optimal
+    assert two.iterations == written.iterations
+    assert np.abs(two.y - written.y).max() < 1e-12
+    for attr in ("primal_objective", "dual_objective"):
+        assert abs(getattr(two, attr) - getattr(written, attr)) < 1e-12
+    assert np.abs(np.kron(pair, two.z_blocks["M"])
+                  - written.z_blocks["M"]).max() < 1e-9
+
+
+def test_block_copies_must_be_positive():
+    with pytest.raises(ValueError, match="0 copies"):
+        Block("S", np.eye(2, dtype=complex),
+              DenseColumns(2, [0], [np.eye(2, dtype=complex)]), copies=0)

@@ -18,8 +18,13 @@ import pytest
 import icoswitch
 from icoswitch import procmat as pm
 from icoswitch import witness as wt
-from icoswitch.qmath import LabeledOperator
+from icoswitch.paulialg import PAULIS, PauliContext, sparse_coeffs_to_matrix
+from icoswitch.qmath import LabeledOperator, tensor
 from icoswitch.sdp import SdpSolution
+
+
+# the six qubits every witness and dual-cone block is solved on
+REST = tuple(l for l in pm.CANONICAL if l != "F_t")
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,19 @@ def test_dual_cone_check_keeps_a_decided_false(monkeypatch, outcomes,
     assert list(rep.statuses.values()) == [s for s, _ in outcomes]
 
 
+@pytest.mark.parametrize("pauli", [1, 3], ids=["X", "Z"])
+def test_dual_cone_check_rejects_an_operator_on_f_t(pauli):
+    # 1 + X_{F_t} has off-diagonal F_t blocks, 1 + Z_{F_t} unequal ones;
+    # neither is 1_{F_t} (x) S', so the check refuses before any solve
+    on_f_t = tensor([LabeledOperator(["F_t"], [2], PAULIS[pauli]),
+                     LabeledOperator(REST, (2,) * 6, np.eye(64))])
+    s_op = LabeledOperator(pm.CANONICAL, pm.DIMS, np.eye(pm.SIDE)) + on_f_t
+    with pytest.raises(ValueError, match="identity on F_t"):
+        wt.dual_cone_check(s_op)
+    with pytest.raises(ValueError, match="acts on F_t"):
+        wt._drop_target([4**(pm.NQUBITS - 1 - pm.CANONICAL.index("F_t"))])
+
+
 @pytest.mark.slow
 def test_dual_cone_decomposition_is_consistent():
     eye = LabeledOperator(pm.CANONICAL, pm.DIMS, np.eye(pm.SIDE))
@@ -146,6 +164,50 @@ def test_witness_consistency_invariants(witness_solution, full_span):
     table = wt.probs_to_witness_table(pm.probability_table(0.0))
     assert abs(wt.evaluate_witness(sol.alpha, table) - sol.value) < 1e-6
     assert sol.s_op.is_hermitian()
+
+
+# Tr[S W_switch] after two iterations of the solve on 128-side blocks
+CAPPED_ITERATE = 0.9641385554785636
+
+
+def test_capped_witness_iterate_is_the_128_side_iterate(monkeypatch,
+                                                         full_span):
+    # two 64-side blocks of two copies each start where the 128-side blocks
+    # did, so the iterate is theirs
+    solve, seen = wt.solve_conic, []
+
+    def capped(blocks, b, **kwargs):
+        seen.extend(blocks)
+        return solve(blocks, b, **{**kwargs, "maxiter": 2})
+
+    monkeypatch.setattr(wt, "solve_conic", capped)
+    w = pm.dephase_order_coherence(pm.w_switch(), 0.0)
+    with pytest.warns(wt.SpanRankWarning):
+        sol = wt.optimize_witness(w, full_span)
+    assert [(bl.side, bl.copies) for bl in seen] == [(64, 2), (64, 2)]
+    value = float(np.real(np.trace(sol.s_op.entries @ w.entries)))
+    assert abs(value - CAPPED_ITERATE) <= 1e-12 * CAPPED_ITERATE
+
+
+def test_solved_blocks_lift_to_the_128_side_certificates(witness_solution,
+                                                         full_span):
+    # each solved block Z stands for 1_{F_t} (x) Z; lifted, it is the
+    # order's certificate S - R, with R built on seven qubits from y
+    sol = witness_solution
+    _, layout, *_ = wt._span_blocks(full_span, "white-noise")
+    s_mat = sol.s_op.entries
+    for name, order, key in (("T_ab", "A->B", "v_ab"),
+                             ("T_ba", "B->A", "v_ba")):
+        resid = sparse_coeffs_to_matrix(
+            np.flatnonzero(pm.forbidden_mask(order)), sol.solver.y[layout[key]],
+            PauliContext(pm.NQUBITS))
+        lifted = tensor([LabeledOperator(["F_t"], [2], np.eye(2)),
+                         LabeledOperator(REST, (2,) * 6,
+                                         sol.solver.z_blocks[name])])
+        assert np.abs(lifted.entries - (s_mat - resid)).max() < 1e-9
+        assert np.linalg.eigvalsh(lifted.entries)[0] >= -1e-9
+    # the white-noise normalization Tr[S W_white] = 1, W_white = 1/16
+    assert abs(np.real(np.trace(s_mat)) / 16 - 1.0) < 1e-9
 
 
 def test_witness_member_of_dual_cone(witness_solution):
