@@ -97,10 +97,7 @@ def write_report_files(outdir: Path, files: dict):
 def run_metadata(config):
     return {
         "version": __version__,
-        "seed": config.get("seed", 0),
-        "model": config.get("model"),
-        "distinguishability": config.get("distinguishability"),
-        "convention": config.get("convention"),
+        **{key: config[key] for key in METADATA_KEYS if key in config},
         "tolerances": {
             "oracle": ORACLE_TOLERANCE,
             "witness_reference": VALUE_TOLERANCE,
@@ -113,7 +110,7 @@ def run_metadata(config):
 def cmd_simulate(config) -> int:
     model = config["model"]
     d_value = config["distinguishability"]
-    circuit = load_circuit(config.get("circuit"))
+    circuit = load_circuit(config["circuit"])
     table = model_probability_table(model, d_value, circuit)
     sums = table.sum(axis=(-2, -1))
     worst = np.abs(sums - 1.0).max()
@@ -162,7 +159,7 @@ def solve_reference_witness(config):
         warnings.simplefilter("ignore", witness.SpanRankWarning)
         return witness.optimize_witness(
             w, witness.build_span(),
-            convention=config.get("convention", witness.DEFAULT_CONVENTION),
+            convention=config["convention"],
         )
 
 
@@ -198,9 +195,7 @@ def cmd_witness(config) -> int:
 
 def cmd_sweep(config) -> int:
     grid = config["grid"]
-    base = dict(config)
-    base["distinguishability"] = 0.0
-    sol = solve_reference_witness(base)
+    sol = solve_reference_witness({**config, "distinguishability": 0.0})
     if sol.status != "optimal":
         print(f"solver did not reach optimality: {sol.status}", file=sys.stderr)
         return EXIT_SOLVER
@@ -260,7 +255,7 @@ def cmd_tomo(config) -> int:
     except ValueError as exc:   # no counts drawn
         _reject(f"tomo: {exc} at pairs={pairs} seed={seed}")
     d_value = config["distinguishability"]
-    circuit = load_circuit(config.get("circuit"))
+    circuit = load_circuit(config["circuit"])
     prog = program_from_spec(circuit, ExperimentSetting(z, 1, 1, 1),
                              coherence(d_value))
     grid = np.linspace(0.0, 2.0 * np.pi, 61)
@@ -295,7 +290,7 @@ def cmd_tomo(config) -> int:
 def cmd_check(config) -> int:
     """Oracle equivalence of the three models over all 180 settings."""
     d_value = config["distinguishability"]
-    circuit = load_circuit(config.get("circuit"))
+    circuit = load_circuit(config["circuit"])
     tables = np.stack([model_probability_table(m, d_value, circuit)
                        for m in MODELS])
     worst = (tables.max(axis=0) - tables.min(axis=0)).max()
@@ -309,50 +304,57 @@ def cmd_check(config) -> int:
 
 # -- argument handling ----------------------------------------------------------------
 
-CONFIG_DEFAULTS = {
-    "model": "procmat",
-    "distinguishability": 0.0,
-    "seed": 0,
-    "out": "out",
-    "circuit": None,
-    "convention": witness.DEFAULT_CONVENTION,
-    "steps": 21,
-    "input_state": 2,
-    "pairs": 30000,
+# the keys a config file may set: key -> (default, the options of its flag);
+# the sweep grid has no flag, and when null follows from steps
+CONFIG_KEYS = {
+    "model": ("procmat", {"choices": MODELS}),
+    "distinguishability": (0.0, {"type": float}),
+    "seed": (0, {"type": int}),
+    "out": ("out", {}),
+    "circuit": (None, {"help": "circuit file (defaults to the packaged table)"}),
+    "convention": (witness.DEFAULT_CONVENTION,
+                   {"choices": witness.CONVENTIONS}),
+    "steps": (21, {"type": int}),
+    "input_state": (2, {"type": int}),
+    "pairs": (30000, {"type": int}),
+    "grid": (None, None),
 }
-# keys a config file may set: the defaults, and the sweep grid (which
-# otherwise follows from steps)
-CONFIG_KEYS = (*CONFIG_DEFAULTS, "grid")
+
+# command -> (function, the config keys it reads); a command takes the flags
+# of its keys, and its metadata records those of METADATA_KEYS
+COMMANDS = {
+    "simulate": (cmd_simulate, ("model", "distinguishability", "out",
+                                "circuit")),
+    "witness": (cmd_witness, ("model", "distinguishability", "out",
+                              "convention")),
+    "sweep": (cmd_sweep, ("model", "out", "convention", "steps", "grid")),
+    "tomo": (cmd_tomo, ("distinguishability", "seed", "out", "circuit",
+                        "input_state", "pairs")),
+    "check": (cmd_check, ("distinguishability", "circuit")),
+}
+METADATA_KEYS = ("model", "distinguishability", "seed", "convention")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message) -> NoReturn:   # one line, as for a bad config
+        _reject(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="icoswitch",
         description="Simulate the time-delocalized measurement switch and "
                     "optimize causal witnesses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("simulate", cmd_simulate), ("witness", cmd_witness),
-                     ("sweep", cmd_sweep), ("tomo", cmd_tomo),
-                     ("check", cmd_check)):
+    for name, (_, keys) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(func=fn)
-        p.add_argument("--model", choices=MODELS, default=None)
-        p.add_argument("--distinguishability", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--circuit", default=None,
-                       help="circuit file (defaults to the packaged table)")
         p.add_argument("--config", default=None,
                        help="JSON config; explicit flags take precedence")
-        if name == "witness":
-            p.add_argument("--convention", choices=witness.CONVENTIONS,
-                           default=None)
-        if name == "sweep":
-            p.add_argument("--steps", type=int, default=None)
-        if name == "tomo":
-            p.add_argument("--input-state", type=int, default=None)
-            p.add_argument("--pairs", type=int, default=None)
+        for key in keys:
+            options = CONFIG_KEYS[key][1]
+            if options is not None:
+                p.add_argument("--" + key.replace("_", "-"), **options)
     return parser
 
 
@@ -371,12 +373,13 @@ def _is_unit_number(value):
 
 
 def config_from_args(args) -> dict:
-    """Defaults, then the config file, then explicit flags.
+    """Defaults, then the config file, then explicit flags; the keys of
+    ``args.command`` in ``COMMANDS``.
 
-    The merged configuration is validated here, once: an invalid value
-    prints one line to stderr and exits with EXIT_PARSE.
+    The merged configuration is validated here, once, every key of it: an
+    invalid value prints one line to stderr and exits with EXIT_PARSE.
     """
-    config = dict(CONFIG_DEFAULTS)
+    config = {key: default for key, (default, _) in CONFIG_KEYS.items()}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -391,7 +394,7 @@ def config_from_args(args) -> dict:
                     f"{', '.join(CONFIG_KEYS)}")
         config.update(loaded)
     provided = vars(args)
-    for key in CONFIG_DEFAULTS:
+    for key in CONFIG_KEYS:
         if provided.get(key) is not None:
             config[key] = provided[key]
 
@@ -404,16 +407,17 @@ def config_from_args(args) -> dict:
     d = config["distinguishability"]
     if not _is_unit_number(d):
         _reject(f"distinguishability must be a number in [0, 1], got {d!r}")
-    grid = config.get("grid")
+    grid = config["grid"]
     if grid is not None and not (isinstance(grid, list) and grid
                                  and all(map(_is_unit_number, grid))):
         _reject(f"grid must be a non-empty list of numbers in [0, 1], "
                 f"got {grid!r}")
     if grid is not None and any(a >= b for a, b in zip(grid, grid[1:])):
         _reject(f"grid must be strictly increasing, got {grid!r}")
-    for key in ("out", "circuit"):   # circuit null: the packaged table
+    # circuit null: the packaged table; no path holds a NUL character
+    for key in ("out", "circuit"):
         path = config[key]
-        if not (isinstance(path, str) and path
+        if not (isinstance(path, str) and path and "\0" not in path
                 or key == "circuit" and path is None):
             _reject(f"{key} must be a non-empty path, got {path!r}")
     for key in ("seed", "steps", "pairs", "input_state"):
@@ -429,18 +433,18 @@ def config_from_args(args) -> dict:
         _reject(f"input state index must be 1..3, got {config['input_state']}")
 
     config["distinguishability"] = float(d)
-    if "grid" not in config:
+    keys = COMMANDS[args.command][1]
+    if "grid" in keys and grid is None:
         n = config["steps"]
         config["grid"] = [i / (n - 1) for i in range(n)]
-    return config
+    return {key: config[key] for key in keys}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(config_from_args(args))
-    except SystemExit as exc:  # _reject: the one line is already printed
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command][0](config_from_args(args))
+    except SystemExit as exc:  # _reject or --help: the output is printed
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except CircuitParseError as exc:
         for diag in exc.diagnostics:

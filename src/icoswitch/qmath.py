@@ -124,15 +124,6 @@ class LabeledOperator:
 
     __rmul__ = __mul__
 
-    def expectation(self, state) -> complex:
-        """<psi|O|psi> for a vector or Tr(O rho) for an operator state."""
-        _same_subsystems(self, state)
-        if isinstance(state, LabeledVector):
-            return complex(
-                np.vdot(state.amplitudes, self.entries @ state.amplitudes)
-            )
-        return complex(np.trace(self.entries @ state.entries))
-
 
 def _same_subsystems(a, b):
     """Raise LabelError unless a and b carry the same labels and dims."""

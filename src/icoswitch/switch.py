@@ -129,14 +129,6 @@ def setting_probabilities(setting: ExperimentSetting, d_value: float) -> np.ndar
         bob_reprep=reprep,
     )
     rho = dephase(state.outer(), "c", d_value)
-    probs = np.empty((2, 2))
-    for b, d in np.ndindex(probs.shape):
-        proj_b = np.zeros((2, 2)); proj_b[b, b] = 1.0
-        ket = PLUS_MINUS[d]
-        eff = tensor([
-            LabeledOperator(["c"], [2], np.outer(ket, ket.conj())),
-            LabeledOperator(["s"], [2], np.eye(2)),
-            LabeledOperator(["a"], [2], proj_b),
-        ])
-        probs[b, d] = np.real(eff.expectation(rho))
-    return probs
+    # Tr[(|b><b|_a (x) |d><d|_c (x) 1_s) rho] over rho's axes (a, c, s)
+    r = rho.entries.reshape(rho.dims * 2)
+    return np.einsum("dc,bcsbes,de->bd", PLUS_MINUS, r, PLUS_MINUS).real

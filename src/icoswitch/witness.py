@@ -133,6 +133,20 @@ def _target_block(mat):
     return s[:, 0, :, :, 0].reshape(hi * lo, hi * lo)
 
 
+def _target_free_block(name, c, unit_indices, unit_patterns, dense_indices,
+                       dense_rows, dense_support):
+    """The block of 128-side C with columns on 7-qubit patterns, solved on
+    the six qubits other than F_t as one block of two copies.  Raises
+    ValueError unless C and every pattern are the identity on F_t."""
+    cols = PauliColumns(
+        _REDUCED,
+        unit_indices=unit_indices, unit_patterns=_drop_target(unit_patterns),
+        dense_indices=dense_indices, dense_rows=dense_rows,
+        dense_support=_drop_target(dense_support),
+    )
+    return Block(name, _target_block(c), cols, copies=_F_T_COPIES)
+
+
 def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
     """Decide Tr[S W] >= 0 on both ordered cones via phase-1 feasibility.
 
@@ -144,21 +158,14 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
     """
     if not s_op.is_hermitian():
         raise ValueError("witness candidate must be Hermitian")
-    s_red = _target_block(s_op.entries)
     margins, decomp, statuses = {}, {}, {}
     for order in pm.ORDERS:
         pats = _order_patterns(order)
         m = len(pats) + 1
-        eye_row = np.ones((1, 1))
-        cols = PauliColumns(
-            _REDUCED,
-            unit_indices=np.arange(len(pats)),
-            unit_patterns=_drop_target(pats),
-            dense_indices=[len(pats)],
-            dense_rows=eye_row,
-            dense_support=np.array([0]),  # identity pattern
+        block = _target_free_block(
+            "T", s_op.entries, np.arange(len(pats)), pats, [len(pats)],
+            np.ones((1, 1)), [0],   # t on the identity pattern
         )
-        block = Block("T", s_red, cols, copies=_F_T_COPIES)
         b = np.zeros(m)
         b[-1] = 1.0  # maximize t
         sol = solve_conic([block], b, tol=CONE_TOL, gap_tol=CONE_TOL,
@@ -214,20 +221,13 @@ def _span_blocks(span: SpanBasis, convention: str):
     off += len(pats_ba)
 
     blocks = []
-    support = _drop_target(span.support)
-    side = 2**_REDUCED
-    zero = np.zeros((side, side), dtype=complex)
+    zero = np.zeros((pm.SIDE, pm.SIDE), dtype=complex)
     for name, pats, vidx in (("T_ab", pats_ab, layout["v_ab"]),
                              ("T_ba", pats_ba, layout["v_ba"])):
         # Z = 0 - sum s_k (-Q_k) - sum v_j P_j = S - R  (the certificate
         # T = S - R with R on the order's forbidden patterns)
-        cols = PauliColumns(
-            _REDUCED,
-            unit_indices=vidx, unit_patterns=_drop_target(pats),
-            dense_indices=layout["s"], dense_rows=-span.onb,
-            dense_support=support,
-        )
-        blocks.append(Block(name, zero, cols, copies=_F_T_COPIES))
+        blocks.append(_target_free_block(
+            name, zero, vidx, pats, layout["s"], -span.onb, span.support))
 
     free_g = free_f = None
     if convention in ("generalized-robustness", "identity-cap"):
@@ -238,17 +238,9 @@ def _span_blocks(span: SpanBasis, convention: str):
             pats_v = np.flatnonzero(pm.forbidden_mask("valid"))
         layout["v_valid"] = np.arange(off, off + len(pats_v))
         off += len(pats_v)
-        cols = PauliColumns(
-            _REDUCED,
-            unit_indices=layout["v_valid"],
-            unit_patterns=_drop_target(pats_v),
-            dense_indices=layout["s"], dense_rows=span.onb,
-            dense_support=support,
-        )
-        blocks.append(Block(
-            "T_norm", np.eye(side, dtype=complex) / pm.TRACE_NORM, cols,
-            copies=_F_T_COPIES,
-        ))
+        blocks.append(_target_free_block(
+            "T_norm", np.eye(pm.SIDE, dtype=complex) / pm.TRACE_NORM,
+            layout["v_valid"], pats_v, layout["s"], span.onb, span.support))
     elif convention == "white-noise":
         # Tr[S W_white] = 1 with W_white = TRACE_NORM / SIDE = 1/16: only
         # the identity pattern of S contributes, Tr[Q_k/16] = 8 coeff_id(Q_k)

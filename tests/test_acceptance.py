@@ -205,7 +205,7 @@ def test_criterion_10_determinism(tmp_path):
     identical = True
     for sub, args, files in (
         ("simulate", ["simulate", "--model", "procmat",
-                      "--distinguishability", "0.29", "--seed", "11"],
+                      "--distinguishability", "0.29"],
          ("probabilities.csv", "metadata.json")),
         ("tomo", ["tomo", "--input-state", "2", "--pairs", "20000",
                   "--seed", "11"],

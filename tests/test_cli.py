@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icoswitch import cli, tomo, witness
 from icoswitch.circuits import reference_circuit_text
@@ -31,7 +37,7 @@ def test_simulate_writes_normalized_table(tmp_path):
 def test_simulate_deterministic_byte_identical(tmp_path):
     for name in ("a", "b"):
         rc = cli.main(["simulate", "--model", "procmat",
-                       "--distinguishability", "0.5", "--seed", "7",
+                       "--distinguishability", "0.5",
                        "--out", str(tmp_path / name)])
         assert rc == 0
     for fname in ("probabilities.csv", "metadata.json"):
@@ -74,9 +80,8 @@ def test_tomo_rejects_bad_state_index(tmp_path):
     assert rc == cli.EXIT_PARSE
 
 
-def test_check_passes_on_models(tmp_path):
-    rc = cli.main(["check", "--distinguishability", "0.37",
-                   "--out", str(tmp_path / "c")])
+def test_check_passes_on_models():
+    rc = cli.main(["check", "--distinguishability", "0.37"])
     assert rc == 0
 
 
@@ -207,10 +212,13 @@ def test_invalid_input_exits_with_one_line(tmp_path, capsys, command,
     ("simulate", {"out": ""}, "out must be a non-empty path, got ''"),
     ("simulate", {"circuit": 5}, "circuit must be a non-empty path, got 5"),
     ("simulate", {"circuit": ""}, "circuit must be a non-empty path, got ''"),
+    ("simulate", {"out": "o\0"}, "out must be a non-empty path, got 'o\\x00'"),
+    ("check", {"circuit": "c\0"},
+     "circuit must be a non-empty path, got 'c\\x00'"),
     ("sweep", {"steps": 1}, "steps must be at least 2, got 1"),
     ("sweep", {"steps": 0}, "steps must be at least 2, got 0"),
 ], ids=["out-int", "out-null", "out-empty", "circuit-int", "circuit-empty",
-        "steps-1", "steps-0"])
+        "out-nul", "circuit-nul", "steps-1", "steps-0"])
 def test_config_path_and_steps_are_checked(tmp_path, capsys, monkeypatch,
                                            command, config, message):
     # no --out flag: the config's value (or the default "out") is the one
@@ -222,6 +230,107 @@ def test_config_path_and_steps_are_checked(tmp_path, capsys, monkeypatch,
     assert rc == cli.EXIT_PARSE
     assert err == [message]
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+# command -> (its flags besides --config, its metadata keys besides version
+# and tolerances)
+COMMAND_SURFACE = {
+    "simulate": ({"--model", "--distinguishability", "--out", "--circuit"},
+                 {"model", "distinguishability"}),
+    "witness": ({"--model", "--distinguishability", "--out", "--convention"},
+                {"model", "distinguishability", "convention"}),
+    "sweep": ({"--model", "--out", "--convention", "--steps"},
+              {"model", "convention"}),
+    "tomo": ({"--distinguishability", "--seed", "--out", "--circuit",
+              "--input-state", "--pairs"}, {"distinguishability", "seed"}),
+    "check": ({"--distinguishability", "--circuit"}, {"distinguishability"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_SURFACE)
+def test_each_command_takes_and_records_only_its_keys(capsys, command):
+    flags, recorded = COMMAND_SURFACE[command]
+    assert cli.main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", *flags}
+    config = cli.config_from_args(cli.build_parser().parse_args([command]))
+    assert set(cli.run_metadata(config)) == {"version", "tolerances",
+                                             *recorded}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "7"),
+    ("witness", "--seed", "7"),
+    ("witness", "--circuit", "switch.circuit"),
+    ("sweep", "--seed", "7"),
+    ("sweep", "--circuit", "switch.circuit"),
+    ("sweep", "--distinguishability", "0.7"),
+    ("tomo", "--model", "fock"),
+    ("check", "--model", "fock"),
+    ("check", "--seed", "9"),
+    ("check", "--out", "o"),
+])
+def test_flag_the_command_does_not_read_exits_with_one_line(
+        tmp_path, capsys, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    out = [] if command == "check" else ["--out", "o"]
+    rc = cli.main([command, flag, value, *out])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_PARSE
+    assert err == [f"icoswitch: unrecognized arguments: {flag} {value}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+# every JSON type, and values each key accepts
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.floats(0.0, 1.0), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([*cli.MODELS, *witness.CONVENTIONS]),
+    st.floats(0.0, 1.0), st.integers(0, 4),
+)
+CONFIGS = st.dictionaries(
+    st.sampled_from(list(cli.CONFIG_KEYS)) | st.text(max_size=6), JSON_VALUES,
+    max_size=3)
+# command line -> the files a run writes into --out o
+CONFIG_RUNS = {
+    ("simulate", "--model", "qubit", "--out", "o"):
+        {"probabilities.csv", "metadata.json"},
+    ("check",): set(),
+    ("tomo", "--pairs", "300", "--out", "o"):
+        {"counts.csv", "tomo.json", "fringe.svg"},
+}
+
+
+@settings(max_examples=30)
+@given(argv=st.sampled_from(list(CONFIG_RUNS)), config=CONFIGS)
+def test_any_config_object_runs_or_exits_with_one_line(argv, config):
+    cwd = os.getcwd()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(config))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main([*argv, "--config", "config.json"])
+            written = {p.name for p in Path("o").glob("*")}
+            entries = {p.name for p in Path(".").iterdir()}
+        finally:
+            os.chdir(cwd)
+    if rc == cli.EXIT_PARSE:
+        assert len(err.getvalue().splitlines()) == 1
+        assert entries == {"config.json"}
+    else:
+        assert rc == cli.EXIT_OK
+        assert written == CONFIG_RUNS[argv]
+
+
+def test_null_grid_follows_steps(tmp_path):
+    (tmp_path / "config.json").write_text('{"grid": null, "steps": 3}')
+    args = cli.build_parser().parse_args(
+        ["sweep", "--config", str(tmp_path / "config.json")])
+    assert cli.config_from_args(args)["grid"] == [0.0, 0.5, 1.0]
 
 
 def test_out_naming_a_file_exits_with_one_line(tmp_path, capsys):
@@ -241,8 +350,7 @@ def test_element_with_wrong_path_count_exits_with_one_line(tmp_path, capsys):
     line = 1 + REFERENCE_CIRCUIT.splitlines().index(old)
     (tmp_path / "switch.circuit").write_text(
         REFERENCE_CIRCUIT.replace(old, "bs50 paths=c0"))
-    rc = cli.main(["check", "--circuit", str(tmp_path / "switch.circuit"),
-                   "--out", str(tmp_path / "o")])
+    rc = cli.main(["check", "--circuit", str(tmp_path / "switch.circuit")])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == cli.EXIT_PARSE
     assert err == [f"circuit: line {line}, col 1: bs50 needs two distinct "
@@ -299,8 +407,9 @@ def test_circuit_edit_exits_with_one_line(tmp_path, capsys, edit, command):
     text = REFERENCE_CIRCUIT.replace(old, new)
     line = 1 + max(i for i, ln in enumerate(text.splitlines()) if marker in ln)
     (tmp_path / "switch.circuit").write_text(text)
+    out = [] if command == ("check",) else ["--out", str(tmp_path / "o")]
     rc = cli.main([*command, "--circuit", str(tmp_path / "switch.circuit"),
-                   "--out", str(tmp_path / "o")])
+                   *out])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == cli.EXIT_PARSE
     assert err == [f"circuit: line {line}, col {col}: {message}"]
@@ -318,8 +427,7 @@ def test_unreadable_circuit_exits_with_one_line(tmp_path, capsys, content,
         circuit.mkdir()
     else:
         circuit.write_bytes(content)
-    rc = cli.main(["check", "--circuit", str(circuit),
-                   "--out", str(tmp_path / "o")])
+    rc = cli.main(["check", "--circuit", str(circuit)])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == cli.EXIT_PARSE
     assert len(err) == 1 and reason in err[0]

@@ -330,6 +330,17 @@ def test_non_finite_schur_complement_fails_in_first_iteration():
     assert set(sol.residuals) == {"pinf", "dinf", "relgap"}
 
 
+def test_exhausted_shift_ladder_fails_in_first_iteration(monkeypatch):
+    # H = -1 is finite, and no shift up to 1e-2 (1 + max|H|) makes it
+    # positive definite
+    block = two_by_two()
+    monkeypatch.setattr(block.columns, "gram", lambda w: np.array([[-1.0]]))
+    assert sdp._regularized(np.array([[-1.0]])) is None
+    sol = solve_conic([block], np.array([1.0]))
+    assert sol.status == "numerical_failure"
+    assert sol.iterations == 1
+
+
 def test_iteration_cap_returns_max_iterations():
     sol = solve_conic([two_by_two()], np.array([1.0]), maxiter=1)
     assert sol.status == "max_iterations"
