@@ -31,11 +31,13 @@ diagonal, and W = G G^H.  Directions stay scaled, dX_s = G^-1 dX G^-H and
 dZ_s = G^H dZ G, so the linearized complementarity Lam T + T Lam = 2 R is
 solved elementwise and a step length is an eigenvalue of Lam^-1/2 D
 Lam^-1/2.  An iteration runs the phases ``_residuals``,
-``_scaling_and_schur``, ``_regularized`` (the Cholesky shift ladder),
-then ``_directions`` with one ``_newton_solve`` and ``_step_lengths``,
-once for the predictor and once for the corrector.  Non-finite input or a
-non-finite H ends the solve ``numerical_failure``; an X or Z that fails
-its Cholesky factorization ends it ``stalled``.
+``_scaling_and_schur`` (H in pieces: a variable one block alone holds,
+with no free column, meets only that block's), ``_factored`` (those
+variables eliminated by the Cholesky factor of their block's part, at the
+first passing shift of a ladder), then ``_directions`` with one
+``_newton_solve`` and ``_step_lengths``, for the predictor and for the
+corrector.  Non-finite input or H, an exhausted ladder or a singular
+Gt H^-1 G end it ``numerical_failure``, a failed X or Z Cholesky ``stalled``.
 """
 
 from __future__ import annotations
@@ -320,11 +322,15 @@ def _nt_scaling(x, z):
     return lx @ vh.conj().T / np.sqrt(lam), lam
 
 
-def _scaling_and_schur(blocks, x, z, rd, m):
-    """H and, per block, (G, lam, W Rd W) with W = G G^H; W Rd W serves
-    both directions.  (None, None) when an X or Z fails its Cholesky."""
-    h = np.zeros((m, m))
-    scal = {}
+def _scaling_and_schur(blocks, x, z, rd, free_g):
+    """H in pieces, ((rows, places, H_pp, H_ps) per block, shared, H_ss), and
+    per block (G, lam, W Rd W), W = G G^H; (None, None) when an X or Z fails
+    Cholesky.  An index is private, a row, when one block alone holds it and
+    its ``free_g`` row is zero; the places are the others' among the shared."""
+    held = np.bincount(np.concatenate([bl.columns.indices for bl in blocks]),
+                       minlength=len(free_g))
+    shared = np.flatnonzero((held != 1) | free_g.any(axis=1))
+    h_p, h_ss, scal = [], np.zeros((len(shared),) * 2), {}
     for bl in blocks:
         nt = _nt_scaling(x[bl.name], z[bl.name])
         if nt is None:
@@ -333,36 +339,90 @@ def _scaling_and_schur(blocks, x, z, rd, m):
         w = g @ g.conj().T
         w = (w + w.conj().T) / 2
         scal[bl.name] = (g, lam, w @ rd[bl.name] @ w)
-        idx = bl.columns.indices
-        h[np.ix_(idx, idx)] += bl.copies * bl.columns.gram(w)
-    return h, scal
+        gram, idx = bl.copies * bl.columns.gram(w), bl.columns.indices
+        on = np.isin(idx, shared)
+        p, s = np.flatnonzero(~on), np.flatnonzero(on)
+        at = np.searchsorted(shared, idx[s])
+        h_p.append((idx[p], at, gram[np.ix_(p, p)], gram[np.ix_(p, s)]))
+        h_ss[np.ix_(at, at)] += gram[np.ix_(s, s)]
+    return (h_p, shared, h_ss), scal
 
 
-def _regularized(h):
-    """H plus the first diagonal shift (1e-13, 1e-11, ... times 1 + max|H|)
-    that passes Cholesky; None when no shift up to 1e-2 does."""
-    h_max = np.abs(h).max()
+def _tri_solve(l, b):
+    """L^-1 b for a lower-triangular L.  numpy has no triangular solve, so
+    each diagonal block of 64 rows is an LU solve and the rest one GEMM."""
+    x = np.array(b, dtype=float)
+    for i in range(0, len(l), 64):
+        x[i:i + 64] = np.linalg.solve(l[i:i + 64, i:i + 64], x[i:i + 64])
+        x[i + 64:] -= l[i + 64:, i:i + 64] @ x[i:i + 64]
+    return x
+
+
+class _Factor(NamedTuple):
+    """H + reg 1 eliminated onto the shared variables (see ``_eliminated``)."""
+
+    reg: float
+    private: list        # per block (rows, places, L, M)
+    shared: np.ndarray
+    schur: np.ndarray    # S = H_ss + reg 1 - sum M^T M
+    border: tuple        # G_s (G's shared rows), S^-1 G_s, (G_s^T S^-1 G_s)^-1
+
+
+def _eliminated(h, free_g, reg):
+    """The _Factor at the shift reg: per block L L^T = H_pp + reg 1 and
+    M = L^-1 H_ps.  LinAlgError when a block or S fails Cholesky (exactly
+    when H + reg 1 does) or G_s^T S^-1 G_s is singular (no shift mends it)."""
+    h_p, shared, h_ss = h
+    schur = h_ss + reg * np.eye(len(h_ss))
+    private = []
+    for rows, at, hpp, hps in h_p:
+        l = np.linalg.cholesky(hpp + reg * np.eye(len(hpp)))
+        m = _tri_solve(l, hps)
+        schur[np.ix_(at, at)] -= m.T @ m
+        private.append((rows, at, l, m))
+    np.linalg.cholesky(schur)
+    g = free_g[shared]
+    sg = np.linalg.solve(schur, g)
+    return _Factor(reg, private, shared, schur,
+                   (g, sg, np.linalg.inv(g.T @ sg)))
+
+
+def _factored(h, free_g):
+    """_eliminated at the first shift (1e-13, 1e-11, ... times 1 + max|H|)
+    that passes; None when no shift up to 1e-2 does or H is not finite."""
+    pieces = [h[2], *(a for piece in h[0] for a in piece[2:])]
+    if not all(np.isfinite(a).all() for a in pieces):
+        return None
+    h_max = max(np.abs(a).max(initial=0.0) for a in pieces)
     reg = 1e-13 * (1.0 + h_max)
     while reg <= 1e-2 * (1.0 + h_max):
-        h_reg = h + reg * np.eye(len(h))
         try:
-            np.linalg.cholesky(h_reg)
-            return h_reg
+            return _eliminated(h, free_g, reg)
         except np.linalg.LinAlgError:
             reg *= 100.0
     return None
 
 
-def _newton_solve(h_reg, free_g, rhs, r_g):
-    """(dy, du) from H dy + G du = rhs, Gt dy = r_g: one LU solve of H
-    against [rhs, G], then the small system Gt H^-1 G du = Gt H^-1 rhs - r_g."""
-    sol = np.linalg.solve(h_reg, np.column_stack([rhs, free_g]))
-    t1, hg = sol[:, 0], sol[:, 1:]
-    du = np.linalg.solve(free_g.T @ hg, free_g.T @ t1 - r_g)
-    return t1 - hg @ du, du
+def _newton_solve(fac, rhs, r_g):
+    """(dy, du) from (H + reg 1) dy + G du = rhs, Gt dy = r_g.  A block's
+    rows read L^T dy_p + M dy_s = L^-1 rhs_p =: v, so S dy_s + G_s du =
+    rhs_s - sum M^T v, G_s^T dy_s = r_g, and dy_p = L^-T (v - M dy_s)."""
+    r_s = rhs[fac.shared]
+    vs = [_tri_solve(l, rhs[rows]) for rows, _, l, _ in fac.private]
+    for (_, at, _, m), v in zip(fac.private, vs):
+        r_s[at] -= m.T @ v
+    g, sg, gsg_inv = fac.border
+    t1 = np.linalg.solve(fac.schur, r_s)
+    du = gsg_inv @ (g.T @ t1 - r_g)
+    dy = np.empty(len(rhs))
+    dy[fac.shared] = dy_s = t1 - sg @ du
+    for (rows, at, l, m), v in zip(fac.private, vs):
+        # L^T with its rows and columns reversed is lower triangular
+        dy[rows] = _tri_solve(l.T[::-1, ::-1], (v - m @ dy_s[at])[::-1])[::-1]
+    return dy, du
 
 
-def _directions(blocks, scal, res, h_reg, free_g, sigma_mu, pred=None):
+def _directions(blocks, scal, res, fac, sigma_mu, pred=None):
     """The direction for the target sigma_mu; ``pred``, the predictor, adds
     the corrector's term.  T = dX_s + dZ_s solves Lam T + T Lam = 2 R,
     R = sigma_mu I - Lam^2 - sym(dX_s^pred dZ_s^pred)."""
@@ -378,7 +438,7 @@ def _directions(blocks, scal, res, h_reg, free_g, sigma_mu, pred=None):
         # dX = G T G^H - W dZ W with dZ = Rd - At(dy)
         half = g @ t_mats[bl.name] @ g.conj().T - wrdw
         rhs[bl.columns.indices] -= bl.copies * bl.columns.dots(half)
-    dy, du = _newton_solve(h_reg, free_g, rhs, res.r_g)
+    dy, du = _newton_solve(fac, rhs, res.r_g)
     dx_s, dz_s, dz = {}, {}, {}
     for bl in blocks:
         g, n = scal[bl.name][0], bl.name
@@ -456,24 +516,24 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
             status = "optimal"
             break
 
-        h, scal = _scaling_and_schur(blocks, x, z, res.rd, m)
+        h, scal = _scaling_and_schur(blocks, x, z, res.rd, free_g)
         if h is None:
             status = "stalled"
             break
-        h_reg = _regularized(h) if np.isfinite(h).all() else None
-        if h_reg is None:
+        fac = _factored(h, free_g)
+        if fac is None:
             status = "numerical_failure"
             break
 
-        pred = _directions(blocks, scal, res, h_reg, free_g, 0.0)
+        pred = _directions(blocks, scal, res, fac, 0.0)
         ap, ad = _step_lengths(pred, scal)
         gap_aff = float(sum(
             copies[n] * np.real(np.trace((np.diag(lam) + ap * pred.dx_s[n])
                                          @ (np.diag(lam) + ad * pred.dz_s[n])))
             for n, (_, lam, _) in scal.items()))
         sigma = min(1.0, max(0.0, gap_aff / res.gap)) ** 3
-        d = _directions(blocks, scal, res, h_reg, free_g,
-                        sigma * (res.gap / total_side), pred)
+        d = _directions(blocks, scal, res, fac, sigma * (res.gap / total_side),
+                        pred)
         ap, ad = _step_lengths(d, scal)
         ap, ad = min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
         if min(ap, ad) < 1e-10:

@@ -299,7 +299,7 @@ def test_singular_iterate_fails_the_scaling_phase():
     assert _nt_scaling(np.eye(2, dtype=complex), x) is None
     h, scal = _scaling_and_schur([two_by_two()], {"S": x},
                                  {"S": np.eye(2, dtype=complex)},
-                                 {"S": np.zeros((2, 2))}, 1)
+                                 {"S": np.zeros((2, 2))}, np.zeros((1, 0)))
     assert h is None and scal is None
 
 
@@ -330,15 +330,132 @@ def test_non_finite_schur_complement_fails_in_first_iteration():
     assert set(sol.residuals) == {"pinf", "dinf", "relgap"}
 
 
+def identity_pieces(blocks, free_g):
+    """H in pieces at X = Z = 1, Rd = 0."""
+    eye = {bl.name: np.eye(bl.side, dtype=complex) for bl in blocks}
+    zero = {bl.name: np.zeros((bl.side,) * 2) for bl in blocks}
+    return _scaling_and_schur(blocks, eye, eye, zero, free_g)[0]
+
+
 def test_exhausted_shift_ladder_fails_in_first_iteration(monkeypatch):
     # H = -1 is finite, and no shift up to 1e-2 (1 + max|H|) makes it
     # positive definite
     block = two_by_two()
     monkeypatch.setattr(block.columns, "gram", lambda w: np.array([[-1.0]]))
-    assert sdp._regularized(np.array([[-1.0]])) is None
+    free_g = np.zeros((1, 0))
+    assert sdp._factored(identity_pieces([block], free_g), free_g) is None
     sol = solve_conic([block], np.array([1.0]))
     assert sol.status == "numerical_failure"
     assert sol.iterations == 1
+
+
+@pytest.mark.parametrize("free_g, free_f", [
+    ([[0.0]], [1.0]),               # G = 0
+    ([[1.0, 1.0]], [0.25, 0.25]),   # two equal free columns
+])
+def test_singular_free_variable_system_fails_in_first_iteration(free_g,
+                                                                 free_f):
+    # Gt H^-1 G is singular at every shift: a status, not a LinAlgError
+    sol = solve_conic([two_by_two()], np.array([1.0]), free_g=free_g,
+                      free_f=free_f)
+    assert sol.status == "numerical_failure"
+    assert sol.iterations == 1
+
+
+def assembled_h(blocks, w, m):
+    """The dense Schur complement sum_b copies Gram_b(W_b), m x m."""
+    h = np.zeros((m, m))
+    for bl in blocks:
+        idx = bl.columns.indices
+        h[np.ix_(idx, idx)] += bl.copies * bl.columns.gram(w[bl.name])
+    return h
+
+
+def cholesky_ladder(h):
+    """The first shift 1e-13, 1e-11, ... times 1 + max|H| at which H passes
+    Cholesky, tested on the assembled matrix."""
+    reg = 1e-13 * (1.0 + np.abs(h).max())
+    while True:
+        try:
+            np.linalg.cholesky(h + reg * np.eye(len(h)))
+            return reg
+        except np.linalg.LinAlgError:
+            reg *= 100.0
+
+
+def test_block_elimination_matches_the_assembled_newton_system():
+    # private indices 0, 2, 3, 4; index 5 shared by two blocks, 6 by two
+    # and 7 by three; the free column's row touches 7, and 1, which block
+    # "a" alone holds
+    rng = np.random.default_rng(31)
+    layout = {"a": [0, 1, 5, 7], "b": [2, 5, 6, 7], "c": [3, 4, 6, 7]}
+    blocks = [Block(n, rand_pd(rng, 3), DenseColumns(
+        3, idx, [rand_herm(rng, 3) for _ in idx]), copies=1 + (n == "b"))
+        for n, idx in layout.items()]
+    m = 8
+    free_g = np.zeros((m, 1))
+    free_g[[1, 7], 0] = rng.normal(size=2)
+    x = {bl.name: rand_pd(rng, 3) for bl in blocks}
+    z = {bl.name: rand_pd(rng, 3) for bl in blocks}
+    rd = {bl.name: rand_herm(rng, 3) for bl in blocks}
+    h, scal = _scaling_and_schur(blocks, x, z, rd, free_g)
+    assert list(h[1]) == [1, 5, 6, 7]
+    assert [list(rows) for rows, *_ in h[0]] == [[0], [2], [3, 4]]
+    w = {}
+    for n, (g, _, _) in scal.items():
+        w[n] = g @ g.conj().T
+        w[n] = (w[n] + w[n].conj().T) / 2
+    h_full = assembled_h(blocks, w, m)
+    fac = sdp._factored(h, free_g)
+    assert fac.reg == cholesky_ladder(h_full)
+    kkt = np.block([[h_full + fac.reg * np.eye(m), free_g],
+                    [free_g.T, np.zeros((1, 1))]])
+    for _ in range(2):
+        rhs, r_g = rng.normal(size=m), rng.normal(size=1)
+        got = np.concatenate(sdp._newton_solve(fac, rhs, r_g))
+        want = np.linalg.solve(kkt, np.concatenate([rhs, r_g]))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 64, 150])
+def test_blocked_triangular_solve_matches_dense_solve(n):
+    # diagonal blocks of 64 rows, the last one partial; L^-T through the
+    # reversed L^T, as the elimination applies it
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    low = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        want = np.linalg.solve(low, b)
+        assert np.abs(sdp._tri_solve(low, b) - want).max() < 1e-12 * np.abs(
+            want).max()
+    b = rng.normal(size=n)
+    got = sdp._tri_solve(low.T[::-1, ::-1], b[::-1])[::-1]
+    want = np.linalg.solve(low.T, b)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_shift_ladder_on_the_pieces_matches_the_assembled_cholesky(
+        monkeypatch):
+    # H = [[1, 0, 1], [0, 1, 1], [1, 1, 2 - 1e-6]]: each block's private
+    # 1 x 1 piece passes Cholesky at every shift, the Schur complement
+    # 3 reg - 1e-6 fails at the first ones, so the ladder climbs
+    blocks = []
+    for name, idx in (("a", [0, 2]), ("b", [1, 2])):
+        bl = Block(name, np.eye(2, dtype=complex), DenseColumns(
+            2, idx, [np.eye(2, dtype=complex)] * 2))
+        monkeypatch.setattr(bl.columns, "gram", lambda w: np.array(
+            [[1.0, 1.0], [1.0, 1.0 - 5e-7]]))
+        blocks.append(bl)
+    free_g = np.zeros((3, 0))
+    h = identity_pieces(blocks, free_g)
+    first = 1e-13 * (1.0 + (2.0 - 1e-6))
+    for _, _, hpp, _ in h[0]:
+        np.linalg.cholesky(hpp + first * np.eye(1))
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._eliminated(h, free_g, first)
+    fac = sdp._factored(h, free_g)
+    h_full = assembled_h(blocks, {"a": None, "b": None}, 3)
+    assert fac.reg == cholesky_ladder(h_full) > first
 
 
 def test_iteration_cap_returns_max_iterations():
@@ -405,3 +522,20 @@ def test_block_copies_must_be_positive():
     with pytest.raises(ValueError, match="0 copies"):
         Block("S", np.eye(2, dtype=complex),
               DenseColumns(2, [0], [np.eye(2, dtype=complex)]), copies=0)
+
+
+def test_witness_newton_system_splits_by_order(full_span):
+    # each order's 819 forbidden-pattern variables are private to its
+    # block; the span coordinates, which both blocks and the white-noise
+    # free column hold, are the shared ones
+    from icoswitch import witness
+
+    blocks, layout, _, free_g, _ = witness._span_blocks(full_span,
+                                                        "white-noise")
+    h_p, shared, h_ss = identity_pieces(blocks, free_g)
+    r = full_span.rank
+    assert np.array_equal(shared, layout["s"]) and h_ss.shape == (r, r)
+    for (rows, places, hpp, hps), order in zip(h_p, ("v_ab", "v_ba")):
+        assert np.array_equal(rows, layout[order])
+        assert np.array_equal(places, np.arange(r))
+        assert hpp.shape == (819, 819) and hps.shape == (819, r)

@@ -316,7 +316,7 @@ sol = wt.optimize_witness(pm.w_switch(), wt.build_span(x_subset=[1, 2]))
 print(json.dumps({"status": sol.status, "iterations": sol.iterations,
                   "value": sol.value, "alpha": sol.alpha.ravel().tolist()}))
 """
-# the README's thread-count promise; measured 6e-15 and 4e-9 between 1 and
+# the README's thread-count promise; measured 7e-16 and 7e-9 between 1 and
 # 2 OpenBLAS threads (numpy 2.4, OpenBLAS 0.3.31)
 THREADS_VALUE_BOUND = 1e-12
 THREADS_ALPHA_BOUND = 1e-7
