@@ -85,6 +85,11 @@ def probabilities_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(payload) -> str:
+    """A JSON report file: two-space indent, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_report_files(outdir: Path, files: dict):
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -116,8 +121,7 @@ def cmd_simulate(config) -> int:
     worst = np.abs(sums - 1.0).max()
     files = {
         "probabilities.csv": probabilities_csv(table),
-        "metadata.json": json.dumps(run_metadata(config), indent=2,
-                                    sort_keys=True) + "\n",
+        "metadata.json": _json_text(run_metadata(config)),
     }
     write_report_files(Path(config["out"]), files)
     print(f"simulate: model={model} D={d_value} settings={sums.size} "
@@ -177,7 +181,7 @@ def cmd_witness(config) -> int:
     payload["metadata"] = run_metadata(config)
     payload["value_from_probabilities"] = recomputed
     files = {
-        "witness.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "witness.json": _json_text(payload),
         "probabilities.csv": probabilities_csv(table),
     }
     write_report_files(Path(config["out"]), files)
@@ -214,8 +218,7 @@ def cmd_sweep(config) -> int:
         "sweep.csv": "\n".join(lines) + "\n",
         "witness_vs_D.svg": sweep_svg([r[0] for r in rows], values,
                                       reference=REFERENCE_LAB_POINT),
-        "metadata.json": json.dumps(run_metadata(config), indent=2,
-                                    sort_keys=True) + "\n",
+        "metadata.json": _json_text(run_metadata(config)),
     }
     write_report_files(Path(config["out"]), files)
     crossing = next((i for i in range(1, len(values))
@@ -277,7 +280,7 @@ def cmd_tomo(config) -> int:
         }
     files = {
         "counts.csv": tomo.counts_csv(counts),
-        "tomo.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "tomo.json": _json_text(payload),
         "fringe.svg": fringe_svg(grid, rates, vis),
     }
     write_report_files(Path(config["out"]), files)

@@ -108,13 +108,6 @@ class LabeledOperator:
     def is_hermitian(self):
         return bool(np.abs(self.entries - self.entries.conj().T).max() < 1e-12)
 
-    def __matmul__(self, other):
-        _same_subsystems(self, other)
-        if isinstance(other, LabeledVector):
-            return LabeledVector(self.labels, self.dims,
-                                 self.entries @ other.amplitudes)
-        return LabeledOperator(self.labels, self.dims, self.entries @ other.entries)
-
     def __add__(self, other):
         _same_subsystems(self, other)
         return LabeledOperator(self.labels, self.dims, self.entries + other.entries)

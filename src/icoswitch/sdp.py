@@ -16,8 +16,8 @@ classes, single products P_s (x) 1 that leave some qubits idle and dense
 rows Q_l over a pattern support, and their Gram is assembled per class
 pair (after SDPA's F1/F2/F3 choice, Fujisawa, Kojima & Nakata 1997):
 unit x unit as the Pauli-basis matrix of one superoperator on the units'
-active qubits, unit x dense from one congruence on the dense rows' active
-qubits traced down to the units' ones, and dense x dense from the
+active qubits, unit x dense from the congruences W Q_l W traced down to
+the units' active qubits, and dense x dense from the
 coefficients Phi of Q_l W, gathered from the support's shift tables into
 Re/Im buffers that each Gram call allocates and frees.  W is Hermitian,
 so that block is real: Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi Im Phi^T,
@@ -109,15 +109,14 @@ class PauliColumns:
     index order.
 
     The Gram Tr[A_i W A_j W] is assembled per column class.  The unit
-    patterns are P_s (x) 1 with P_s on their active qubits A_u, and the
-    dense operators Q'_l (x) 1 with Q'_l on A_d, the units' and the
-    support's active qubits together.  With W_ij the blocks of W over the
-    idle qubits:
+    patterns are P_s (x) 1 with P_s on their active qubits A_u; the dense
+    operators Q_l are synthesized once on all the block's qubits.  With
+    W_ij the blocks of W over the qubits outside A_u:
 
       unit x unit    sum_ij Tr[P_s W_ij P_t W_ji], the Pauli-basis matrix of
                      the superoperator S = sum_ij W_ij (x) W_ji^T on A_u;
-      unit x dense   Tr[P_s Tr_rest N_l] with N_l = sum_ij W_ij Q'_l W_ji on
-                     A_d (Q'_l synthesized once), traced over A_d - A_u;
+      unit x dense   Tr[P_s Tr_rest N_l] with N_l = W Q_l W, traced over
+                     every qubit outside A_u;
       dense x dense  side Re(Phi Phi^T) with Phi the coefficients of Q_l W,
                      gathered from the support's ``ShiftCache``.
     """
@@ -134,10 +133,8 @@ class PauliColumns:
             np.asarray(unit_indices, dtype=np.int64),
             np.asarray(dense_indices, dtype=np.int64),
         ])
-        # A_u and A_d; the unit patterns' indices as products on each
+        # A_u, and the unit patterns' indices as products on it
         self.unit_qubits = _active_qubits(self.unit_patterns, ctx)
-        self.dense_qubits = np.union1d(
-            self.unit_qubits, _active_qubits(self.dense_support, ctx))
         self._unit_local = _local_patterns(
             self.unit_patterns, ctx, self.unit_qubits)
         self._dense_cache = (
@@ -145,19 +142,17 @@ class PauliColumns:
             if len(self.dense_rows) else None
         )
         if len(self.unit_patterns) and len(self.dense_rows):
-            qubits, q = self.dense_qubits, len(self.dense_qubits)
-            # einsum labels of N[r_1..r_q, l, c_1..c_q]: a dense-only qubit
-            # has one label for its row and column, so it is traced out
-            kept = [j for j in range(q) if qubits[j] in self.unit_qubits]
-            cols = [q + j if j in kept else j for j in range(q)]
-            self._trace_axes = ([*range(q), 2 * q, *cols],
-                                [2 * q, *kept, *(q + j for j in kept)])
-            coeffs = np.zeros((4**q, len(self.dense_rows)))
-            np.add.at(coeffs, _local_patterns(self.dense_support, ctx, qubits),
-                      self.dense_rows.T)
-            # Q'_l side by side: (2^q, k 2^q) with column blocks Q'_l
-            ops = coeffs_to_matrix(coeffs.T, q)
-            self._dense_ops = ops.transpose(1, 0, 2).reshape(2**q, -1)
+            n, kept = nqubits, self.unit_qubits.tolist()
+            # einsum labels of N[r_1..r_n, l, c_1..c_n]: a qubit outside
+            # A_u has one label for its row and column, so it is traced out
+            cols = [n + j if j in kept else j for j in range(n)]
+            self._trace_axes = ([*range(n), 2 * n, *cols],
+                                [2 * n, *kept, *(n + j for j in kept)])
+            coeffs = np.zeros((4**n, len(self.dense_rows)))
+            np.add.at(coeffs, self.dense_support, self.dense_rows.T)
+            # Q_l side by side: (side, k side) with column blocks Q_l
+            ops = coeffs_to_matrix(coeffs.T, n)
+            self._dense_ops = ops.transpose(1, 0, 2).reshape(self.side, -1)
 
     def gram(self, w):
         n_unit = len(self.unit_patterns)
@@ -181,18 +176,14 @@ class PauliColumns:
             self._unit_local, len(self.unit_qubits)))
 
     def _cross_gram(self, w):
-        q, u = len(self.dense_qubits), len(self.unit_qubits)
-        wb = _idle_blocks(w, self.nqubits, self.dense_qubits)
-        ni, n, k = wb.shape[0], wb.shape[2], len(self.dense_rows)
-        # N[(r, l), c] = sum_ij (W_ij Q'_l W_ji)[r, c], two GEMMs per (i, j)
-        nl = np.zeros((n * k, n), dtype=complex)
-        for i in range(ni):
-            for j in range(ni):
-                nl += (wb[i, j] @ self._dense_ops).reshape(n * k, n) @ wb[j, i]
+        n, u = self.nqubits, len(self.unit_qubits)
+        k = len(self.dense_rows)
+        # N[(r, l), c] = (W Q_l W)[r, c], two GEMMs
+        nl = (w @ self._dense_ops).reshape(self.side * k, self.side) @ w
         # Tr[(P_s (x) 1) N_l] = Tr[P_s M_l] with M_l = Tr_rest N_l, the
-        # partial trace over the dense-only qubits rest = A_d - A_u, and
-        # that is 2^u times the P_s-coefficient of M_l
-        ml = np.einsum(nl.reshape((2,) * q + (k,) + (2,) * q),
+        # partial trace over the qubits outside A_u, and that is 2^u times
+        # the P_s-coefficient of M_l
+        ml = np.einsum(nl.reshape((2,) * n + (k,) + (2,) * n),
                        *self._trace_axes).reshape(k, 2**u, 2**u)
         coeffs = pauli_coeffs_batch(ml, u)[:, self._unit_local]
         return 2**u * np.real(coeffs).T
@@ -477,11 +468,13 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
     free_f.  ``callback(it, gap, pinf, dinf)``, when given, is called once
     per iteration before the stopping test.  A NaN or infinite entry in
     ``b``, a block's ``c`` or the free-variable data returns
-    ``numerical_failure`` at once, with no iterates; ``maxiter < 1``
-    raises ValueError.
+    ``numerical_failure`` at once, with no iterates; ``maxiter < 1`` or
+    no blocks raises ValueError.
     """
     if maxiter < 1:
         raise ValueError("maxiter must be at least 1")
+    if not blocks:
+        raise ValueError("solve_conic needs at least one block")
     b = np.asarray(b, dtype=float)
     m = len(b)
     if free_g is None:

@@ -15,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import LabeledOperator, LabeledVector, dephase, partial_trace, tensor
+from .qmath import LabeledOperator, LabeledVector, dephase, partial_trace
 from .settings import PLUS_MINUS, ExperimentSetting, alice_unitary, jones, prep_state
 
 UNITARY_TOL = 1e-10
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
+EYE2 = np.eye(2)
+# on (s, a): the system controls, the ancilla flips
+CNOT_SA = np.eye(4)[[0, 1, 3, 2]]
 
 
 def _as_qubit(state) -> np.ndarray:
-    if isinstance(state, LabeledVector):
-        state = state.amplitudes
     state = np.asarray(state, dtype=complex).reshape(2)
     n = np.linalg.norm(state)
     if abs(n - 1.0) > 1e-9:
@@ -40,31 +41,14 @@ def _check_unitary(u) -> np.ndarray:
     return u
 
 
-def _cnot_sa() -> LabeledOperator:
-    # system controls, ancilla flips
-    p0 = LabeledOperator(["s"], [2], np.diag([1.0, 0.0]))
-    p1 = LabeledOperator(["s"], [2], np.diag([0.0, 1.0]))
-    eye = LabeledOperator(["a"], [2], np.eye(2))
-    x = LabeledOperator(["a"], [2], np.array([[0, 1], [1, 0]]))
-    return tensor([p0, eye]) + tensor([p1, x])
-
-
-def _vn_operator(meas, reprep) -> LabeledOperator:
-    """(reprep (x) 1) CNOT (meas (x) 1) on labels {s, a}."""
-    eye = LabeledOperator(["a"], [2], np.eye(2))
-    m = tensor([LabeledOperator(["s"], [2], meas), eye])
-    r = tensor([LabeledOperator(["s"], [2], reprep), eye])
-    return r @ _cnot_sa() @ m
-
-
 def switch_evolve(u_alice, bob_basis, system, control=PLUS_MINUS[0],
                   bob_reprep=None) -> LabeledVector:
     """Joint {c, s, a} state after the coherently ordered interactions.
 
-    Branch |0>_c applies Alice's unitary first, then Bob's probe coupling;
-    branch |1>_c applies them in the opposite order.  ``bob_reprep``
-    defaults to the adjoint of ``bob_basis`` (measure and reprepare in the
-    same basis).
+    Branch |0>_c applies Alice's unitary first, then Bob's probe coupling
+    (reprep (x) 1) CNOT (meas (x) 1); branch |1>_c applies them in the
+    opposite order.  ``bob_reprep`` defaults to the adjoint of
+    ``bob_basis`` (measure and reprepare in the same basis).
     """
     ua = _check_unitary(u_alice)
     meas = _check_unitary(bob_basis)
@@ -72,21 +56,13 @@ def switch_evolve(u_alice, bob_basis, system, control=PLUS_MINUS[0],
     psi = _as_qubit(system)
     ctrl = _as_qubit(control)
 
-    eye_a = LabeledOperator(["a"], [2], np.eye(2))
-    alice = tensor([LabeledOperator(["s"], [2], ua), eye_a])
-    vn = _vn_operator(meas, reprep)
-    joint = tensor([
-        LabeledVector(["s"], [2], psi),
-        LabeledVector(["a"], [2], KET0),
-    ])
-    branch = {0: (vn @ alice) @ joint, 1: (alice @ vn) @ joint}
-
-    amps = {}
-    for k in (0, 1):
-        ket_c = LabeledVector(["c"], [2], np.eye(2)[k])
-        amps[k] = tensor([ket_c, branch[k]])
-    total = ctrl[0] * amps[0].amplitudes + ctrl[1] * amps[1].amplitudes
-    return LabeledVector(amps[0].labels, amps[0].dims, total)
+    # 4x4 gates on (s, a), applied to psi (x) |0>_a
+    alice = np.kron(ua, EYE2)
+    probe = np.kron(reprep, EYE2) @ CNOT_SA @ np.kron(meas, EYE2)
+    joint = np.kron(psi, KET0)
+    amps = np.concatenate([ctrl[0] * ((probe @ alice) @ joint),
+                           ctrl[1] * ((alice @ probe) @ joint)])
+    return LabeledVector(["c", "s", "a"], [2, 2, 2], amps)
 
 
 @dataclass(frozen=True)

@@ -452,6 +452,32 @@ def test_witness_exits_4_when_the_solve_is_not_optimal(tmp_path, capsys,
                 if issubclass(w.category, witness.SpanRankWarning)]
 
 
+@pytest.mark.slow
+def test_generalized_robustness_witness_reports_its_convention(tmp_path, capsys):
+    # optimal, but not the published optimum: exit 3 with the convention
+    # report, after witness.json is written
+    rc = cli.main(["witness", "--convention", "generalized-robustness",
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DISAGREEMENT
+    assert err.startswith("witness value disagrees with the published")
+    assert "convention     : generalized-robustness" in err
+    payload = json.loads((tmp_path / "o" / "witness.json").read_text())
+    assert payload["status"] == "optimal"
+    assert payload["convention"] == "generalized-robustness"
+    assert abs(payload["value"] - -0.19774474046) < 1e-8
+
+
+@pytest.mark.slow
+def test_identity_cap_witness_stalls_with_exit_4(tmp_path, capsys):
+    rc = cli.main(["witness", "--convention", "identity-cap",
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_SOLVER
+    assert err == ["solver did not reach optimality: stalled"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_fringe_svg_matches_golden():
     grid = np.linspace(0.0, 2 * np.pi, 25)
     rates = 0.125 * (1 + 1.0 * np.cos(grid))

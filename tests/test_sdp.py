@@ -197,13 +197,13 @@ def test_pauli_gram_matches_dense_gram_per_column_class(q, data):
     unit_qubits = data.draw(qubits)
     relation = data.draw(st.sampled_from(["superset", "subset", "disjoint"]))
     if relation == "superset":
-        dense_qubits = unit_qubits | data.draw(qubits)
+        support_qubits = unit_qubits | data.draw(qubits)
     elif relation == "subset":
-        dense_qubits = data.draw(st.sets(st.sampled_from(sorted(unit_qubits))))
+        support_qubits = data.draw(st.sets(st.sampled_from(sorted(unit_qubits))))
     else:
-        dense_qubits = set(range(q)) - unit_qubits
+        support_qubits = set(range(q)) - unit_qubits
     units = patterns_on(data, q, unit_qubits, 0, 6, unique=True)
-    support = patterns_on(data, q, dense_qubits, 1, 5, unique=False)
+    support = patterns_on(data, q, support_qubits, 1, 5, unique=False)
     n_dense = data.draw(st.integers(0 if len(units) else 1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     rows = rng.normal(size=(n_dense, len(support)))
@@ -469,6 +469,13 @@ def test_iteration_cap_returns_max_iterations():
 def test_iteration_cap_below_one_is_rejected(maxiter):
     with pytest.raises(ValueError, match="maxiter must be at least 1"):
         solve_conic([two_by_two()], np.array([1.0]), maxiter=maxiter)
+
+
+@pytest.mark.parametrize("b", [np.array([1.0]), np.zeros(0)],
+                         ids=["one-constraint", "no-constraint"])
+def test_no_blocks_is_rejected(b):
+    with pytest.raises(ValueError, match="solve_conic needs at least one block"):
+        solve_conic([], b)
 
 
 def test_block_side_is_c_side_and_must_match_its_columns():
