@@ -9,20 +9,19 @@ physical sequence through the unfolded table).
     hwp path=c0 angle=$prep_hwp
     pbs paths=c0,p0
     delay path=p1 overlap=$overlap bin=2
-    phase path=c1 angle=180
+    phase path=c1 angle=$scan
     bs50 paths=c0,c1
     detector name=system paths=c0,c1
     detector name=ancilla paths=p0,p1
 
 Each line head takes the keys in ``LINE_KEYS``, each at most once.  An
 element parameter is a finite number, used as written, or a ``$slot``
-from ``SLOTS``, bound per run to a catalog waveplate angle or the run's
-eraser mode overlap.
+from ``SLOTS``, bound per run to a catalog waveplate angle, the run's
+eraser mode overlap or the fringe scan's phase.
 
 The file declares one source and the ``system`` and ``ancilla``
-detectors once each; a detector lists its paths in port order (port 0
-first).  The last ``bs50`` on exactly the system paths closes the
-interferometer; the scan phase acts before it.
+detectors once each, and at least one ``phase`` with ``angle=$scan``; a
+detector lists its paths in port order, ports 0 and 1 at most.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ SLOTS = {
     "alice_qwp1": ("qwp", "angle"), "alice_hwp": ("hwp", "angle"),
     "alice_qwp2": ("qwp", "angle"),
     "meas_hwp": ("hwp", "angle"), "reprep_hwp": ("hwp", "angle"),
-    "overlap": ("delay", "overlap"),
+    "overlap": ("delay", "overlap"), "scan": ("phase", "angle"),
 }
 DETECTORS = ("system", "ancilla")
 
@@ -86,7 +85,6 @@ class CircuitSpec:
     elements: tuple
     system: tuple    # detector paths in port order
     ancilla: tuple
-    closing: int     # index of the bs50 that closes the interferometer
 
 
 def _value(head, key, value, paths):
@@ -132,7 +130,7 @@ def parse_circuit(text: str) -> CircuitSpec:
     """Parse and validate; raises CircuitParseError with positions.
 
     Each line is checked against its head's keys.  The whole-file rules
-    (one source, both detectors, the closing bs50) are checked once every
+    (one source, both detectors, the scan phase) are checked once every
     line is valid, so that one faulty line gives one diagnostic.
     """
     errors: list = []
@@ -211,28 +209,23 @@ def parse_circuit(text: str) -> CircuitSpec:
 
 def _whole_file(paths, decls, elements) -> CircuitSpec:
     """The spec of valid lines, once the file declares one source, two
-    detectors on distinct paths, at most two each, and a bs50 on exactly
-    the system paths."""
+    detectors on distinct paths, at most two each, and a $scan phase."""
     missing = [Diagnostic(0, 0, "exactly one source required, found none"
                           if name == "source" else
                           f"detector name={name} required, found none")
                for name in ("source", *DETECTORS) if name not in decls]
+    if not any(v == "$scan" for d in elements for v in d.params.values()):
+        missing.append(Diagnostic(0, 0, "phase angle=$scan required, found none"))
     if missing:
         raise CircuitParseError(missing)
-    system_line, system = decls["system"]
-    closing = [i for i, d in enumerate(elements)
-               if d.kind == "bs50" and set(d.paths) == set(system["paths"])]
-    if not closing:
-        raise CircuitParseError([Diagnostic(
-            system_line, 1,
-            f"detector name=system needs a bs50 on exactly its paths "
-            f"{','.join(system['paths'])}, found none")])
-    ancilla_line, ancilla = decls["ancilla"]
-    if len(ancilla["paths"]) > 2:
-        raise CircuitParseError([Diagnostic(
-            ancilla_line, 1, f"detector name=ancilla has ports 0 and 1, "
-            f"not {len(ancilla['paths'])} paths")])
-    shared = [p for p in ancilla["paths"] if p in system["paths"]]
+    for name in DETECTORS:
+        line, detector = decls[name]
+        if len(detector["paths"]) > 2:
+            raise CircuitParseError([Diagnostic(
+                line, 1, f"detector name={name} has ports 0 and 1, "
+                f"not {len(detector['paths'])} paths")])
+    system, ancilla = (decls[name][1]["paths"] for name in DETECTORS)
+    shared = [p for p in ancilla if p in system]
     if shared:
         first, later = sorted(DETECTORS, key=lambda n: decls[n][0])
         raise CircuitParseError([Diagnostic(
@@ -241,7 +234,7 @@ def _whole_file(paths, decls, elements) -> CircuitSpec:
             f"with detector name={first}")])
     source = decls["source"][1]
     return CircuitSpec(paths, source["paths"], source["pol"], elements,
-                       system["paths"], ancilla["paths"], closing[-1])
+                       system, ancilla)
 
 
 # -- realization -------------------------------------------------------------------
@@ -260,32 +253,28 @@ def source_state(spec: CircuitSpec) -> FockState:
     return FockState(terms, paths=spec.paths)
 
 
-def bind_setting(spec: CircuitSpec, setting, overlap: float) -> list:
+def bind_setting(spec: CircuitSpec, setting, overlap: float,
+                 scan: float = 0.0) -> list:
     """Concrete elements, each ``$slot`` replaced by its value for the
-    setting (waveplate angles) and the run (mode overlap)."""
+    setting (waveplate angles) and the run (mode overlap, scan phase in
+    degrees)."""
     qwp1, hwp, qwp2 = setting.alice_angles
     values = {"prep_qwp": setting.prep_qwp, "prep_hwp": setting.prep_hwp,
               "alice_qwp1": qwp1, "alice_hwp": hwp, "alice_qwp2": qwp2,
               "meas_hwp": setting.meas_hwp, "reprep_hwp": setting.reprep_hwp,
-              "overlap": overlap}
+              "overlap": overlap, "scan": scan}
     return [_to_element(d.kind, d.paths,
                         {k: values[v[1:]] if isinstance(v, str) else v
                          for k, v in d.params.items()})
             for d in spec.elements]
 
 
-def program_from_spec(spec: CircuitSpec, setting, overlap: float) -> SwitchProgram:
-    """SwitchProgram for one setting; scan phase goes before the closing
-    beamsplitter on the system detector paths."""
-    elements = bind_setting(spec, setting, overlap)
-    return SwitchProgram(
-        initial=source_state(spec),
-        before_scan=tuple(elements[:spec.closing]),
-        after_scan=tuple(elements[spec.closing:]),
-        scan_path=spec.system[-1],
-        system_paths=spec.system,
-        ancilla_paths=spec.ancilla,
-    )
+def program_from_spec(spec: CircuitSpec, setting, overlap: float,
+                      scan: float = 0.0) -> SwitchProgram:
+    """SwitchProgram for one setting, mode overlap and scan phase."""
+    return SwitchProgram(source_state(spec),
+                         tuple(bind_setting(spec, setting, overlap, scan)),
+                         spec.system, spec.ancilla)
 
 
 def reference_circuit_text() -> str:

@@ -259,10 +259,11 @@ def cmd_tomo(config) -> int:
         _reject(f"tomo: {exc} at pairs={pairs} seed={seed}")
     d_value = config["distinguishability"]
     circuit = load_circuit(config["circuit"])
-    prog = program_from_spec(circuit, ExperimentSetting(z, 1, 1, 1),
-                             coherence(d_value))
+    setting, overlap = ExperimentSetting(z, 1, 1, 1), coherence(d_value)
     grid = np.linspace(0.0, 2.0 * np.pi, 61)
-    vis, flat, rates = tomo.fringe_scan(prog.coincidence_probability, grid)
+    vis, flat, rates = tomo.fringe_scan(lambda ph: program_from_spec(
+        circuit, setting, overlap, scan=np.rad2deg(ph)
+    ).coincidence_probability(), grid)
     payload = {
         "input_state": z,
         "pairs_total": pairs,

@@ -9,7 +9,9 @@ so the squared norm of a configuration carries a factorial for multiply
 occupied modes.  Optical elements act by substituting each creation
 operator with its single-photon image, which extends homomorphically to
 any photon number (permanent-style expansion); Hong-Ou-Mandel bunching
-falls out of the bookkeeping.
+falls out of the bookkeeping.  ``evolve`` composes the images through a
+whole element list, then expands each monomial once (the transfer-matrix
+method): a program costs one expansion, not one per element.
 
 Conventions, fixed once and validated against the qubit-level oracle:
 balanced beamsplitters have real transmission and +i reflection; PBSs
@@ -21,8 +23,8 @@ overlap parameter.
 
 This module runs a bound circuit; it does not describe one.  The switch
 table lives in a circuit file (``data/switch.circuit`` for the reference
-table), and ``circuits`` parses it, binds one setting's angles and builds
-the ``SwitchProgram`` run here, detector paths included.
+table), and ``circuits`` parses it, binds one setting's angles and scan
+phase and builds the ``SwitchProgram`` run here, detector paths included.
 """
 
 from __future__ import annotations
@@ -185,25 +187,34 @@ class FockState:
                          paths=self.paths)
 
 
-def evolve(state: FockState, element: OpticalElement) -> FockState:
-    """Apply the homomorphic extension of the element's single-photon map."""
-    for p in element.paths:
-        if p not in state.paths:
-            raise ValueError(f"element path {p!r} not declared in the state")
+def evolve(state: FockState, *elements: OpticalElement) -> FockState:
+    """Apply the elements in order, as one linear-optical map.
+
+    Each occupied mode's single-photon image is composed through the whole
+    list, and each monomial is then expanded once (the homomorphic
+    extension of that map).
+    """
+    for el in elements:
+        for p in el.paths:
+            if p not in state.paths:
+                raise ValueError(f"element path {p!r} not declared in the state")
+    images = {}
+    for m in {m for config in state.terms for m in config}:
+        image = {m: 1.0}
+        for el in elements:
+            out: dict = {}
+            for mode, amp in image.items():
+                for m2, a2 in el.image(mode):
+                    out[m2] = out.get(m2, 0.0) + amp * a2
+            image = out
+        images[m] = list(image.items())
     new: dict = {}
     for config, amp in state.terms.items():
-        images = [element.image(m) for m in config]
-        for combo in itertools.product(*images):
+        for combo in itertools.product(*(images[m] for m in config)):
             modes = tuple(sorted(m for m, _ in combo))
             a = amp * prod(c for _, c in combo)
             new[modes] = new.get(modes, 0.0) + a
     return FockState(new, paths=state.paths)
-
-
-def run_elements(state: FockState, elements) -> FockState:
-    for el in elements:
-        state = evolve(state, el)
-    return state
 
 
 def postselect(state: FockState, pattern: Callable) -> tuple:
@@ -243,32 +254,25 @@ def one_photon_per_group(*groups):
 class SwitchProgram:
     """End-to-end two-photon program of a bound switch circuit.
 
-    The interferometer scan phase is injected on ``scan_path`` just before
-    the recombining beamsplitter (after ``before_scan``, which already ends
-    with the fixed alignment phase).  ``system_paths`` and
-    ``ancilla_paths`` are the two detectors' paths in port order; outcome
-    extraction folds the ancilla output port into the port outcome (the
-    port correlation left by the eraser).
+    ``elements`` is the bound element list in beam order, the scan phase
+    included.  ``system_paths`` and ``ancilla_paths`` are the two
+    detectors' paths in port order; outcome extraction folds the ancilla
+    output port into the port outcome (the port correlation left by the
+    eraser).
     """
 
     initial: FockState
-    before_scan: tuple
-    after_scan: tuple
-    scan_path: str
+    elements: tuple
     system_paths: tuple
     ancilla_paths: tuple
 
-    def state(self, phase: float = 0.0) -> FockState:
-        st = run_elements(self.initial, self.before_scan)
-        if phase:
-            st = evolve(st, OpticalElement("phase", (self.scan_path,), phase))
-        return run_elements(st, self.after_scan)
+    def state(self) -> FockState:
+        return evolve(self.initial, *self.elements)
 
-    def joint_distribution(self, phase: float = 0.0) -> dict:
+    def joint_distribution(self) -> dict:
         """Raw p[(sys_port, sys_pol, anc_port, anc_pol)] before folding."""
-        st = self.state(phase)
         out: dict = {}
-        for config, p in st.probabilities().items():
+        for config, p in self.state().probabilities().items():
             sys_modes = [m for m in config if m.path in self.system_paths]
             anc_modes = [m for m in config if m.path in self.ancilla_paths]
             if len(sys_modes) != 1 or len(anc_modes) != 1:
@@ -279,16 +283,16 @@ class SwitchProgram:
             out[key] = out.get(key, 0.0) + p
         return out
 
-    def outcome_probabilities(self, phase: float = 0.0) -> np.ndarray:
+    def outcome_probabilities(self) -> np.ndarray:
         """Normalized p[b, d]: b = ancilla polarization, d = folded port."""
-        joint = self.joint_distribution(phase)
+        joint = self.joint_distribution()
         total = sum(joint.values())
         out = np.zeros((2, 2))
         for (sp, _, ap, apol), p in joint.items():
             out[0 if apol == "H" else 1, sp ^ ap] += p / total
         return out
 
-    def coincidence_probability(self, phase: float) -> float:
+    def coincidence_probability(self) -> float:
         """Raw coincidence probability of port 0 of both detectors, both
         photons H (fringe scans)."""
-        return self.joint_distribution(phase).get((0, "H", 0, "H"), 0.0)
+        return self.joint_distribution().get((0, "H", 0, "H"), 0.0)

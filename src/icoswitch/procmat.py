@@ -276,8 +276,8 @@ def mix_orders(p: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix) -> ProcessMat
         ).max()
         if dev > 1e-9:
             raise ValueError(f"argument is not {order} ordered (dev {dev:.2e})")
-    op = p * w_ab.operator + (1.0 - p) * w_ba.operator
-    return ProcessMatrix(op)
+    return ProcessMatrix(LabeledOperator(
+        CANONICAL, DIMS, p * w_ab.entries + (1.0 - p) * w_ba.entries))
 
 
 def random_ordered(order: str, rng: np.random.Generator,

@@ -108,22 +108,6 @@ class LabeledOperator:
     def is_hermitian(self):
         return bool(np.abs(self.entries - self.entries.conj().T).max() < 1e-12)
 
-    def __add__(self, other):
-        _same_subsystems(self, other)
-        return LabeledOperator(self.labels, self.dims, self.entries + other.entries)
-
-    def __mul__(self, scalar):
-        return LabeledOperator(self.labels, self.dims, self.entries * scalar)
-
-    __rmul__ = __mul__
-
-
-def _same_subsystems(a, b):
-    """Raise LabelError unless a and b carry the same labels and dims."""
-    if a.labels != b.labels or a.dims != b.dims:
-        raise LabelError(f"subsystems differ: {dict(zip(a.labels, a.dims))} "
-                         f"vs {dict(zip(b.labels, b.dims))}")
-
 
 def tensor(factors):
     """Kronecker product of LabeledVectors or LabeledOperators.

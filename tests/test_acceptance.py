@@ -24,7 +24,7 @@ from icoswitch.fock import (
     one_photon_per_group,
     postselect,
 )
-from icoswitch.qmath import dephase, partial_trace
+from icoswitch.qmath import LabeledOperator, dephase, partial_trace
 from icoswitch.switch import switch_evolve
 
 
@@ -153,9 +153,11 @@ def test_criterion_07_duality():
         vis = 2.0 * abs(partial_trace(rho, {"c"}).entries[0, 1])
         worst_pure = max(worst_pure, abs(d_value**2 + vis**2 - 1.0))
     # mixed input: convex mixture of two pure-system runs
-    rho_mix = 0.5 * switch_evolve(np.eye(2), np.eye(2), [1, 0]).outer() \
-        + 0.5 * switch_evolve(np.eye(2), np.diag([1, 1j]) @ np.eye(2),
-                              [0, 1]).outer()
+    rho_h = switch_evolve(np.eye(2), np.eye(2), [1, 0]).outer()
+    rho_v = switch_evolve(np.eye(2), np.diag([1, 1j]) @ np.eye(2),
+                          [0, 1]).outer()
+    rho_mix = LabeledOperator(rho_h.labels, rho_h.dims,
+                              0.5 * rho_h.entries + 0.5 * rho_v.entries)
     worst_mixed = -np.inf
     for d_value in np.linspace(0.0, 1.0, 11):
         rho = dephase(rho_mix, "c", float(d_value))

@@ -20,6 +20,7 @@ path a b c d
 source pair paths=a:c,b:d
 pbs paths=a,c
 hwp path=a angle=22.5
+phase path=b angle=$scan
 bs50 paths=a,b
 detector name=system paths=a,b
 detector name=ancilla paths=c,d
@@ -34,7 +35,8 @@ def test_parse_minimal_grammar():
     assert spec.elements[1].kind == "hwp"
     assert spec.elements[1].params["angle"] == 22.5
     assert spec.pairs == (("a", "c"), ("b", "d"))
-    assert (spec.system, spec.ancilla, spec.closing) == (("a", "b"), ("c", "d"), 2)
+    assert spec.elements[2] == ElementDecl("phase", ("b",), {"angle": "$scan"})
+    assert (spec.system, spec.ancilla) == (("a", "b"), ("c", "d"))
 
 
 def test_parse_reference_file():
@@ -42,9 +44,12 @@ def test_parse_reference_file():
     bound = {v[1:] for d in spec.elements for v in d.params.values()
              if isinstance(v, str)}
     assert bound == set(SLOTS)
-    assert len(spec.elements) == 23
+    assert len(spec.elements) == 24
     assert (spec.system, spec.ancilla) == (("c0", "c1"), ("p0", "p1"))
-    assert spec.elements[spec.closing] == ElementDecl("bs50", ("c0", "c1"), {})
+    assert spec.elements[-3:] == (
+        ElementDecl("phase", ("c1",), {"angle": 180.0}),
+        ElementDecl("phase", ("c1",), {"angle": "$scan"}),
+        ElementDecl("bs50", ("c0", "c1"), {}))
 
 
 def test_unknown_kind_positioned_diagnostic():
@@ -88,9 +93,9 @@ def test_renamed_detector_paths_give_reference_program(seed):
     s = ExperimentSetting(int(rng.integers(1, 4)), int(rng.integers(1, 11)),
                           int(rng.integers(1, 3)), int(rng.integers(1, 4)))
     overlap = float(rng.uniform())
-    phase = float(rng.uniform(0, 2 * np.pi))
-    ref = program_from_spec(spec, s, overlap).outcome_probabilities(phase)
-    got = program_from_spec(renamed, s, overlap).outcome_probabilities(phase)
+    scan = float(rng.uniform(0, 360))
+    ref = program_from_spec(spec, s, overlap, scan).outcome_probabilities()
+    got = program_from_spec(renamed, s, overlap, scan).outcome_probabilities()
     assert np.abs(got - ref).max() < 1e-12
 
 

@@ -116,6 +116,8 @@ REFERENCE_CIRCUIT = reference_circuit_text()
 SYSTEM_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index(
     "detector name=system paths=c0,c1")
 PHASE_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index("phase path=c1 angle=180")
+# the interferometer's closing: the scan phase and the recombining bs50
+CLOSING = "phase path=c1 angle=$scan\nbs50 paths=c0,c1"
 
 
 @pytest.mark.parametrize("command, config, circuit, message", [
@@ -149,15 +151,14 @@ PHASE_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index("phase path=c1 angle=180")
                  "circuit: line 0, col 0: detector name=ancilla required",
                  id="no-ancilla-detector"),
     pytest.param("simulate", None,
-                 REFERENCE_CIRCUIT.replace("bs50 paths=c0,c1", "# none"),
-                 f"circuit: line {SYSTEM_LINE}, col 1: detector name=system "
-                 f"needs a bs50 on exactly its paths c0,c1",
-                 id="no-closing-beamsplitter"),
+                 REFERENCE_CIRCUIT.replace(CLOSING, "# none"),
+                 "circuit: line 0, col 0: phase angle=$scan required, "
+                 "found none", id="no-closing-beamsplitter"),
     pytest.param("simulate", None,
                  REFERENCE_CIRCUIT.replace("name=system paths=c0,c1",
                                            "name=system paths=c0,c1,p0"),
                  f"circuit: line {SYSTEM_LINE}, col 1: detector name=system "
-                 f"needs a bs50 on exactly its paths c0,c1,p0",
+                 f"has ports 0 and 1, not 3 paths",
                  id="three-path-system-detector"),
     pytest.param("simulate", {"distinguishabilty": 0.5}, None,
                  "unknown config key 'distinguishabilty'", id="unknown-key"),
@@ -358,7 +359,8 @@ def test_element_with_wrong_path_count_exits_with_one_line(tmp_path, capsys):
 
 
 # id -> (text replaced, replacement, text on the diagnostic's line, col,
-# message); each edit of the reference file breaks one rule
+# message); each edit of the reference file breaks one rule.  A rule of
+# the whole file with no line of its own (marker None) reports line 0.
 CIRCUIT_EDITS = {
     "pol-X": ("pol=H", "pol=X", "source", 31, "pol must be H or V, got 'X'"),
     "bin-0": ("bin=2", "bin=0", "bin=0", 1,
@@ -380,9 +382,14 @@ CIRCUIT_EDITS = {
                                "detector name=system paths=c0,c1",
                                "name=system", 1,
                                "more than one detector name=system"),
-    "no-closing-beamsplitter": ("bs50 paths=c0,c1", "# none", "name=system", 1,
-                                "detector name=system needs a bs50 on exactly "
-                                "its paths c0,c1, found none"),
+    "no-closing-beamsplitter": (CLOSING, "# none", None, 0,
+                                "phase angle=$scan required, found none"),
+    "no-scan-slot": ("angle=$scan", "angle=0", None, 0,
+                     "phase angle=$scan required, found none"),
+    "three-system-ports": ("detector name=system paths=c0,c1",
+                           "path p2\ndetector name=system paths=c0,c1,p2",
+                           "name=system", 1, "detector name=system has "
+                           "ports 0 and 1, not 3 paths"),
     "ancilla-on-system-paths": ("name=ancilla paths=p0,p1",
                                 "name=ancilla paths=c0,c1", "name=ancilla", 1,
                                 "detector name=ancilla shares path 'c0' with "
@@ -405,7 +412,8 @@ def test_circuit_edit_exits_with_one_line(tmp_path, capsys, edit, command):
     old, new, marker, col, message = CIRCUIT_EDITS[edit]
     assert REFERENCE_CIRCUIT.count(old) == 1
     text = REFERENCE_CIRCUIT.replace(old, new)
-    line = 1 + max(i for i, ln in enumerate(text.splitlines()) if marker in ln)
+    line = 0 if marker is None else 1 + max(
+        i for i, ln in enumerate(text.splitlines()) if marker in ln)
     (tmp_path / "switch.circuit").write_text(text)
     out = [] if command == ("check",) else ["--out", str(tmp_path / "o")]
     rc = cli.main([*command, "--circuit", str(tmp_path / "switch.circuit"),
@@ -414,6 +422,66 @@ def test_circuit_edit_exits_with_one_line(tmp_path, capsys, edit, command):
     assert rc == cli.EXIT_PARSE
     assert err == [f"circuit: line {line}, col {col}: {message}"]
     assert not (tmp_path / "o").exists()
+
+
+# the reference file's lines, and the words a token edit draws from
+CIRCUIT_LINES = REFERENCE_CIRCUIT.splitlines()
+CIRCUIT_WORDS = sorted({w for ln in CIRCUIT_LINES if not ln.startswith("#")
+                        for w in re.findall(r"[^\s=,:]+", ln)}) + [
+    "", "0", "-1", "1.5", "inf", "X", "#", "=", ",", ":", "foo=1", "p2",
+    "c1,p0", "$scan"]
+LINE = st.integers(0, len(CIRCUIT_LINES) - 1)
+CIRCUIT_MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("drop"), LINE),
+    st.tuples(st.just("duplicate"), LINE),
+    st.tuples(st.just("swap"), LINE, LINE),
+    st.tuples(st.just("replace"), LINE, st.integers(0, 9),
+              st.sampled_from(CIRCUIT_WORDS)),
+    st.tuples(st.just("append"), LINE, st.sampled_from(CIRCUIT_WORDS)),
+), min_size=1, max_size=3)
+
+
+def mutate(lines, edit):
+    kind, i, *rest = edit
+    i %= len(lines)  # an earlier drop shortens the file
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = rest[0] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "replace":
+        words = [m.span() for m in re.finditer(r"[^\s=,:]+", lines[i])]
+        if words:
+            a, b = words[rest[0] % len(words)]
+            lines[i] = lines[i][:a] + rest[1] + lines[i][b:]
+    else:
+        lines[i] += " " + rest[0]
+
+
+@pytest.mark.slow
+@settings(max_examples=40)
+@given(edits=CIRCUIT_MUTATIONS)
+def test_mutated_circuit_checks_or_exits_with_diagnostics(edits):
+    # dropped, duplicated, swapped or edited lines of the packaged circuit
+    # give a check result or positioned diagnostics, never a traceback
+    lines = list(CIRCUIT_LINES)
+    for edit in edits:
+        mutate(lines, edit)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "switch.circuit"
+        path.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main(["check", "--circuit", str(path)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_DISAGREEMENT)
+    if rc == cli.EXIT_PARSE:
+        diagnostics = err.getvalue().splitlines()
+        assert diagnostics
+        assert all(re.fullmatch(r"circuit: line \d+, col \d+: \S.*", d)
+                   for d in diagnostics)
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -15,7 +15,6 @@ from icoswitch.fock import (
     evolve,
     one_photon_per_group,
     postselect,
-    run_elements,
 )
 from icoswitch.settings import ExperimentSetting, enumerate_settings, jones
 
@@ -107,6 +106,45 @@ def test_pbs_transmits_h_reflects_v():
 def test_evolve_rejects_unknown_path():
     with pytest.raises(ValueError, match="'q'"):
         evolve(single("a"), OpticalElement("hwp", ("q",), 0.1))
+    # every element's paths are checked, not only the first one's
+    with pytest.raises(ValueError, match="'q'"):
+        evolve(single("a"), OpticalElement("bs50", ("a", "b")),
+               OpticalElement("swap", ("b", "q")))
+
+
+def random_element(rng, paths):
+    kind = ["bs50", "pbs", "swap", "hwp", "qwp", "phase", "delay"][
+        rng.integers(7)]
+    if kind in ("bs50", "pbs", "swap"):
+        a, b = rng.choice(paths, 2, replace=False)
+        return OpticalElement(kind, (str(a), str(b)))
+    path = (str(rng.choice(paths)),)
+    if kind == "delay":
+        return OpticalElement(kind, path, float(rng.uniform()),
+                              bin=int(rng.integers(1, 3)))
+    return OpticalElement(kind, path, float(rng.uniform(0, 2 * np.pi)))
+
+
+@pytest.mark.parametrize("photons", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_evolve_composes_like_one_element_at_a_time(photons, seed):
+    rng = np.random.default_rng(seed)
+    paths = REFERENCE.paths
+    modes = [Mode(p, pol, t) for p in paths for pol in "HV" for t in (0, 1)]
+    configs = [tuple(modes[i] for i in rng.integers(len(modes), size=photons))
+               for _ in range(4)]
+    configs.append((modes[0],) * photons)  # every photon in one mode
+    st = FockState({c: complex(*rng.normal(size=2)) for c in configs},
+                   paths=paths)
+    els = [random_element(rng, paths) for _ in range(rng.integers(1, 12))]
+    one_by_one = st
+    for el in els:
+        one_by_one = evolve(one_by_one, el)
+    composed = evolve(st, *els)
+    assert composed.photons == photons
+    keys = composed.terms.keys() | one_by_one.terms.keys()
+    assert max(abs(composed.terms.get(k, 0) - one_by_one.terms.get(k, 0))
+               for k in keys) < 1e-12
 
 
 def test_elements_conserve_photon_number_and_norm():
@@ -256,8 +294,8 @@ def test_fringe_visibility_tracks_overlap():
     s = ExperimentSetting(1, 1, 1, 1)
     grid = np.linspace(0, 2 * np.pi, 41)
     for ov, tol in ((1.0, 1e-9), (0.98, 1e-3), (0.0, 1e-9)):
-        prog = switch_program(s, ov)
-        rates = [prog.coincidence_probability(ph) for ph in grid]
+        rates = [program_from_spec(REFERENCE, s, ov, scan=np.rad2deg(ph))
+                 .coincidence_probability() for ph in grid]
         lo, hi = min(rates), max(rates)
         vis = 0.0 if hi + lo == 0 else (hi - lo) / (hi + lo)
         assert abs(vis - ov) < tol
@@ -282,7 +320,7 @@ def test_bob_state_structure_after_postselection():
             OpticalElement("hwp", ("c0",), deg(s.meas_hwp)),
             OpticalElement("pbs", ("c0", "p0")),
         ]
-        st = run_elements(source_state(REFERENCE), els)
+        st = evolve(source_state(REFERENCE), *els)
         amp = st.terms.get((Mode("c0", "H", 0), Mode("p0", "H", 0)), 0.0)
         expect = np.array([1, 0]) @ alice_unitary(s.x) @ prep_state(s.z) / 2
         assert abs(abs(amp) - abs(expect)) < 1e-12

@@ -216,10 +216,10 @@ def test_operator_helpers():
 
 @pytest.mark.parametrize("kind", ["operator"])
 def test_same_labels_other_dims_are_rejected(kind):
-    op = LabeledOperator(["a", "b"], [2, 2], np.eye(4))
+    # the label names a qubit, but this operator gives it dimension 1
     other = LabeledOperator(["a", "b"], [1, 4], np.eye(4))
-    with pytest.raises(LabelError, match="subsystems differ"):
-        op + other
+    with pytest.raises(LabelError, match="'a' has dimension 1, not 2"):
+        dephase(other, "a", 0.5)
 
 
 def test_vector_shape_validation():

@@ -235,14 +235,17 @@ def test_fringe_scan_visibility_levels():
     grid = np.linspace(0.0, 2 * np.pi, 33)
     s = ExperimentSetting(1, 1, 1, 1)
     spec = parse_circuit(reference_circuit_text())
+
+    def rate(overlap):
+        return lambda ph: program_from_spec(
+            spec, s, overlap, scan=np.rad2deg(ph)).coincidence_probability()
+
     for overlap, expected, tol in ((1.0, 1.0, 1e-6), (0.98, 0.98, 1e-3)):
-        prog = program_from_spec(spec, s, overlap)
-        vis, flat, rates = tomo.fringe_scan(prog.coincidence_probability, grid)
+        vis, flat, rates = tomo.fringe_scan(rate(overlap), grid)
         assert not flat
         assert abs(vis - expected) < tol
-        assert rates[5] == prog.coincidence_probability(grid[5])
-    prog = program_from_spec(spec, s, 0.0)
-    vis, flat, rates = tomo.fringe_scan(prog.coincidence_probability, grid)
+        assert rates[5] == rate(overlap)(grid[5])
+    vis, flat, rates = tomo.fringe_scan(rate(0.0), grid)
     assert flat
     assert vis == 0.0
     assert len(rates) == len(grid)

@@ -96,7 +96,8 @@ def test_dual_cone_identity_and_negative_identity():
     rep = wt.dual_cone_check(eye)
     assert rep.member is True
     assert all(v > -1e-9 for v in rep.margins.values())
-    rep_neg = wt.dual_cone_check(-1.0 * eye)
+    rep_neg = wt.dual_cone_check(
+        LabeledOperator(pm.CANONICAL, pm.DIMS, -np.eye(pm.SIDE)))
     assert rep_neg.member is False
 
 
@@ -129,7 +130,8 @@ def test_dual_cone_check_rejects_an_operator_on_f_t(pauli):
     # neither is 1_{F_t} (x) S', so the check refuses before any solve
     on_f_t = tensor([LabeledOperator(["F_t"], [2], PAULIS[pauli]),
                      LabeledOperator(REST, (2,) * 6, np.eye(64))])
-    s_op = LabeledOperator(pm.CANONICAL, pm.DIMS, np.eye(pm.SIDE)) + on_f_t
+    s_op = LabeledOperator(pm.CANONICAL, pm.DIMS,
+                           np.eye(pm.SIDE) + on_f_t.entries)
     with pytest.raises(ValueError, match="identity on F_t"):
         wt.dual_cone_check(s_op)
     with pytest.raises(ValueError, match="acts on F_t"):
@@ -138,8 +140,8 @@ def test_dual_cone_check_rejects_an_operator_on_f_t(pauli):
 
 @pytest.mark.slow
 def test_dual_cone_decomposition_is_consistent():
-    eye = LabeledOperator(pm.CANONICAL, pm.DIMS, np.eye(pm.SIDE))
-    rep = wt.dual_cone_check(2.5 * eye)
+    rep = wt.dual_cone_check(
+        LabeledOperator(pm.CANONICAL, pm.DIMS, 2.5 * np.eye(pm.SIDE)))
     for order, (t_mat, resid) in rep.decomposition.items():
         # T = S - R with R supported on the order's forbidden patterns
         assert np.linalg.eigvalsh((t_mat + t_mat.conj().T) / 2)[0] > -1e-7
