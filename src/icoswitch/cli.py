@@ -126,7 +126,7 @@ def cmd_simulate(config) -> int:
     write_report_files(Path(config["out"]), files)
     print(f"simulate: model={model} D={d_value} settings={sums.size} "
           f"max|sum(p)-1|={worst:.3e}")
-    if worst > 1e-9:
+    if not worst <= 1e-9:  # a NaN fails too
         print("normalization violated beyond 1e-9", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -300,7 +300,7 @@ def cmd_check(config) -> int:
     worst = (tables.max(axis=0) - tables.min(axis=0)).max()
     print(f"check: max cross-model deviation over "
           f"{tables[0].size} probabilities = {worst:.3e}")
-    if worst > ORACLE_TOLERANCE:
+    if not worst <= ORACLE_TOLERANCE:  # a NaN fails too
         print(f"models disagree beyond {ORACLE_TOLERANCE}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK

@@ -1,17 +1,19 @@
 """Second-quantized simulation of the two-photon optical table.
 
-A mode is a (spatial path, polarization, temporal bin) triple.  States are
-stored as creation-operator monomial coefficients,
+A mode is a (spatial path, polarization, temporal bin) triple, and a
+state's modes run over its paths x (H, V) x bins.  An n-photon state is one
+amplitude array psi over those modes, one axis per photon, symmetric under
+permuting the axes.  It is built from, and read back as, the
+creation-operator monomial coefficients
 
     |state> = sum_config  amp[config] * prod_{m in config} adag_m |vac>,
 
-so the squared norm of a configuration carries a factorial for multiply
-occupied modes.  Optical elements act by substituting each creation
-operator with its single-photon image, which extends homomorphically to
-any photon number (permanent-style expansion); Hong-Ou-Mandel bunching
-falls out of the bookkeeping.  ``evolve`` composes the images through a
-whole element list, then expands each monomial once (the transfer-matrix
-method): a program costs one expansion, not one per element.
+psi being amp * prod_m n_m! / sqrt(n!) at each ordering of a config, so
+that sum |psi|^2 is the squared norm.  An element acts on one photon by its
+mode matrix (``OpticalElement.transfer``) and on the state by that matrix
+on each photon's axis; Hong-Ou-Mandel bunching falls out of the symmetric
+array.  ``evolve`` multiplies a whole element list into one matrix before
+it applies it (the transfer-matrix method).
 
 Conventions, fixed once and validated against the qubit-level oracle:
 balanced beamsplitters have real transmission and +i reflection; PBSs
@@ -52,6 +54,16 @@ class Mode(NamedTuple):
 
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+# two-path elements on (path, pol): a pbs keeps H on its path and crosses V
+_TWO_PATH = {
+    "bs50": np.kron(_SQ2 * np.array([[1, 1j], [1j, 1]]), np.eye(2)),
+    "swap": np.kron([[0, 1], [1, 0]], np.eye(2)),
+    "pbs": np.diag([1, 0, 1, 0]) + np.kron([[0, 1], [1, 0]], np.diag([0, 1])),
+}
+
+
+def _modes(paths, bins) -> tuple:
+    return tuple(Mode(p, pol, b) for p in paths for pol in "HV" for b in bins)
 
 
 @dataclass(frozen=True)
@@ -85,99 +97,96 @@ class OpticalElement:
             raise ValueError(f"delay bin must be an integer >= 1, got {self.bin}")
         if self.kind not in {"bs50", "pbs", "hwp", "qwp", "phase", "delay", "swap"}:
             raise ValueError(f"unknown element kind: {self.kind!r}")
+        object.__setattr__(self, "bin", int(self.bin))
 
-    def image(self, m: Mode):
-        """Single-photon image of adag_m as [(mode, amplitude), ...]."""
-        k = self.kind
-        if k == "bs50":
-            a, b = self.paths
-            if m.path == a:
-                return [(m, _SQ2), (Mode(b, m.pol, m.tbin), 1j * _SQ2)]
-            if m.path == b:
-                return [(Mode(a, m.pol, m.tbin), 1j * _SQ2), (m, _SQ2)]
-        elif k == "pbs":
-            a, b = self.paths
-            if m.path == a and m.pol == "V":
-                return [(Mode(b, "V", m.tbin), 1.0)]
-            if m.path == b and m.pol == "V":
-                return [(Mode(a, "V", m.tbin), 1.0)]
-        elif k in ("hwp", "qwp"):
-            (p,) = self.paths
-            if m.path == p:
-                u = jones(k, self.param)
-                col = 0 if m.pol == "H" else 1
-                return [
-                    (Mode(p, "H", m.tbin), u[0, col]),
-                    (Mode(p, "V", m.tbin), u[1, col]),
-                ]
-        elif k == "phase":
-            (p,) = self.paths
-            if m.path == p:
-                return [(m, np.exp(1j * self.param))]
-        elif k == "delay":
-            (p,) = self.paths
-            if m.path == p:
-                co = np.sqrt(self.param)
-                si = np.sqrt(1.0 - self.param)
-                if m.tbin == 0:
-                    return [(m, co), (Mode(p, m.pol, self.bin), si)]
-                if m.tbin == self.bin:
-                    return [(Mode(p, m.pol, 0), -si), (m, co)]
-        elif k == "swap":
-            a, b = self.paths
-            if m.path == a:
-                return [(Mode(b, m.pol, m.tbin), 1.0)]
-            if m.path == b:
-                return [(Mode(a, m.pol, m.tbin), 1.0)]
-        return [(m, 1.0)]
+    def transfer(self, paths: tuple, bins: tuple) -> np.ndarray:
+        """Single-photon mode matrix over paths x (H, V) x bins: column m
+        is the image of adag_m.  Off its own paths the element is the
+        identity."""
+        turn = np.eye(len(bins))
+        if self.kind in ("hwp", "qwp"):
+            path_pol = jones(self.kind, self.param)
+        elif self.kind == "phase":
+            path_pol = np.exp(1j * self.param) * np.eye(2)
+        elif self.kind == "delay":  # bin 0 and the private bin trade amplitude
+            co, si = np.sqrt(self.param), np.sqrt(1.0 - self.param)
+            z, b = bins.index(0), bins.index(self.bin)
+            turn[[z, b, b, z], [z, b, z, b]] = co, co, si, -si
+            path_pol = np.eye(2)
+        else:
+            path_pol = _TWO_PATH[self.kind]
+        block = 2 * len(bins)
+        rows = np.array([paths.index(p) * block + i for p in self.paths
+                         for i in range(block)])
+        t = np.eye(len(paths) * block, dtype=complex)
+        # the Kronecker product path_pol (x) turn on the element's rows
+        t[rows[:, None], rows] = (path_pol[:, None, :, None]
+                                  * turn[None, :, None, :]).reshape(rows.size, -1)
+        return t
 
 
-def _born_weights(terms: dict) -> dict:
-    """|a|^2 prod_m n_m! of each configuration: its detection probability,
-    the factorials being <config|config> of the creation monomial."""
-    return {
-        c: abs(a) ** 2 * prod(factorial(len(list(g)))
-                              for _, g in itertools.groupby(c))
-        for c, a in terms.items()
-    }
+def _multiplicity(config) -> int:
+    """prod_m n_m!: <config|config> of the creation monomial."""
+    return prod(factorial(config.count(m)) for m in set(config))
 
 
 class FockState:
-    """Fixed-photon-number state as creation-monomial coefficients.
-
-    ``paths`` declares the circuit's path universe; it defaults to the
-    paths occupied by the given configurations.  Elements may only touch
-    declared paths (vacuum ports included).  Configurations whose
-    amplitude is exactly zero are dropped.
+    """Fixed-photon-number state: the symmetric array ``amplitudes`` over
+    ``modes``.  ``paths`` declares the circuit's path universe; it defaults
+    to the paths occupied by the given configurations.  Elements may only
+    touch declared paths (vacuum ports included).  The bins are 0 and the
+    occupied ones.
     """
 
-    __slots__ = ("terms", "photons", "paths")
+    __slots__ = ("amplitudes", "paths", "bins")
 
     def __init__(self, terms: dict, paths=None):
-        clean = {}
-        photons = None
-        seen = set()
-        for config, amp in terms.items():
-            config = tuple(sorted(config))
-            if photons is None:
-                photons = len(config)
-            elif len(config) != photons:
-                raise ValueError("mixed photon numbers in one state")
-            seen.update(m.path for m in config)
-            if amp != 0:
-                clean[config] = clean.get(config, 0.0) + complex(amp)
-        if photons is None:
+        photons = {len(config) for config in terms}
+        if not photons:
             raise ValueError("empty state")
-        self.terms = clean
-        self.photons = photons
-        self.paths = frozenset(seen if paths is None else set(paths) | seen)
+        if len(photons) > 1:
+            raise ValueError("mixed photon numbers in one state")
+        seen = {m.path for config in terms for m in config}
+        self.paths = tuple(sorted(seen if paths is None else set(paths) | seen))
+        self.bins = tuple(sorted({0, *(m.tbin for c in terms for m in c)}))
+        index = {m: i for i, m in enumerate(self.modes)}
+        (n,) = photons
+        sorted_amps = np.zeros((len(index),) * n, dtype=complex)
+        for config, amp in terms.items():
+            sorted_amps[tuple(sorted(index[m] for m in config))] += amp
+        # summing the axis orders puts prod_m n_m! amp at each ordering
+        orders = itertools.permutations(range(n))
+        self.amplitudes = (sum(sorted_amps.transpose(o) for o in orders)
+                           / np.sqrt(factorial(n)))
+
+    @property
+    def photons(self) -> int:
+        return self.amplitudes.ndim
+
+    @property
+    def modes(self) -> tuple:
+        return _modes(self.paths, self.bins)
+
+    @property
+    def terms(self) -> dict:
+        """Monomial coefficient of each configuration (modes sorted) whose
+        amplitude is nonzero."""
+        modes, root = self.modes, np.sqrt(factorial(self.photons))
+        out = {}
+        nonzero = np.argwhere(self.amplitudes)
+        for idx in nonzero[np.all(nonzero[:, :-1] <= nonzero[:, 1:], axis=1)]:
+            config = tuple(modes[i] for i in idx)
+            out[config] = (complex(self.amplitudes[tuple(idx)]) * root
+                           / _multiplicity(config))
+        return out
 
     def norm_sq(self) -> float:
-        return float(sum(self.probabilities().values()))
+        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def probabilities(self) -> dict:
         """Detection probability of each configuration (not renormalized)."""
-        return _born_weights(self.terms)
+        return {c: abs(a) ** 2 * _multiplicity(c)
+                for c, a in self.terms.items()}
 
     def renormalized(self) -> "FockState":
         n = np.sqrt(self.norm_sq())
@@ -188,33 +197,26 @@ class FockState:
 
 
 def evolve(state: FockState, *elements: OpticalElement) -> FockState:
-    """Apply the elements in order, as one linear-optical map.
-
-    Each occupied mode's single-photon image is composed through the whole
-    list, and each monomial is then expanded once (the homomorphic
-    extension of that map).
+    """Apply the elements in order, as one linear-optical map: their mode
+    matrices, over the state's bins and each delay's private bin, are
+    multiplied into one U, which then acts on each photon's axis.
     """
+    undeclared = [p for el in elements for p in el.paths
+                  if p not in state.paths]
+    if undeclared:
+        raise ValueError(f"element path {undeclared[0]!r} not declared in the state")
+    bins = tuple(sorted({*state.bins,
+                         *(el.bin for el in elements if el.kind == "delay")}))
+    index = {m: i for i, m in enumerate(_modes(state.paths, bins))}
+    u = np.eye(len(index))[:, [index[m] for m in state.modes]]
     for el in elements:
-        for p in el.paths:
-            if p not in state.paths:
-                raise ValueError(f"element path {p!r} not declared in the state")
-    images = {}
-    for m in {m for config in state.terms for m in config}:
-        image = {m: 1.0}
-        for el in elements:
-            out: dict = {}
-            for mode, amp in image.items():
-                for m2, a2 in el.image(mode):
-                    out[m2] = out.get(m2, 0.0) + amp * a2
-            image = out
-        images[m] = list(image.items())
-    new: dict = {}
-    for config, amp in state.terms.items():
-        for combo in itertools.product(*(images[m] for m in config)):
-            modes = tuple(sorted(m for m, _ in combo))
-            a = amp * prod(c for _, c in combo)
-            new[modes] = new.get(modes, 0.0) + a
-    return FockState(new, paths=state.paths)
+        u = el.transfer(state.paths, bins) @ u
+    amplitudes = state.amplitudes
+    for axis in range(state.photons):
+        amplitudes = np.moveaxis(np.tensordot(u, amplitudes, (1, axis)), 0, axis)
+    out = object.__new__(FockState)
+    out.amplitudes, out.paths, out.bins = amplitudes, state.paths, bins
+    return out
 
 
 def postselect(state: FockState, pattern: Callable) -> tuple:
@@ -225,12 +227,11 @@ def postselect(state: FockState, pattern: Callable) -> tuple:
     NullPostselectionError below the null threshold so that callers never
     renormalize numerical noise.
     """
-    kept = {c: a for c, a in state.terms.items() if pattern(c)}
-    prob = float(sum(_born_weights(kept).values()))
+    prob = float(sum(p for c, p in state.probabilities().items() if pattern(c)))
     if prob < NULL_POSTSELECTION:
         raise NullPostselectionError(f"post-selection weight {prob:.3e}")
-    kept_state = FockState(kept, paths=state.paths).renormalized()
-    return kept_state, prob
+    kept = {c: a for c, a in state.terms.items() if pattern(c)}
+    return FockState(kept, paths=state.paths).renormalized(), prob
 
 
 def one_photon_per_group(*groups):
@@ -269,30 +270,28 @@ class SwitchProgram:
     def state(self) -> FockState:
         return evolve(self.initial, *self.elements)
 
-    def joint_distribution(self) -> dict:
-        """Raw p[(sys_port, sys_pol, anc_port, anc_pol)] before folding."""
-        out: dict = {}
-        for config, p in self.state().probabilities().items():
-            sys_modes = [m for m in config if m.path in self.system_paths]
-            anc_modes = [m for m in config if m.path in self.ancilla_paths]
-            if len(sys_modes) != 1 or len(anc_modes) != 1:
-                continue  # post-selection: one photon per side
-            (sm,), (am,) = sys_modes, anc_modes
-            key = (self.system_paths.index(sm.path), sm.pol,
-                   self.ancilla_paths.index(am.path), am.pol)
-            out[key] = out.get(key, 0.0) + p
-        return out
+    def joint_distribution(self) -> np.ndarray:
+        """Raw p[sys_port, sys_pol, anc_port, anc_pol] of one photon at
+        each detector (pol 0 is H), before folding."""
+        st = self.state()
+        p, b = len(st.paths), len(st.bins)
+        weight = np.abs(st.amplitudes.reshape(p, 2, b, p, 2, b)) ** 2
+        sys = [st.paths.index(q) for q in self.system_paths]
+        anc = [st.paths.index(q) for q in self.ancilla_paths]
+        # the photons' two orderings carry equal weight
+        return 2 * weight[sys][:, :, :, anc].sum(axis=(2, 5))
 
     def outcome_probabilities(self) -> np.ndarray:
-        """Normalized p[b, d]: b = ancilla polarization, d = folded port."""
-        joint = self.joint_distribution()
-        total = sum(joint.values())
+        """Normalized p[b, d]: b = ancilla polarization, d = folded port;
+        all zero when no coincidence occurs."""
+        joint = self.joint_distribution().sum(axis=1)
         out = np.zeros((2, 2))
-        for (sp, _, ap, apol), p in joint.items():
-            out[0 if apol == "H" else 1, sp ^ ap] += p / total
-        return out
+        for sp, ap in np.ndindex(joint.shape[:2]):
+            out[:, sp ^ ap] += joint[sp, ap]
+        total = out.sum()
+        return out / total if total else out
 
     def coincidence_probability(self) -> float:
         """Raw coincidence probability of port 0 of both detectors, both
         photons H (fringe scans)."""
-        return self.joint_distribution().get((0, "H", 0, "H"), 0.0)
+        return self.joint_distribution()[0, 0, 0, 0]

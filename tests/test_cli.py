@@ -424,6 +424,31 @@ def test_circuit_edit_exits_with_one_line(tmp_path, capsys, edit, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [("simulate", "--model", "fock"), ("check",)],
+                         ids=["fock", "check"])
+@pytest.mark.parametrize("old, new, code", [
+    # the bin axis holds the bins that occur, not every bin up to the last
+    pytest.param("bin=2", "bin=1000000", cli.EXIT_OK, id="far-delay-bin"),
+    # no photon reaches the ancilla detector: no coincidence, an all-zero
+    # table, and no 0/0
+    pytest.param("detector name=ancilla paths=p0,p1",
+                 "path p2\ndetector name=ancilla paths=p2",
+                 cli.EXIT_DISAGREEMENT, id="ancilla-on-unreached-path"),
+])
+def test_circuit_edit_that_parses_gets_its_verdict(tmp_path, capsys, old, new,
+                                                   code, command):
+    assert REFERENCE_CIRCUIT.count(old) == 1
+    (tmp_path / "switch.circuit").write_text(REFERENCE_CIRCUIT.replace(old, new))
+    out = [] if command == ("check",) else ["--out", str(tmp_path / "o")]
+    rc = cli.main([*command, "--circuit", str(tmp_path / "switch.circuit"),
+                   *out])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert "nan" not in captured.out + captured.err
+    if command != ("check",):
+        assert "nan" not in (tmp_path / "o" / "probabilities.csv").read_text()
+
+
 # the reference file's lines, and the words a token edit draws from
 CIRCUIT_LINES = REFERENCE_CIRCUIT.splitlines()
 CIRCUIT_WORDS = sorted({w for ln in CIRCUIT_LINES if not ln.startswith("#")

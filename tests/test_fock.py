@@ -81,12 +81,17 @@ def all_two_path_modes():
     OpticalElement("swap", ("a", "b")),
 ])
 def test_single_photon_transfer_unitary(el):
-    modes = all_two_path_modes()
-    t = np.zeros((len(modes), len(modes)), dtype=complex)
-    for j, m in enumerate(modes):
-        for m2, amp in el.image(m):
-            t[modes.index(m2), j] = amp
+    t = el.transfer(("a", "b"), (0, 1, 2))
+    assert t.shape == (12, 12)
     assert np.abs(t @ t.conj().T - np.eye(t.shape[0])).max() < 1e-12
+
+
+def test_delay_bin_is_stored_as_an_integer():
+    assert type(OpticalElement("delay", ("a",), 0.5, bin=2.0).bin) is int
+    # the circuit parser reads numbers as floats; the modes carry int bins
+    state = switch_program(ExperimentSetting(1, 1, 1, 1), 0.5).state()
+    assert state.bins == (0, 1, 2)
+    assert {type(m.tbin) for m in state.modes} == {int}
 
 
 def test_bs50_single_photon_split():
@@ -287,7 +292,24 @@ def test_switch_program_matches_qubit_oracle_random_settings(seed):
 def test_success_probability_half_for_all_settings_sample():
     for s in enumerate_settings()[::23]:
         prog = switch_program(s, 0.9)
-        assert abs(sum(prog.joint_distribution().values()) - 0.5) < 1e-12
+        assert abs(prog.joint_distribution().sum() - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_joint_distribution_sums_the_monomial_readback(seed):
+    rng = np.random.default_rng(seed)
+    s = ExperimentSetting(int(rng.integers(1, 4)), int(rng.integers(1, 11)),
+                          int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+    prog = switch_program(s, float(rng.uniform()))
+    joint = np.zeros((2, 2, 2, 2))
+    for config, p in prog.state().probabilities().items():
+        sys_modes = [m for m in config if m.path in prog.system_paths]
+        anc_modes = [m for m in config if m.path in prog.ancilla_paths]
+        if len(sys_modes) == len(anc_modes) == 1:
+            (sm,), (am,) = sys_modes, anc_modes
+            joint[prog.system_paths.index(sm.path), "HV".index(sm.pol),
+                  prog.ancilla_paths.index(am.path), "HV".index(am.pol)] += p
+    assert np.abs(prog.joint_distribution() - joint).max() < 1e-15
 
 
 def test_fringe_visibility_tracks_overlap():
