@@ -243,7 +243,7 @@ def _to_element(kind, paths, params) -> OpticalElement:
     if kind == "delay":
         return OpticalElement(kind, paths, float(params["overlap"]),
                               bin=params["bin"])
-    return OpticalElement(kind, paths, float(np.deg2rad(params.get("angle", 0.0))))
+    return OpticalElement(kind, paths, np.deg2rad(params.get("angle", 0.0)))
 
 
 def source_state(spec: CircuitSpec) -> FockState:
@@ -253,28 +253,22 @@ def source_state(spec: CircuitSpec) -> FockState:
     return FockState(terms, paths=spec.paths)
 
 
-def bind_setting(spec: CircuitSpec, setting, overlap: float,
-                 scan: float = 0.0) -> list:
-    """Concrete elements, each ``$slot`` replaced by its value for the
+def program_from_spec(spec: CircuitSpec, setting, overlap: float,
+                      scan=0.0) -> SwitchProgram:
+    """SwitchProgram with each ``$slot`` replaced by its value for the
     setting (waveplate angles) and the run (mode overlap, scan phase in
-    degrees)."""
+    degrees).  Index arrays in the setting, or an array of phases, give
+    one program over all of them, their broadcast axes first."""
     qwp1, hwp, qwp2 = setting.alice_angles
     values = {"prep_qwp": setting.prep_qwp, "prep_hwp": setting.prep_hwp,
               "alice_qwp1": qwp1, "alice_hwp": hwp, "alice_qwp2": qwp2,
               "meas_hwp": setting.meas_hwp, "reprep_hwp": setting.reprep_hwp,
               "overlap": overlap, "scan": scan}
-    return [_to_element(d.kind, d.paths,
-                        {k: values[v[1:]] if isinstance(v, str) else v
-                         for k, v in d.params.items()})
-            for d in spec.elements]
-
-
-def program_from_spec(spec: CircuitSpec, setting, overlap: float,
-                      scan: float = 0.0) -> SwitchProgram:
-    """SwitchProgram for one setting, mode overlap and scan phase."""
-    return SwitchProgram(source_state(spec),
-                         tuple(bind_setting(spec, setting, overlap, scan)),
-                         spec.system, spec.ancilla)
+    elements = tuple(_to_element(d.kind, d.paths,
+                                 {k: values[v[1:]] if isinstance(v, str) else v
+                                  for k, v in d.params.items()})
+                     for d in spec.elements)
+    return SwitchProgram(source_state(spec), elements, spec.system, spec.ancilla)
 
 
 def reference_circuit_text() -> str:

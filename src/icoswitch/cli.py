@@ -42,6 +42,8 @@ EXIT_PARSE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_SOLVER = 4
 
+MAX_PAIRS = 10**15  # tomo's counts and per-basis totals stay exact in float64
+
 MODELS = ("procmat", "qubit", "fock")
 
 
@@ -67,15 +69,15 @@ def model_probability_table(model, d_value, circuit=None):
     if model == "qubit":
         rows = [qubit_model.setting_probabilities(s, d_value)
                 for s in enumerate_settings()]
-    elif model == "fock":
+        # enumerate_settings runs in the table's row order
+        return np.reshape(rows, SHAPE + (2, 2))
+    if model == "fock":
         spec = circuit if circuit is not None else load_circuit()
-        overlap = coherence(d_value)
-        rows = [program_from_spec(spec, s, overlap).outcome_probabilities()
-                for s in enumerate_settings()]
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    # enumerate_settings runs in the table's row order
-    return np.reshape(rows, SHAPE + (2, 2))
+        catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
+        table = program_from_spec(spec, catalog, coherence(d_value))
+        # a circuit without some angle slot lacks that catalog axis
+        return np.broadcast_to(table.outcome_probabilities(), SHAPE + (2, 2))
+    raise ValueError(f"unknown model {model!r}")
 
 
 def probabilities_csv(table) -> str:
@@ -259,11 +261,10 @@ def cmd_tomo(config) -> int:
         _reject(f"tomo: {exc} at pairs={pairs} seed={seed}")
     d_value = config["distinguishability"]
     circuit = load_circuit(config["circuit"])
-    setting, overlap = ExperimentSetting(z, 1, 1, 1), coherence(d_value)
     grid = np.linspace(0.0, 2.0 * np.pi, 61)
-    vis, flat, rates = tomo.fringe_scan(lambda ph: program_from_spec(
-        circuit, setting, overlap, scan=np.rad2deg(ph)
-    ).coincidence_probability(), grid)
+    scan = program_from_spec(circuit, ExperimentSetting(z, 1, 1, 1),
+                             coherence(d_value), scan=np.rad2deg(grid))
+    vis, flat, rates = tomo.fringe_scan(scan.coincidence_probability(), grid)
     payload = {
         "input_state": z,
         "pairs_total": pairs,
@@ -431,8 +432,8 @@ def config_from_args(args) -> dict:
         _reject(f"seed must be non-negative, got {config['seed']}")
     if config["steps"] < 2:
         _reject(f"steps must be at least 2, got {config['steps']}")
-    if config["pairs"] < 1:
-        _reject(f"pairs must be at least 1, got {config['pairs']}")
+    if not 1 <= config["pairs"] <= MAX_PAIRS:
+        _reject(f"pairs must be in 1..{MAX_PAIRS}, got {config['pairs']}")
     if config["input_state"] not in TOMO_TARGETS:
         _reject(f"input state index must be 1..3, got {config['input_state']}")
 

@@ -13,7 +13,8 @@ that sum |psi|^2 is the squared norm.  An element acts on one photon by its
 mode matrix (``OpticalElement.transfer``) and on the state by that matrix
 on each photon's axis; Hong-Ou-Mandel bunching falls out of the symmetric
 array.  ``evolve`` multiplies a whole element list into one matrix before
-it applies it (the transfer-matrix method).
+it applies it (the transfer-matrix method).  Angle arrays, one angle per
+setting or scan phase, make each matrix, state and readout a stack.
 
 Conventions, fixed once and validated against the qubit-level oracle:
 balanced beamsplitters have real transmission and +i reflection; PBSs
@@ -25,8 +26,8 @@ overlap parameter.
 
 This module runs a bound circuit; it does not describe one.  The switch
 table lives in a circuit file (``data/switch.circuit`` for the reference
-table), and ``circuits`` parses it, binds one setting's angles and scan
-phase and builds the ``SwitchProgram`` run here, detector paths included.
+table), and ``circuits`` parses it, binds the settings' angles and scan
+phases and builds the ``SwitchProgram`` run here, detector paths included.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class OpticalElement:
 
     kind      one of bs50, pbs, hwp, qwp, phase, delay, swap
     paths     acted path names (two for bs50/pbs/swap, one otherwise)
-    param     angle in radians (hwp, qwp, phase) or mode overlap in [0, 1]
-              (delay); unused otherwise
+    param     angle in radians, or an array of them (hwp, qwp, phase), or
+              mode overlap in [0, 1] (delay); unused otherwise
     bin       private temporal bin (an integer >= 1) populated by a delay
     """
 
@@ -102,12 +103,12 @@ class OpticalElement:
     def transfer(self, paths: tuple, bins: tuple) -> np.ndarray:
         """Single-photon mode matrix over paths x (H, V) x bins: column m
         is the image of adag_m.  Off its own paths the element is the
-        identity."""
+        identity.  An array ``param`` gives a stack, its axes first."""
         turn = np.eye(len(bins))
         if self.kind in ("hwp", "qwp"):
             path_pol = jones(self.kind, self.param)
         elif self.kind == "phase":
-            path_pol = np.exp(1j * self.param) * np.eye(2)
+            path_pol = np.multiply.outer(np.exp(1j * self.param), np.eye(2))
         elif self.kind == "delay":  # bin 0 and the private bin trade amplitude
             co, si = np.sqrt(self.param), np.sqrt(1.0 - self.param)
             z, b = bins.index(0), bins.index(self.bin)
@@ -118,10 +119,11 @@ class OpticalElement:
         block = 2 * len(bins)
         rows = np.array([paths.index(p) * block + i for p in self.paths
                          for i in range(block)])
-        t = np.eye(len(paths) * block, dtype=complex)
+        t = np.tile(np.eye(len(paths) * block, dtype=complex),
+                    path_pol.shape[:-2] + (1, 1))
         # the Kronecker product path_pol (x) turn on the element's rows
-        t[rows[:, None], rows] = (path_pol[:, None, :, None]
-                                  * turn[None, :, None, :]).reshape(rows.size, -1)
+        kron = path_pol[..., :, None, :, None] * turn[:, None, :]
+        t[..., rows[:, None], rows] = kron.reshape(t.shape[:-2] + (rows.size, -1))
         return t
 
 
@@ -132,13 +134,13 @@ def _multiplicity(config) -> int:
 
 class FockState:
     """Fixed-photon-number state: the symmetric array ``amplitudes`` over
-    ``modes``.  ``paths`` declares the circuit's path universe; it defaults
-    to the paths occupied by the given configurations.  Elements may only
-    touch declared paths (vacuum ports included).  The bins are 0 and the
-    occupied ones.
+    ``modes``, one axis per photon after any setting axes.  ``paths``
+    declares the circuit's path universe; it defaults to the paths occupied
+    by the given configurations.  Elements may only touch declared paths
+    (vacuum ports included).  The bins are 0 and the occupied ones.
     """
 
-    __slots__ = ("amplitudes", "paths", "bins")
+    __slots__ = ("amplitudes", "paths", "bins", "photons")
 
     def __init__(self, terms: dict, paths=None):
         photons = {len(config) for config in terms}
@@ -150,18 +152,14 @@ class FockState:
         self.paths = tuple(sorted(seen if paths is None else set(paths) | seen))
         self.bins = tuple(sorted({0, *(m.tbin for c in terms for m in c)}))
         index = {m: i for i, m in enumerate(self.modes)}
-        (n,) = photons
-        sorted_amps = np.zeros((len(index),) * n, dtype=complex)
+        (self.photons,) = photons
+        sorted_amps = np.zeros((len(index),) * self.photons, dtype=complex)
         for config, amp in terms.items():
             sorted_amps[tuple(sorted(index[m] for m in config))] += amp
         # summing the axis orders puts prod_m n_m! amp at each ordering
-        orders = itertools.permutations(range(n))
+        orders = itertools.permutations(range(self.photons))
         self.amplitudes = (sum(sorted_amps.transpose(o) for o in orders)
-                           / np.sqrt(factorial(n)))
-
-    @property
-    def photons(self) -> int:
-        return self.amplitudes.ndim
+                           / np.sqrt(factorial(self.photons)))
 
     @property
     def modes(self) -> tuple:
@@ -170,7 +168,7 @@ class FockState:
     @property
     def terms(self) -> dict:
         """Monomial coefficient of each configuration (modes sorted) whose
-        amplitude is nonzero."""
+        amplitude is nonzero, of a state without setting axes."""
         modes, root = self.modes, np.sqrt(factorial(self.photons))
         out = {}
         nonzero = np.argwhere(self.amplitudes)
@@ -199,7 +197,7 @@ class FockState:
 def evolve(state: FockState, *elements: OpticalElement) -> FockState:
     """Apply the elements in order, as one linear-optical map: their mode
     matrices, over the state's bins and each delay's private bin, are
-    multiplied into one U, which then acts on each photon's axis.
+    multiplied into one U per setting, which then acts on each photon's axis.
     """
     undeclared = [p for el in elements for p in el.paths
                   if p not in state.paths]
@@ -211,11 +209,13 @@ def evolve(state: FockState, *elements: OpticalElement) -> FockState:
     u = np.eye(len(index))[:, [index[m] for m in state.modes]]
     for el in elements:
         u = el.transfer(state.paths, bins) @ u
-    amplitudes = state.amplitudes
-    for axis in range(state.photons):
-        amplitudes = np.moveaxis(np.tensordot(u, amplitudes, (1, axis)), 0, axis)
+    psi, n = state.amplitudes, state.photons
+    for _ in range(n):  # U on the first photon axis, which then moves last
+        lead, (m, *rest) = psi.shape[:psi.ndim - n], psi.shape[psi.ndim - n:]
+        psi = u @ psi.reshape(*lead, m, -1)
+        psi = np.moveaxis(psi.reshape(*psi.shape[:-1], *rest), -n, -1)
     out = object.__new__(FockState)
-    out.amplitudes, out.paths, out.bins = amplitudes, state.paths, bins
+    out.amplitudes, out.paths, out.bins, out.photons = psi, state.paths, bins, n
     return out
 
 
@@ -259,7 +259,7 @@ class SwitchProgram:
     included.  ``system_paths`` and ``ancilla_paths`` are the two
     detectors' paths in port order; outcome extraction folds the ancilla
     output port into the port outcome (the port correlation left by the
-    eraser).
+    eraser).  The readouts keep the state's setting axes in front.
     """
 
     initial: FockState
@@ -271,27 +271,28 @@ class SwitchProgram:
         return evolve(self.initial, *self.elements)
 
     def joint_distribution(self) -> np.ndarray:
-        """Raw p[sys_port, sys_pol, anc_port, anc_pol] of one photon at
+        """Raw p[..., sys_port, sys_pol, anc_port, anc_pol] of one photon at
         each detector (pol 0 is H), before folding."""
         st = self.state()
         p, b = len(st.paths), len(st.bins)
-        weight = np.abs(st.amplitudes.reshape(p, 2, b, p, 2, b)) ** 2
+        amps = st.amplitudes.reshape(*st.amplitudes.shape[:-2], p, 2, b, p, 2, b)
+        weight = (np.abs(amps) ** 2).sum(axis=(-4, -1))
         sys = [st.paths.index(q) for q in self.system_paths]
         anc = [st.paths.index(q) for q in self.ancilla_paths]
         # the photons' two orderings carry equal weight
-        return 2 * weight[sys][:, :, :, anc].sum(axis=(2, 5))
+        return 2 * weight[..., sys, :, :, :][..., anc, :]
 
     def outcome_probabilities(self) -> np.ndarray:
-        """Normalized p[b, d]: b = ancilla polarization, d = folded port;
+        """Normalized p[..., b, d]: b = ancilla polarization, d = folded port;
         all zero when no coincidence occurs."""
-        joint = self.joint_distribution().sum(axis=1)
-        out = np.zeros((2, 2))
-        for sp, ap in np.ndindex(joint.shape[:2]):
-            out[:, sp ^ ap] += joint[sp, ap]
-        total = out.sum()
-        return out / total if total else out
+        joint = self.joint_distribution().sum(axis=-3)
+        out = np.zeros(joint.shape[:-3] + (2, 2))
+        for sp, ap in np.ndindex(joint.shape[-3:-1]):
+            out[..., :, sp ^ ap] += joint[..., sp, ap, :]
+        total = out.sum(axis=(-2, -1), keepdims=True)
+        return np.divide(out, total, out=np.zeros_like(out), where=total != 0)
 
-    def coincidence_probability(self) -> float:
+    def coincidence_probability(self) -> np.ndarray:
         """Raw coincidence probability of port 0 of both detectors, both
         photons H (fringe scans)."""
-        return self.joint_distribution()[0, 0, 0, 0]
+        return self.joint_distribution()[..., 0, 0, 0, 0]

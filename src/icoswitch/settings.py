@@ -47,7 +47,8 @@ SHAPE = (len(INPUT_STATES), len(ALICE_TRIPLES), len(BOB_MEAS_HWP),
 
 @dataclass(frozen=True)
 class ExperimentSetting:
-    """One of the 180 configurations, with concrete waveplate angles."""
+    """One of the 180 configurations, with concrete waveplate angles; index
+    arrays (``np.indices(SHAPE, sparse=True)`` + 1) give arrays of angles."""
 
     z: int  # input state, 1..3
     x: int  # Alice unitary, 1..10
@@ -55,29 +56,29 @@ class ExperimentSetting:
     r: int  # Bob repreparation HWP, 1..3
 
     def __post_init__(self):
-        if not all(1 <= i <= n for i, n in
-                   zip((self.z, self.x, self.y, self.r), SHAPE)):
-            raise ValueError(f"setting indices out of range: {self}")
+        for i, n in zip(map(np.asarray, (self.z, self.x, self.y, self.r)), SHAPE):
+            if i.dtype.kind not in "iu" or not np.all((1 <= i) & (i <= n)):
+                raise ValueError(f"setting index not an integer in 1..{n}: {self}")
 
     @property
     def prep_qwp(self):
-        return INPUT_STATES[self.z - 1][0]
+        return np.asarray(INPUT_STATES)[self.z - 1, 0]
 
     @property
     def prep_hwp(self):
-        return INPUT_STATES[self.z - 1][1]
+        return np.asarray(INPUT_STATES)[self.z - 1, 1]
 
     @property
     def alice_angles(self):
-        return ALICE_TRIPLES[self.x - 1]
+        return tuple(np.moveaxis(np.asarray(ALICE_TRIPLES)[self.x - 1], -1, 0))
 
     @property
     def meas_hwp(self):
-        return BOB_MEAS_HWP[self.y - 1]
+        return np.asarray(BOB_MEAS_HWP)[self.y - 1]
 
     @property
     def reprep_hwp(self):
-        return BOB_REPREP_HWP[self.r - 1]
+        return np.asarray(BOB_REPREP_HWP)[self.r - 1]
 
 
 def enumerate_settings():
@@ -89,16 +90,19 @@ def enumerate_settings():
 
 # -- qubit-level operators realized by the catalog angles --------------------
 
-def jones(kind: str, theta: float) -> np.ndarray:
-    """Single-photon polarization matrix of a waveplate at angle theta (rad)."""
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
+def jones(kind: str, theta) -> np.ndarray:
+    """Single-photon polarization matrix of a waveplate at angle theta
+    (rad); an array of angles gives a stack of them, its axes first."""
     if kind == "hwp":
-        return np.array([[c, s], [s, -c]], dtype=complex)
-    if kind == "qwp":
-        r = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        return r @ np.diag([1.0, -1.0j]) @ r.T
-    raise ValueError(f"unknown waveplate kind: {kind!r}")
+        c, s = np.cos(2 * theta), np.sin(2 * theta)
+        rows = [[c, s], [s, -c]]
+    elif kind == "qwp":  # R(theta) diag(1, -i) R(-theta)
+        c, s = np.cos(theta), np.sin(theta)
+        rows = [[c * c - 1j * s * s, (1 + 1j) * c * s],
+                [(1 + 1j) * c * s, s * s - 1j * c * c]]
+    else:
+        raise ValueError(f"unknown waveplate kind: {kind!r}")
+    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
 
 def prep_state(z: int) -> np.ndarray:

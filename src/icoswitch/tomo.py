@@ -154,17 +154,16 @@ def counts_csv(counts) -> str:
 
 # -- fringe scans ------------------------------------------------------------------
 
-def fringe_scan(rate, phase_grid) -> tuple:
-    """Visibility (max-min)/(max+min) of a coincidence scan.
-
-    ``rate`` maps a phase to a coincidence rate.  Returns (visibility,
-    degenerate_flag, rates) with the rates on ``phase_grid``; a flat
-    signal reports zero visibility with the flag set.
-    """
+def fringe_scan(rates, phase_grid) -> tuple:
+    """(visibility, degenerate_flag, rates) of coincidence ``rates`` on
+    ``phase_grid``, the visibility being (max-min)/(max+min); a flat
+    signal reports zero visibility with the flag set."""
     phase_grid = np.asarray(phase_grid, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != phase_grid.shape:
+        raise ValueError(f"{rates.size} rates for {phase_grid.size} phases")
     if np.ptp(phase_grid) < 2 * np.pi - 1e-9:
         raise ValueError("phase grid must cover at least one full period")
-    rates = np.array([rate(ph) for ph in phase_grid])
     hi, lo = float(rates.max()), float(rates.min())
     if hi + lo < 1e-14 or hi - lo < 1e-12 * max(hi, 1e-30):
         return 0.0, True, rates

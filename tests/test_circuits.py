@@ -7,7 +7,6 @@ from icoswitch.circuits import (
     SLOTS,
     CircuitParseError,
     ElementDecl,
-    bind_setting,
     parse_circuit,
     program_from_spec,
     reference_circuit_text,
@@ -146,8 +145,10 @@ def test_numeric_overlap_is_used_as_written():
     spec = parse_circuit(text)
     fixed = parse_circuit(text.replace("overlap=$overlap", "overlap=0.2"))
     s = ExperimentSetting(2, 5, 1, 3)
-    assert bind_setting(fixed, s, 1.0) == bind_setting(spec, s, 0.2)
-    assert bind_setting(fixed, s, 1.0) != bind_setting(spec, s, 1.0)
+    assert (program_from_spec(fixed, s, 1.0).elements
+            == program_from_spec(spec, s, 0.2).elements)
+    assert (program_from_spec(fixed, s, 1.0).elements
+            != program_from_spec(spec, s, 1.0).elements)
 
 
 def test_numeric_overlap_out_of_range_diagnostic():

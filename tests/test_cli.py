@@ -120,6 +120,17 @@ PHASE_LINE = 1 + REFERENCE_CIRCUIT.splitlines().index("phase path=c1 angle=180")
 CLOSING = "phase path=c1 angle=$scan\nbs50 paths=c0,c1"
 
 
+@pytest.mark.parametrize("pairs", ["100000000000000000000",
+                                   "1000000000000000000000"])
+def test_tomo_pairs_above_the_bound_exit_2(tmp_path, capsys, pairs):
+    # past the bound the int64 per-basis totals or the Poisson draw overflow
+    rc = cli.main(["tomo", "--pairs", pairs, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"pairs must be in 1..{cli.MAX_PAIRS}, got {pairs}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, config, circuit, message", [
     pytest.param("simulate", [0.29], None, "JSON object", id="not-an-object"),
     pytest.param("simulate", {"model": "optics"}, None, "model", id="model"),

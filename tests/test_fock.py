@@ -16,7 +16,7 @@ from icoswitch.fock import (
     one_photon_per_group,
     postselect,
 )
-from icoswitch.settings import ExperimentSetting, enumerate_settings, jones
+from icoswitch.settings import SHAPE, ExperimentSetting, enumerate_settings, jones
 
 SQ2 = 1 / np.sqrt(2)
 REFERENCE = parse_circuit(reference_circuit_text())
@@ -321,6 +321,31 @@ def test_fringe_visibility_tracks_overlap():
         lo, hi = min(rates), max(rates)
         vis = 0.0 if hi + lo == 0 else (hi - lo) / (hi + lo)
         assert abs(vis - ov) < tol
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_catalog_program_matches_one_setting_programs(seed):
+    overlap = float(np.random.default_rng(seed).uniform())
+    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
+    prog = switch_program(catalog, overlap)
+    assert prog.state().photons == 2
+    table = prog.outcome_probabilities()
+    assert table.shape == SHAPE + (2, 2)
+    for s in enumerate_settings():
+        one = switch_program(s, overlap).outcome_probabilities()
+        assert np.abs(table[s.z - 1, s.x - 1, s.y - 1, s.r - 1] - one).max() <= 1e-15
+
+
+@pytest.mark.parametrize("overlap", [1.0, 0.6])
+def test_scan_program_matches_one_phase_programs(overlap):
+    s = ExperimentSetting(3, 4, 2, 1)
+    scan = np.linspace(0.0, 360.0, 37)
+    rates = program_from_spec(REFERENCE, s, overlap, scan=scan
+                              ).coincidence_probability()
+    one = [program_from_spec(REFERENCE, s, overlap, scan=ph)
+           .coincidence_probability() for ph in scan]
+    assert rates.shape == scan.shape
+    assert np.abs(rates - one).max() <= 1e-15
 
 
 def test_bob_state_structure_after_postselection():

@@ -8,6 +8,10 @@ looks seams up by name). The exceptions are the test oracles in
 ``ORACLES``: each is kept as the reference of the test named next to it,
 and that test must name it.
 
+A dunder method is called by syntax (``a + b``), not by name, so the name
+check cannot see its callers. Each one other than those in ``PROTOCOL``
+fails unless ``ORACLES`` names it.
+
 The check is by name only. A dead method that shares its name with live
 code counts as used and is not caught: a vector's ``overlap`` method
 next to a local variable ``overlap``, or a ``dim`` property next to
@@ -45,9 +49,17 @@ ORACLES = {
         "test_paulialg.py::test_shift_cache_matches_shift_rows",
 }
 
+# dunder methods that construction, printing or calling run
+PROTOCOL = {"__init__", "__post_init__", "__str__", "__call__"}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
 
 def _public_definitions(path):
-    """(qualified name, bare name) of the module's public definitions."""
+    """(qualified name, bare name) of the module's public definitions,
+    dunder methods outside ``PROTOCOL`` included."""
     module = path.stem
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -57,8 +69,9 @@ def _public_definitions(path):
         yield f"{module}.{node.name}", node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if (isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_")):
+                if isinstance(item, ast.FunctionDef) and (
+                        not item.name.startswith("_")
+                        or _is_dunder(item.name) and item.name not in PROTOCOL):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
@@ -81,8 +94,10 @@ def test_every_public_definition_has_a_caller():
     used = set().union(*map(_used_names, SEARCHED))
     unused = [qual for path in sorted(PACKAGE.glob("*.py"))
               for qual, name in _public_definitions(path)
-              if name not in used and qual not in ORACLES]
-    assert not unused, f"public but unused outside tests: {unused}"
+              if (name not in used or _is_dunder(name))
+              and qual not in ORACLES]
+    assert not unused, (f"public but unused outside tests, or a dunder "
+                        f"method outside PROTOCOL: {unused}")
 
 
 def test_every_oracle_is_named_by_its_test():

@@ -101,6 +101,32 @@ def test_index_ranges_enforced():
         ExperimentSetting(z=1, x=1, y=3, r=1)
 
 
+def test_index_arrays_give_each_settings_angles():
+    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
+    angles = np.broadcast_arrays(catalog.prep_qwp, catalog.prep_hwp,
+                                 *catalog.alice_angles, catalog.meas_hwp,
+                                 catalog.reprep_hwp)
+    for s in enumerate_settings():
+        idx = (s.z - 1, s.x - 1, s.y - 1, s.r - 1)
+        assert [a[idx] for a in angles] == [
+            s.prep_qwp, s.prep_hwp, *s.alice_angles, s.meas_hwp, s.reprep_hwp]
+
+
+def test_index_arrays_are_validated_entry_by_entry():
+    z, x, y, r = (i + 1 for i in np.indices(SHAPE, sparse=True))
+    bad = x.copy()
+    bad[0, 4, 0, 0] = 11
+    with pytest.raises(ValueError, match="in 1..10"):
+        ExperimentSetting(z, bad, y, r)
+    with pytest.raises(ValueError, match="not an integer"):
+        ExperimentSetting(z, x + 0.0, y, r)
+    # a float index is refused here, not when an angle is read
+    with pytest.raises(ValueError, match="not an integer"):
+        ExperimentSetting(1.5, 1, 1, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        ExperimentSetting(True, 1, 1, 1)
+
+
 def test_alice_unitaries_unitary_and_span():
     mats = [alice_unitary(x) for x in range(1, 11)]
     for u in mats:

@@ -236,21 +236,25 @@ def test_fringe_scan_visibility_levels():
     s = ExperimentSetting(1, 1, 1, 1)
     spec = parse_circuit(reference_circuit_text())
 
-    def rate(overlap):
-        return lambda ph: program_from_spec(
-            spec, s, overlap, scan=np.rad2deg(ph)).coincidence_probability()
+    def rates(overlap):
+        return program_from_spec(spec, s, overlap, scan=np.rad2deg(grid)
+                                 ).coincidence_probability()
 
     for overlap, expected, tol in ((1.0, 1.0, 1e-6), (0.98, 0.98, 1e-3)):
-        vis, flat, rates = tomo.fringe_scan(rate(overlap), grid)
+        given = rates(overlap)
+        vis, flat, out = tomo.fringe_scan(given, grid)
         assert not flat
         assert abs(vis - expected) < tol
-        assert rates[5] == rate(overlap)(grid[5])
-    vis, flat, rates = tomo.fringe_scan(rate(0.0), grid)
+        assert np.array_equal(out, given)
+    vis, flat, out = tomo.fringe_scan(rates(0.0), grid)
     assert flat
     assert vis == 0.0
-    assert len(rates) == len(grid)
+    assert len(out) == len(grid)
 
 
 def test_fringe_scan_requires_full_period():
-    with pytest.raises(ValueError):
-        tomo.fringe_scan(lambda ph: 1.0, np.linspace(0, 1.0, 5))
+    with pytest.raises(ValueError, match="full period"):
+        tomo.fringe_scan(np.ones(5), np.linspace(0, 1.0, 5))
+    # one rate per grid phase
+    with pytest.raises(ValueError, match="rates"):
+        tomo.fringe_scan(np.ones(4), np.linspace(0, 2 * np.pi, 5))
