@@ -30,7 +30,7 @@ from .circuits import (
 )
 from .plots import fringe_svg, sweep_svg
 from .qmath import coherence
-from .settings import SHAPE, ExperimentSetting, enumerate_settings
+from .settings import SHAPE, ExperimentSetting
 
 REFERENCE_IDEAL_VALUE = -0.4248   # reported minimal value, ideal switch
 REFERENCE_LAB_POINT = (0.29, -0.305)  # reported witness at D ~ 0.29
@@ -66,14 +66,11 @@ def model_probability_table(model, d_value, circuit=None):
     """p[z-1, x-1, y-1, r-1, b, d] for all 180 settings under one model."""
     if model == "procmat":
         return pm.probability_table(d_value)
+    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
     if model == "qubit":
-        rows = [qubit_model.setting_probabilities(s, d_value)
-                for s in enumerate_settings()]
-        # enumerate_settings runs in the table's row order
-        return np.reshape(rows, SHAPE + (2, 2))
+        return qubit_model.setting_probabilities(catalog, d_value)
     if model == "fock":
         spec = circuit if circuit is not None else load_circuit()
-        catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
         table = program_from_spec(spec, catalog, coherence(d_value))
         # a circuit without some angle slot lacks that catalog axis
         return np.broadcast_to(table.outcome_probabilities(), SHAPE + (2, 2))

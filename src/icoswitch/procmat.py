@@ -33,6 +33,7 @@ import numpy as np
 from . import settings as catalog
 from .paulialg import PauliContext, coeffs_to_matrix, pauli_coeffs
 from .qmath import LabeledOperator, LabeledVector, choi_vector, dephase, tensor
+from .settings import CatalogError
 
 LABELS = ("P", "A_I", "A_O", "B_I", "B_O", "F_t", "F_c")
 CANONICAL = tuple(sorted(LABELS))  # A_I A_O B_I B_O F_c F_t P
@@ -54,10 +55,6 @@ def _order(order: str):
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}")
     return ORDERS[order]
-
-
-class CatalogError(ValueError):
-    """Setting or outcome index outside the waveplate catalog."""
 
 
 @dataclass(frozen=True)
@@ -124,27 +121,15 @@ def instrument(party: str, setting, outcome=None) -> InstrumentElement:
     detect: setting 'x', the +/- basis; outcome d in {0, 1};
             identity on F_t times a rank-1 projector on F_c.
     """
-    nz, nx, ny, nr = catalog.SHAPE
     if party == "prep":
-        z = int(setting)
-        if not 1 <= z <= nz:
-            raise CatalogError(f"input-state index z={z} outside 1..{nz}")
-        psi = catalog.prep_state(z)
+        psi = catalog.prep_state(setting)
         choi = LabeledOperator(["P"], [2], np.outer(psi, psi.conj()))
         return InstrumentElement("prep", choi)
     if party == "alice":
-        x = int(setting)
-        if not 1 <= x <= nx:
-            raise CatalogError(f"unitary index x={x} outside 1..{nx}")
-        vec = choi_vector(catalog.alice_unitary(x), "A_I", "A_O")
+        vec = choi_vector(catalog.alice_unitary(setting), "A_I", "A_O")
         return InstrumentElement("alice", vec.outer())
     if party == "bob":
-        y, r = (int(v) for v in setting)
-        if not (1 <= y <= ny and 1 <= r <= nr):
-            raise CatalogError(f"bob setting (y={y}, r={r}) outside catalog")
-        if outcome not in (0, 1):
-            raise CatalogError(f"bob outcome must be 0 or 1, got {outcome}")
-        vec = choi_vector(catalog.bob_kraus(y, r, outcome), "B_I", "B_O")
+        vec = choi_vector(catalog.bob_kraus(*setting, outcome), "B_I", "B_O")
         return InstrumentElement("bob", vec.outer())
     if party == "detect":
         if setting != "x":

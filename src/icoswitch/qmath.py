@@ -8,9 +8,10 @@ operations are pure.
 
 Two model conventions are written here once.  ``choi_vector`` is the
 Choi convention |K>> = sum_i |i>_in (x) K|i>_out of the process-matrix
-model.  ``dephase`` is the which-path decoherence rule that the qubit and
-process-matrix models share: distinguishability D shrinks a qubit's
-coherence by ``coherence(D)`` = sqrt(1 - D^2).
+model.  ``coherence(D)`` = sqrt(1 - D^2) is the which-path rule of all
+three models: distinguishability D leaves that much of the coherence
+between two paths.  ``dephase`` applies it to the off-diagonal blocks of
+one qubit of a labeled operator, for the process-matrix model.
 """
 
 from __future__ import annotations

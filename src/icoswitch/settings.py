@@ -5,7 +5,9 @@ switch x two measurement bases x three repreparation settings for the
 measuring party = 180 settings, each with four outcomes (measurement
 result b, switch output port d, read in the +/- basis ``PLUS_MINUS``).
 ``jones`` gives the waveplate matrices that turn the catalog angles into
-qubit operators; the optics simulator uses the same matrices.
+qubit operators; the optics simulator uses the same matrices.  Every
+catalog lookup goes through ``ExperimentSetting``, which raises
+``CatalogError`` for an index outside the catalog and takes index arrays.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ SHAPE = (len(INPUT_STATES), len(ALICE_TRIPLES), len(BOB_MEAS_HWP),
          len(BOB_REPREP_HWP))
 
 
+class CatalogError(ValueError):
+    """Setting or outcome index outside the waveplate catalog."""
+
+
 @dataclass(frozen=True)
 class ExperimentSetting:
     """One of the 180 configurations, with concrete waveplate angles; index
@@ -58,7 +64,7 @@ class ExperimentSetting:
     def __post_init__(self):
         for i, n in zip(map(np.asarray, (self.z, self.x, self.y, self.r)), SHAPE):
             if i.dtype.kind not in "iu" or not np.all((1 <= i) & (i <= n)):
-                raise ValueError(f"setting index not an integer in 1..{n}: {self}")
+                raise CatalogError(f"setting index not an integer in 1..{n}: {self}")
 
     @property
     def prep_qwp(self):
@@ -81,13 +87,6 @@ class ExperimentSetting:
         return np.asarray(BOB_REPREP_HWP)[self.r - 1]
 
 
-def enumerate_settings():
-    """All 180 settings in (z, x, y, r) lexicographic order, the row order
-    of a probability table."""
-    return [ExperimentSetting(*(i + 1 for i in idx))
-            for idx in np.ndindex(SHAPE)]
-
-
 # -- qubit-level operators realized by the catalog angles --------------------
 
 def jones(kind: str, theta) -> np.ndarray:
@@ -105,28 +104,31 @@ def jones(kind: str, theta) -> np.ndarray:
     return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
 
-def prep_state(z: int) -> np.ndarray:
+def prep_state(z) -> np.ndarray:
     """Polarization ket prepared by input row z (QWP then HWP, from |H>)."""
-    qwp, hwp = INPUT_STATES[z - 1]
-    u = jones("hwp", np.deg2rad(hwp)) @ jones("qwp", np.deg2rad(qwp))
+    s = ExperimentSetting(z, 1, 1, 1)
+    u = jones("hwp", np.deg2rad(s.prep_hwp)) @ jones("qwp", np.deg2rad(s.prep_qwp))
     return u @ np.array([1.0, 0.0], dtype=complex)
 
 
-def alice_unitary(x: int) -> np.ndarray:
+def alice_unitary(x) -> np.ndarray:
     """Jones matrix of Alice triple x (QWP, HWP, QWP in beam order)."""
-    q1, h, q2 = (np.deg2rad(a) for a in ALICE_TRIPLES[x - 1])
+    q1, h, q2 = np.deg2rad(ExperimentSetting(1, x, 1, 1).alice_angles)
     return jones("qwp", q2) @ jones("hwp", h) @ jones("qwp", q1)
 
 
-def bob_kraus(y: int, r: int, b: int) -> np.ndarray:
+def bob_kraus(y, r, b: int) -> np.ndarray:
     """Measure-and-reprepare Kraus operator for outcome b in {0, 1}.
 
     The measurement HWP rotates the system before a polarizing beamsplitter
     (outcome read from the ancilla), and the repreparation HWP rotates the
     post-selected polarization afterwards: K_b = H(r) |b><b| H(y).
     """
-    hy = jones("hwp", np.deg2rad(BOB_MEAS_HWP[y - 1]))
-    hr = jones("hwp", np.deg2rad(BOB_REPREP_HWP[r - 1]))
+    s = ExperimentSetting(1, 1, y, r)
+    if np.asarray(b).dtype.kind not in "iu" or b not in (0, 1):
+        raise CatalogError(f"outcome b must be 0 or 1, got {b}")
+    hy = jones("hwp", np.deg2rad(s.meas_hwp))
+    hr = jones("hwp", np.deg2rad(s.reprep_hwp))
     proj = np.zeros((2, 2), dtype=complex)
     proj[b, b] = 1.0
     return hr @ proj @ hy

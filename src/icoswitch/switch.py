@@ -4,9 +4,12 @@ Labels: c = control (path) qubit, s = system (polarization) qubit,
 a = probe ancilla qubit.  The control branch |0>_c applies Alice's unitary
 before the measurement interaction; |1>_c applies it after.  Bob's
 interaction couples the system to the ancilla through a CNOT sandwiched
-between a measurement-basis rotation (before) and a repreparation rotation
-(after).  Which-path information carried by the environment dephases the
-control with knob D (``qmath.dephase``).
+between a measurement-basis rotation M (before) and a repreparation
+rotation R (after), mapping phi (x) |0>_a to R[s, a] (M phi)[a].  Which-path
+information carried by the environment weights the control's cross terms
+by ``qmath.coherence(D)``.  Operators and states may be stacks whose
+leading axes broadcast: ``setting_probabilities`` gives the catalog's
+table in one contraction.
 """
 
 from __future__ import annotations
@@ -15,30 +18,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import LabeledOperator, LabeledVector, dephase, partial_trace
+from .qmath import LabeledOperator, LabeledVector, coherence, partial_trace
 from .settings import PLUS_MINUS, ExperimentSetting, alice_unitary, jones, prep_state
 
 UNITARY_TOL = 1e-10
 
-KET0 = np.array([1.0, 0.0], dtype=complex)
-EYE2 = np.eye(2)
-# on (s, a): the system controls, the ancilla flips
-CNOT_SA = np.eye(4)[[0, 1, 3, 2]]
-
 
 def _as_qubit(state) -> np.ndarray:
-    state = np.asarray(state, dtype=complex).reshape(2)
-    n = np.linalg.norm(state)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"qubit state norm {n:.3e} != 1")
+    state = np.asarray(state, dtype=complex)
+    err = np.abs(np.linalg.norm(state, axis=-1) - 1.0).max()
+    if err > 1e-9:
+        raise ValueError(f"qubit state norm off 1 by {err:.3e}")
     return state
 
 
 def _check_unitary(u) -> np.ndarray:
-    u = np.asarray(u, dtype=complex).reshape(2, 2)
-    if np.abs(u @ u.conj().T - np.eye(2)).max() > UNITARY_TOL:
+    u = np.asarray(u, dtype=complex)
+    if np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(2)).max() > UNITARY_TOL:
         raise ValueError("basis must be unitary to 1e-10")
     return u
+
+
+def _amplitudes(u_alice, meas, reprep, system, control) -> np.ndarray:
+    """amps[..., c, s, a] of control (x) system (x) |0>_a after the switch:
+    R[s, a] (M U psi)[a] on branch |0>_c, (U R)[s, a] (M psi)[a] on |1>_c."""
+    ua, meas, reprep = (_check_unitary(u) for u in (u_alice, meas, reprep))
+    psi = _as_qubit(system)[..., None]
+    ctrl = _as_qubit(control)
+    first = reprep * (meas @ (ua @ psi)).swapaxes(-1, -2)
+    second = (ua @ reprep) * (meas @ psi).swapaxes(-1, -2)
+    amps = ctrl[..., :, None, None] * np.stack(
+        np.broadcast_arrays(first, second), axis=-3)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
+    return amps
 
 
 def switch_evolve(u_alice, bob_basis, system, control=PLUS_MINUS[0],
@@ -50,19 +63,9 @@ def switch_evolve(u_alice, bob_basis, system, control=PLUS_MINUS[0],
     opposite order.  ``bob_reprep`` defaults to the adjoint of
     ``bob_basis`` (measure and reprepare in the same basis).
     """
-    ua = _check_unitary(u_alice)
-    meas = _check_unitary(bob_basis)
-    reprep = meas.conj().T if bob_reprep is None else _check_unitary(bob_reprep)
-    psi = _as_qubit(system)
-    ctrl = _as_qubit(control)
-
-    # 4x4 gates on (s, a), applied to psi (x) |0>_a
-    alice = np.kron(ua, EYE2)
-    probe = np.kron(reprep, EYE2) @ CNOT_SA @ np.kron(meas, EYE2)
-    joint = np.kron(psi, KET0)
-    amps = np.concatenate([ctrl[0] * ((probe @ alice) @ joint),
-                           ctrl[1] * ((alice @ probe) @ joint)])
-    return LabeledVector(["c", "s", "a"], [2, 2, 2], amps)
+    reprep = np.conj(np.transpose(bob_basis)) if bob_reprep is None else bob_reprep
+    return LabeledVector(["c", "s", "a"], [2, 2, 2],
+                         _amplitudes(u_alice, bob_basis, reprep, system, control))
 
 
 @dataclass(frozen=True)
@@ -93,18 +96,19 @@ def duality(state: LabeledOperator) -> DualityReport:
 # -- the measurement campaign in the qubit model -----------------------------
 
 def setting_probabilities(setting: ExperimentSetting, d_value: float) -> np.ndarray:
-    """p[b, d] for one waveplate setting at distinguishability d_value.
+    """p[..., b, d] at distinguishability d_value, with the axes of the
+    setting's index arrays first (none for scalar indices).
 
     b is the ancilla readout in the computational basis and d the control
     readout in the +/- basis ``PLUS_MINUS`` (0 maps to '+').
     """
-    meas = jones("hwp", np.deg2rad(setting.meas_hwp))
-    reprep = jones("hwp", np.deg2rad(setting.reprep_hwp))
-    state = switch_evolve(
-        alice_unitary(setting.x), meas, prep_state(setting.z),
-        bob_reprep=reprep,
-    )
-    rho = dephase(state.outer(), "c", d_value)
-    # Tr[(|b><b|_a (x) |d><d|_c (x) 1_s) rho] over rho's axes (a, c, s)
-    r = rho.entries.reshape(rho.dims * 2)
-    return np.einsum("dc,bcsbes,de->bd", PLUS_MINUS, r, PLUS_MINUS).real
+    amps = _amplitudes(alice_unitary(setting.x),
+                       jones("hwp", np.deg2rad(setting.meas_hwp)),
+                       jones("hwp", np.deg2rad(setting.reprep_hwp)),
+                       prep_state(setting.z), PLUS_MINUS[0])
+    f = coherence(d_value)
+    # Tr[(|b><b|_a (x) |d><d|_c (x) 1_s) rho] for rho = |amps><amps| with
+    # its control cross terms weighted by f
+    weights = np.array([[1.0, f], [f, 1.0]])
+    return np.einsum("dc,ce,de,...csb,...esb->...bd", PLUS_MINUS, weights,
+                     PLUS_MINUS, amps, amps.conj()).real

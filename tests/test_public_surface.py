@@ -38,6 +38,8 @@ ORACLES = {
         "test_acceptance.py::test_criterion_05_postselected_gate",
     "switch.duality":
         "test_switch.py::test_duality_saturation_and_mixed_bound",
+    # the labeled joint state that criterion 7 dephases and reads
+    "switch.switch_evolve": "test_acceptance.py::test_criterion_07_duality",
     "sdp.DenseColumns":
         "test_sdp.py::test_pauli_columns_agree_with_dense_columns",
     "paulialg.PauliContext.dense":

@@ -15,10 +15,10 @@ from icoswitch.settings import (
     BOB_REPREP_HWP,
     INPUT_STATES,
     SHAPE,
+    CatalogError,
     ExperimentSetting,
     alice_unitary,
     bob_kraus,
-    enumerate_settings,
     jones,
     prep_state,
 )
@@ -26,13 +26,17 @@ from icoswitch.witness import evaluate_witness, probs_to_witness_table
 
 
 def test_exactly_180_settings():
-    catalog = enumerate_settings()
+    catalog = [ExperimentSetting(*(i + 1 for i in idx))
+               for idx in np.ndindex(SHAPE)]
     assert SHAPE == (3, 10, 2, 3)
     assert len(catalog) == 180
     assert len(set(catalog)) == 180
-    # the row order of a probability table
-    assert [(s.z - 1, s.x - 1, s.y - 1, s.r - 1) for s in catalog] \
-        == list(np.ndindex(SHAPE))
+    # the catalog setting's index arrays, read in C order, run through the
+    # rows of a probability table
+    arrays = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
+    rows = np.stack(np.broadcast_arrays(arrays.z, arrays.x, arrays.y, arrays.r), -1)
+    assert [tuple(row) for row in rows.reshape(-1, 4)] \
+        == [(s.z, s.x, s.y, s.r) for s in catalog]
 
 
 def test_catalog_rows_match_table():
@@ -106,8 +110,8 @@ def test_index_arrays_give_each_settings_angles():
     angles = np.broadcast_arrays(catalog.prep_qwp, catalog.prep_hwp,
                                  *catalog.alice_angles, catalog.meas_hwp,
                                  catalog.reprep_hwp)
-    for s in enumerate_settings():
-        idx = (s.z - 1, s.x - 1, s.y - 1, s.r - 1)
+    for idx in np.ndindex(SHAPE):
+        s = ExperimentSetting(*(i + 1 for i in idx))
         assert [a[idx] for a in angles] == [
             s.prep_qwp, s.prep_hwp, *s.alice_angles, s.meas_hwp, s.reprep_hwp]
 
@@ -125,6 +129,28 @@ def test_index_arrays_are_validated_entry_by_entry():
         ExperimentSetting(1.5, 1, 1, 1)
     with pytest.raises(ValueError, match="not an integer"):
         ExperimentSetting(True, 1, 1, 1)
+
+
+def test_catalog_helpers_reject_indices_outside_the_catalog():
+    # negative indexing once gave row 3's ket, triple 10, the (2, 3, 1)
+    # operator and outcome 1; a bool outcome gave a matrix of all four entries
+    for call in (lambda: prep_state(0), lambda: alice_unitary(0),
+                 lambda: bob_kraus(0, 0, 1), lambda: bob_kraus(1, 1, -1),
+                 lambda: bob_kraus(1, 1, True), lambda: bob_kraus(1, 1, 1.0)):
+        with pytest.raises(CatalogError):
+            call()
+
+
+def test_catalog_helpers_take_index_arrays():
+    z, x, y, r = (i + 1 for i in np.indices(SHAPE, sparse=True))
+    kets, mats, kraus = prep_state(z), alice_unitary(x), bob_kraus(y, r, 1)
+    assert (kets.shape, mats.shape, kraus.shape) == (
+        (3, 1, 1, 1, 2), (1, 10, 1, 1, 2, 2), (1, 1, 2, 3, 2, 2))
+    for idx in np.ndindex(SHAPE):
+        zi, xi, yi, ri = (i + 1 for i in idx)
+        assert np.array_equal(kets[zi - 1, 0, 0, 0], prep_state(zi))
+        assert np.array_equal(mats[0, xi - 1, 0, 0], alice_unitary(xi))
+        assert np.array_equal(kraus[0, 0, yi - 1, ri - 1], bob_kraus(yi, ri, 1))
 
 
 def test_alice_unitaries_unitary_and_span():
@@ -175,3 +201,9 @@ def test_model_layers_do_not_import_the_optics_simulator():
                          capture_output=True, text=True, timeout=120).stdout
     assert "icoswitch.settings" in out
     assert "icoswitch.fock" not in out
+    # scipy alone would add 0.3-0.5 s and 22-28 MB to every command's start
+    code = ("import sys, icoswitch.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from icoswitch import switch as switch_module
+
 from icoswitch.qmath import LabeledOperator, dephase, partial_trace, tensor
-from icoswitch.settings import ExperimentSetting
+from icoswitch.settings import SHAPE, ExperimentSetting
 from icoswitch.switch import (
     DualityReport,
     duality,
@@ -166,6 +168,27 @@ def test_order_commutation_two_routes_agree():
         assert abs(abs(rho_c[0, 1]) - abs(overlap)) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_switch_evolve_matches_the_explicit_gate_product(seed):
+    # the 4 x 4 gates on (s, a): Bob's probe kron(R, 1) CNOT kron(M, 1)
+    # after Alice's kron(U, 1) on branch |0>_c, before it on branch |1>_c
+    rng = np.random.default_rng(seed)
+    u, meas, reprep = (haar_unitary(rng) for _ in range(3))
+    system, control = (haar_unitary(rng)[:, 0] for _ in range(2))
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    for bob_reprep, r in ((None, meas.conj().T), (reprep, reprep)):
+        alice = np.kron(u, np.eye(2))
+        probe = np.kron(r, np.eye(2)) @ cnot @ np.kron(meas, np.eye(2))
+        joint = np.kron(system, [1, 0])
+        expect = np.concatenate([control[0] * (probe @ alice @ joint),
+                                 control[1] * (alice @ probe @ joint)])
+        out = switch_evolve(u, meas, system, control=control,
+                            bob_reprep=bob_reprep)
+        # labels sort as (a, c, s); the gate product runs over (c, s, a)
+        got = out.amplitudes.reshape(2, 2, 2).transpose(1, 2, 0).reshape(8)
+        assert np.abs(got - expect).max() <= 1e-15
+
+
 def cnot_apply(meas, v):
     cnot = np.zeros((4, 4), dtype=complex)
     cnot[0, 0] = cnot[1, 1] = 1
@@ -256,3 +279,31 @@ def test_setting_probabilities_identity_case():
     assert abs(p[0, 0] - 1) < 1e-12
     assert abs(p[0, 1]) < 1e-12
     assert abs(p[1, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("d_value", [0.0, 0.29, 1.0])
+def test_catalog_table_matches_one_setting_calls(d_value):
+    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
+    table = setting_probabilities(catalog, d_value)
+    assert table.shape == SHAPE + (2, 2)
+    for idx in np.ndindex(SHAPE):
+        one = setting_probabilities(
+            ExperimentSetting(*(i + 1 for i in idx)), d_value)
+        assert one.shape == (2, 2)
+        assert np.abs(table[idx] - one).max() <= 1e-15
+
+
+def test_table_path_checks_its_stacks():
+    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(switch_module, "jones", lambda kind, theta: np.eye(2) * 1.5)
+        with pytest.raises(ValueError, match="unitary"):
+            setting_probabilities(catalog, 0.29)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(switch_module, "prep_state",
+                   lambda z: np.where(z == 2, np.nan, 1.0)[..., None] * [1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            setting_probabilities(catalog, 0.29)
+        mp.setattr(switch_module, "prep_state", lambda z: z[..., None] * [1.0, 0.0])
+        with pytest.raises(ValueError, match="norm"):
+            setting_probabilities(catalog, 0.29)
