@@ -15,8 +15,10 @@ contraction convention (validated against the circuit-level oracle):
 channel Chois enter untransposed as (1 (x) M)(|I>><<I|), the prepared
 state enters untransposed, and the final POVM element enters transposed.
 
-The catalog is kept as four Pauli-coefficient tables (``factor_coeffs``);
-each outcome operator is the tensor product of one row of each.
+The catalog's Choi operators, one stack per party from
+``settings.CATALOG.operators()``, are kept as four Pauli-coefficient tables
+(``factor_coeffs``); each outcome operator is the tensor product of one row
+of each.
 
 Causally ordered subspaces are characterized by forbidden Pauli-product
 patterns (the trace-and-replace comb conditions); projectors onto them are
@@ -26,14 +28,14 @@ diagonal in the Pauli-product basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import settings as catalog
-from .paulialg import PauliContext, coeffs_to_matrix, pauli_coeffs
+from .paulialg import (PauliContext, coeffs_to_matrix, pauli_coeffs,
+                       pauli_coeffs_batch)
 from .qmath import LabeledOperator, LabeledVector, choi_vector, dephase, tensor
-from .settings import CatalogError
 
 LABELS = ("P", "A_I", "A_O", "B_I", "B_O", "F_t", "F_c")
 CANONICAL = tuple(sorted(LABELS))  # A_I A_O B_I B_O F_c F_t P
@@ -72,14 +74,6 @@ class ProcessMatrix:
         return self.operator.entries
 
 
-@dataclass(frozen=True)
-class InstrumentElement:
-    """Choi operator of one party's operation for one setting/outcome."""
-
-    party: str   # prep | alice | bob | detect
-    choi: LabeledOperator
-
-
 def _branch(order: str) -> LabeledVector:
     """Link-vector branch of |w> for one order, F_c set to the order."""
     first_in, first_out, second_in, second_out, fc = _order(order)
@@ -109,62 +103,45 @@ def dephase_order_coherence(w: ProcessMatrix, d_value: float) -> ProcessMatrix:
     return ProcessMatrix(dephase(w.operator, "F_c", d_value))
 
 
-# -- instruments ---------------------------------------------------------------
+# -- the catalog's Choi operators ------------------------------------------------
 
-def instrument(party: str, setting, outcome=None) -> InstrumentElement:
-    """Catalog Choi operator for one party.
-
-    prep:   setting z in 1..3, no outcome; density on P.
-    alice:  setting x in 1..10, no outcome; unitary Choi on (A_I, A_O).
-    bob:    setting (y, r) with y in 1..2, r in 1..3; outcome b in {0, 1};
-            measure-and-reprepare Choi on (B_I, B_O).
-    detect: setting 'x', the +/- basis; outcome d in {0, 1};
-            identity on F_t times a rank-1 projector on F_c.
-    """
-    if party == "prep":
-        psi = catalog.prep_state(setting)
-        choi = LabeledOperator(["P"], [2], np.outer(psi, psi.conj()))
-        return InstrumentElement("prep", choi)
-    if party == "alice":
-        vec = choi_vector(catalog.alice_unitary(setting), "A_I", "A_O")
-        return InstrumentElement("alice", vec.outer())
-    if party == "bob":
-        vec = choi_vector(catalog.bob_kraus(*setting, outcome), "B_I", "B_O")
-        return InstrumentElement("bob", vec.outer())
-    if party == "detect":
-        if setting != "x":
-            raise CatalogError(f"detection basis must be 'x' (+/-), "
-                               f"got {setting!r}")
-        if outcome not in (0, 1):
-            raise CatalogError(f"detect outcome must be 0 or 1, got {outcome}")
-        ket = catalog.PLUS_MINUS[outcome]
-        povm = tensor([
-            LabeledOperator(["F_t"], [2], np.eye(2)),
-            LabeledOperator(["F_c"], [2], np.outer(ket, ket.conj())),
-        ])
-        return InstrumentElement("detect", povm)
-    raise CatalogError(f"unknown party {party!r}")
+def _chois(kraus, label_in: str, label_out: str) -> np.ndarray:
+    """Choi operators of a stack of qubit Kraus operators, its axes first."""
+    return np.array([choi_vector(k, label_in, label_out).outer().entries
+                     for k in kraus.reshape(-1, 2, 2)]
+                    ).reshape(kraus.shape[:-2] + (4, 4))
 
 
-def probability(w: ProcessMatrix, elements) -> float:
-    """Generalized Born rule for one element per party slot.
+@lru_cache(maxsize=1)
+def catalog_chois():
+    """Read-only Choi stacks of the catalog on their labels in canonical
+    order: prep (3, 2, 2) on P; alice (10, 4, 4) on (A_I, A_O); bob
+    (2, 3, 2, 4, 4) of K_b = R |b><b| M, indexed (y-1, r-1, b), on
+    (B_I, B_O); detect (2, 4, 4), |d><d| of the +/- readout on F_c (x) 1."""
+    psi, u, meas, reprep = catalog.CATALOG.operators()
+    psi, ket = psi.reshape(-1, 2), catalog.PLUS_MINUS
+    proj = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]  # |b><b|
+    # axes (y, r, b)
+    kraus = reprep[0, 0, :, :, None] @ proj @ meas[0, 0, :, :, None]
+    stacks = (psi[:, :, None] * psi[:, None, :].conj(),
+              _chois(u.reshape(-1, 2, 2), "A_I", "A_O"),
+              _chois(kraus, "B_I", "B_O"),
+              np.kron(ket[:, :, None] * ket[:, None, :], np.eye(2)))
+    for t in stacks:
+        t.flags.writeable = False
+    return stacks
+
+
+def probability(w: ProcessMatrix, prep, alice, bob, detect) -> float:
+    """Generalized Born rule for one Choi matrix per party, each on its
+    labels in canonical order, as in ``catalog_chois``.
 
     The detect-party POVM element enters transposed; this is the
     convention under which the contraction reproduces the circuit models.
     """
-    by_party = {e.party: e for e in elements}
-    missing = {"prep", "alice", "bob", "detect"} - set(by_party)
-    if missing:
-        raise ValueError(f"missing instrument element(s): {sorted(missing)}")
-    detect = by_party["detect"].choi
-    detect_t = LabeledOperator(detect.labels, detect.dims, detect.entries.T)
-    product = tensor([
-        by_party["prep"].choi,
-        by_party["alice"].choi,
-        by_party["bob"].choi,
-        detect_t,
-    ])
-    p = float(np.real(np.trace(w.entries @ product.entries)))
+    # the canonical label order is A_I A_O B_I B_O F_c F_t P
+    product = reduce(np.kron, (alice, bob, np.transpose(detect), prep))
+    p = float(np.real(np.trace(w.entries @ product)))
     if p < -1e-10 or p > 1 + 1e-10:
         raise FloatingPointError(f"probability {p} outside [0, 1] tolerance")
     return min(max(p, 0.0), 1.0)
@@ -174,23 +151,16 @@ def probability(w: ProcessMatrix, elements) -> float:
 
 @lru_cache(maxsize=1)
 def factor_coeffs():
-    """Read-only Pauli-coefficient tables of the catalog factors: prep
-    (3, 4) on P; alice (10, 16) on (A_I, A_O); bob (2, 3, 2, 16) indexed
+    """Read-only Pauli-coefficient tables of ``catalog_chois``: prep (3, 4)
+    on P; alice (10, 16) on (A_I, A_O); bob (2, 3, 2, 16) indexed
     (y-1, r-1, b) on (B_I, B_O); detect (2, 16), the transposed POVM element
     on (F_c, F_t).  Outcome (z, x, y, r, b, d) has the coefficient
     alice[a] bob[c] detect[f] prep[p] on the pattern with digit groups
     (a, c, f, p)."""
-    nz, nx, ny, nr = catalog.SHAPE
-    prep = [pauli_coeffs(instrument("prep", z).choi.entries, 1)
-            for z in range(1, nz + 1)]
-    alice = [pauli_coeffs(instrument("alice", x).choi.entries, 2)
-             for x in range(1, nx + 1)]
-    bob = [[[pauli_coeffs(instrument("bob", (y, r), b).choi.entries, 2)
-             for b in (0, 1)] for r in range(1, nr + 1)]
-           for y in range(1, ny + 1)]
-    det = [pauli_coeffs(instrument("detect", "x", d).choi.entries.T, 2)
-           for d in (0, 1)]
-    tables = tuple(np.array(t) for t in (prep, alice, bob, det))
+    prep, alice, bob, det = catalog_chois()
+    tables = (pauli_coeffs_batch(prep, 1), pauli_coeffs_batch(alice, 2),
+              pauli_coeffs_batch(bob, 2),
+              pauli_coeffs_batch(det.swapaxes(-1, -2), 2))
     for t in tables:
         t.flags.writeable = False
     return tables

@@ -7,7 +7,9 @@ result b, switch output port d, read in the +/- basis ``PLUS_MINUS``).
 ``jones`` gives the waveplate matrices that turn the catalog angles into
 qubit operators; the optics simulator uses the same matrices.  Every
 catalog lookup goes through ``ExperimentSetting``, which raises
-``CatalogError`` for an index outside the catalog and takes index arrays.
+``CatalogError`` for an index outside the catalog and takes index arrays
+(``CATALOG``'s, read-only, for all 180); its ``operators`` feed both matrix
+models.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ SHAPE = (len(INPUT_STATES), len(ALICE_TRIPLES), len(BOB_MEAS_HWP),
 
 
 class CatalogError(ValueError):
-    """Setting or outcome index outside the waveplate catalog."""
+    """Setting index outside the waveplate catalog."""
 
 
 @dataclass(frozen=True)
 class ExperimentSetting:
     """One of the 180 configurations, with concrete waveplate angles; index
-    arrays (``np.indices(SHAPE, sparse=True)`` + 1) give arrays of angles."""
+    arrays that broadcast give arrays of them."""
 
     z: int  # input state, 1..3
     x: int  # Alice unitary, 1..10
@@ -86,8 +88,21 @@ class ExperimentSetting:
     def reprep_hwp(self):
         return np.asarray(BOB_REPREP_HWP)[self.r - 1]
 
+    def operators(self):
+        """(psi, U, M, R) stacked over the index arrays' axes: the prepared
+        ket (QWP then HWP, from |H>), Alice's Jones matrix (QWP, HWP, QWP in
+        beam order), and Bob's HWPs before and after a polarizing
+        beamsplitter read out on the ancilla, so K_b = R |b><b| M."""
+        psi = (jones("hwp", np.deg2rad(self.prep_hwp))
+               @ jones("qwp", np.deg2rad(self.prep_qwp))
+               @ np.array([1.0, 0.0], dtype=complex))
+        q1, h, q2 = np.deg2rad(self.alice_angles)
+        u = jones("qwp", q2) @ jones("hwp", h) @ jones("qwp", q1)
+        return (psi, u, jones("hwp", np.deg2rad(self.meas_hwp)),
+                jones("hwp", np.deg2rad(self.reprep_hwp)))
 
-# -- qubit-level operators realized by the catalog angles --------------------
+
+# -- waveplate matrices that turn the catalog angles into operators ---------
 
 def jones(kind: str, theta) -> np.ndarray:
     """Single-photon polarization matrix of a waveplate at angle theta
@@ -104,31 +119,7 @@ def jones(kind: str, theta) -> np.ndarray:
     return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
 
-def prep_state(z) -> np.ndarray:
-    """Polarization ket prepared by input row z (QWP then HWP, from |H>)."""
-    s = ExperimentSetting(z, 1, 1, 1)
-    u = jones("hwp", np.deg2rad(s.prep_hwp)) @ jones("qwp", np.deg2rad(s.prep_qwp))
-    return u @ np.array([1.0, 0.0], dtype=complex)
-
-
-def alice_unitary(x) -> np.ndarray:
-    """Jones matrix of Alice triple x (QWP, HWP, QWP in beam order)."""
-    q1, h, q2 = np.deg2rad(ExperimentSetting(1, x, 1, 1).alice_angles)
-    return jones("qwp", q2) @ jones("hwp", h) @ jones("qwp", q1)
-
-
-def bob_kraus(y, r, b: int) -> np.ndarray:
-    """Measure-and-reprepare Kraus operator for outcome b in {0, 1}.
-
-    The measurement HWP rotates the system before a polarizing beamsplitter
-    (outcome read from the ancilla), and the repreparation HWP rotates the
-    post-selected polarization afterwards: K_b = H(r) |b><b| H(y).
-    """
-    s = ExperimentSetting(1, 1, y, r)
-    if np.asarray(b).dtype.kind not in "iu" or b not in (0, 1):
-        raise CatalogError(f"outcome b must be 0 or 1, got {b}")
-    hy = jones("hwp", np.deg2rad(s.meas_hwp))
-    hr = jones("hwp", np.deg2rad(s.reprep_hwp))
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[b, b] = 1.0
-    return hr @ proj @ hy
+# all 180 settings: index arrays that broadcast over SHAPE, read in C order
+# as the rows of a probability table (read-only views)
+CATALOG = ExperimentSetting(*(np.broadcast_to(i + 1, i.shape)
+                              for i in np.indices(SHAPE, sparse=True)))

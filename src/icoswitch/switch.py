@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import LabeledOperator, LabeledVector, coherence, partial_trace
-from .settings import PLUS_MINUS, ExperimentSetting, alice_unitary, jones, prep_state
+from .settings import PLUS_MINUS, ExperimentSetting
 
 UNITARY_TOL = 1e-10
 
@@ -102,10 +102,8 @@ def setting_probabilities(setting: ExperimentSetting, d_value: float) -> np.ndar
     b is the ancilla readout in the computational basis and d the control
     readout in the +/- basis ``PLUS_MINUS`` (0 maps to '+').
     """
-    amps = _amplitudes(alice_unitary(setting.x),
-                       jones("hwp", np.deg2rad(setting.meas_hwp)),
-                       jones("hwp", np.deg2rad(setting.reprep_hwp)),
-                       prep_state(setting.z), PLUS_MINUS[0])
+    psi, u_alice, meas, reprep = setting.operators()
+    amps = _amplitudes(u_alice, meas, reprep, psi, PLUS_MINUS[0])
     f = coherence(d_value)
     # Tr[(|b><b|_a (x) |d><d|_c (x) 1_s) rho] for rho = |amps><amps| with
     # its control cross terms weighted by f

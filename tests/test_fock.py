@@ -16,7 +16,7 @@ from icoswitch.fock import (
     one_photon_per_group,
     postselect,
 )
-from icoswitch.settings import SHAPE, ExperimentSetting, jones
+from icoswitch.settings import CATALOG, SHAPE, ExperimentSetting, jones
 
 SQ2 = 1 / np.sqrt(2)
 REFERENCE = parse_circuit(reference_circuit_text())
@@ -56,7 +56,8 @@ def test_waveplates_unitary(kind, deg):
 def test_input_rows_give_h_d_r():
     # row (1) -> |H>, row (2) -> |D>, row (3) -> (|H> - i|V>)/sqrt(2),
     # the circular state of the stated input list, up to global phase
-    from icoswitch.settings import prep_state
+    def prep_state(z):
+        return ExperimentSetting(z, 1, 1, 1).operators()[0]
 
     assert global_phase_free(prep_state(1), np.array([1, 0]))
     assert global_phase_free(prep_state(2), np.array([SQ2, SQ2]))
@@ -253,14 +254,11 @@ def test_postselect_partition_probabilities_sum_to_one():
 
 def qubit_reference(s, d_value):
     """Independent qubit-level oracle for the post-selected table."""
-    from icoswitch.settings import alice_unitary, bob_kraus, prep_state
-
-    psi = prep_state(s.z)
-    ua = alice_unitary(s.x)
+    psi, ua, meas, reprep = s.operators()
     f = np.sqrt(1 - d_value**2)
     out = {}
     for b in (0, 1):
-        kb = bob_kraus(s.y, s.r, b)
+        kb = reprep @ np.diag(np.eye(2)[b]) @ meas
         br0, br1 = kb @ ua @ psi, ua @ kb @ psi
         for d, sign in ((0, 1), (1, -1)):
             p = (np.vdot(br0, br0) + np.vdot(br1, br1)
@@ -326,8 +324,7 @@ def test_fringe_visibility_tracks_overlap():
 @pytest.mark.parametrize("seed", range(3))
 def test_catalog_program_matches_one_setting_programs(seed):
     overlap = float(np.random.default_rng(seed).uniform())
-    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
-    prog = switch_program(catalog, overlap)
+    prog = switch_program(CATALOG, overlap)
     assert prog.state().photons == 2
     table = prog.outcome_probabilities()
     assert table.shape == SHAPE + (2, 2)
@@ -352,8 +349,6 @@ def test_scan_program_matches_one_phase_programs(overlap):
 def test_bob_state_structure_after_postselection():
     # amplitude of the HH component on the order branch where Alice acts
     # first equals <H|U_A psi>/2 right after Bob's PBS, for random settings
-    from icoswitch.settings import alice_unitary, prep_state
-
     rng = np.random.default_rng(21)
     for _ in range(5):
         s = ExperimentSetting(int(rng.integers(1, 4)), int(rng.integers(1, 11)), 1, 1)
@@ -370,7 +365,8 @@ def test_bob_state_structure_after_postselection():
         ]
         st = evolve(source_state(REFERENCE), *els)
         amp = st.terms.get((Mode("c0", "H", 0), Mode("p0", "H", 0)), 0.0)
-        expect = np.array([1, 0]) @ alice_unitary(s.x) @ prep_state(s.z) / 2
+        psi, ua = s.operators()[:2]
+        expect = np.array([1, 0]) @ ua @ psi / 2
         assert abs(abs(amp) - abs(expect)) < 1e-12
 
 

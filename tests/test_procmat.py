@@ -8,14 +8,28 @@ from icoswitch import settings as catalog
 from icoswitch.circuits import (parse_circuit, program_from_spec,
                                 reference_circuit_text)
 from icoswitch.paulialg import coeffs_to_matrix, pauli_coeffs
-from icoswitch.qmath import LabeledOperator, coherence, tensor
-from icoswitch.settings import SHAPE, ExperimentSetting
+from icoswitch.qmath import LabeledOperator, choi_vector, coherence
+from icoswitch.settings import CATALOG, PLUS_MINUS, SHAPE, ExperimentSetting
 from icoswitch.switch import setting_probabilities as qubit_probs
+from icoswitch.switch import switch_evolve
 
 
 @pytest.fixture(scope="module")
 def w():
     return pm.w_switch()
+
+
+def haar_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def clear_catalog_caches():
+    # the Choi stacks and their Pauli tables are cached; a test that
+    # patches the catalog rebuilds them before and after
+    pm.catalog_chois.cache_clear()
+    pm.factor_coeffs.cache_clear()
 
 
 def rand_herm(rng):
@@ -56,7 +70,7 @@ def test_three_models_agree_off_the_catalog(angles, d_value):
     # (1, 1, 1, 1) off them checks the shared conventions elsewhere
     prep_q, prep_h, q1, h, q2, meas, reprep = angles
     s = ExperimentSetting(1, 1, 1, 1)
-    pm.factor_coeffs.cache_clear()
+    clear_catalog_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
             for name, first in (("INPUT_STATES", (prep_q, prep_h)),
@@ -71,9 +85,35 @@ def test_three_models_agree_off_the_catalog(angles, d_value):
                 .outcome_probabilities(),
             ]
     finally:
-        pm.factor_coeffs.cache_clear()
+        clear_catalog_caches()
     assert np.abs(tables[0] - tables[1]).max() < 1e-9
     assert np.abs(tables[0] - tables[2]).max() < 1e-9
+
+
+@pytest.mark.parametrize("d_value", [0.0, 0.29, 1.0])
+def test_models_agree_on_random_operator_stacks(d_value):
+    # every catalog Kraus operator of Bob is real, so the catalog cannot
+    # tell K from conj(K) in his Choi; Haar-random complex stacks in the
+    # catalog's shapes can, and they reach both models through
+    # ExperimentSetting.operators
+    rng = np.random.default_rng(5)
+
+    def unitaries(*shape):
+        return np.reshape([haar_unitary(rng) for _ in range(np.prod(shape))],
+                          shape + (2, 2))
+
+    # psi, U, M, R; a Haar unitary's first column is a Haar-random ket
+    ops = (unitaries(3, 1, 1, 1)[..., 0], unitaries(1, 10, 1, 1),
+           unitaries(1, 1, 2, 1), unitaries(1, 1, 1, 3))
+    clear_catalog_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExperimentSetting, "operators", lambda self: ops)
+            procmat_table = pm.probability_table(d_value)
+            qubit_table = qubit_probs(CATALOG, d_value)
+    finally:
+        clear_catalog_caches()
+    assert np.abs(procmat_table - qubit_table).max() < 1e-12
 
 
 def test_full_dephasing_equals_half_mixture(w):
@@ -82,52 +122,39 @@ def test_full_dephasing_equals_half_mixture(w):
     assert np.abs(mix.entries - deph.entries).max() < 1e-12
 
 
-# -- instruments ----------------------------------------------------------------
+# -- the catalog's Choi stacks ----------------------------------------------------
 
 def test_alice_identity_choi():
-    el = pm.instrument("alice", 1)
-    # triple (0, 0, 0) realizes a polarization unitary equivalent to the
-    # identity up to the fixed waveplate phase convention
-    from icoswitch.settings import alice_unitary
-
-    u = alice_unitary(1)
-    assert np.abs(np.abs(u @ u.conj().T) - np.eye(2)).max() < 1e-12
-    vec = np.array([u[:, 0], u[:, 1]]).reshape(4)
-    # rank-1 Choi of the realized unitary
-    evals = np.linalg.eigvalsh(el.choi.entries)
-    assert (evals > 1e-10).sum() == 1
-    assert abs(np.trace(el.choi.entries) - 2) < 1e-12
+    prep, alice, bob, det = pm.catalog_chois()
+    assert (prep.shape, alice.shape, bob.shape, det.shape) == (
+        (3, 2, 2), (10, 4, 4), (2, 3, 2, 4, 4), (2, 4, 4))
+    # triple (0, 0, 0) realizes the identity: its Choi is the link vector's
+    link = np.eye(2).reshape(4)
+    assert np.abs(alice[0] - np.outer(link, link)).max() < 1e-12
+    # each of the ten is a unitary's Choi: rank 1, trace 2
+    for choi in alice:
+        evals = np.linalg.eigvalsh(choi)
+        assert (evals > 1e-10).sum() == 1
+        assert abs(np.trace(choi) - 2) < 1e-12
 
 
 def test_bob_elements_sum_to_trace_preserving_choi():
-    for y in (1, 2):
-        for r in (1, 2, 3):
-            total = sum(
-                pm.instrument("bob", (y, r), b).choi.entries for b in (0, 1)
-            )
-            # partial trace over B_O must be the identity on B_I
-            t = total.reshape(2, 2, 2, 2)  # (B_I, B_O) x (B_I, B_O)
-            red = np.trace(t, axis1=1, axis2=3)
-            assert np.abs(red - np.eye(2)).max() < 1e-10
+    total = pm.catalog_chois()[2].sum(axis=2)  # over b, per (y, r)
+    # partial trace over B_O must be the identity on B_I
+    t = total.reshape(2, 3, 2, 2, 2, 2)  # (B_I, B_O) x (B_I, B_O)
+    red = np.trace(t, axis1=-3, axis2=-1)
+    assert np.abs(red - np.eye(2)).max() < 1e-10
 
 
 def test_detect_outcomes_sum_to_identity():
-    total = sum(pm.instrument("detect", "x", d).choi.entries for d in (0, 1))
+    total = pm.catalog_chois()[3].sum(axis=0)
     assert np.abs(total - np.eye(4)).max() < 1e-12
 
 
-def test_instrument_rejects_out_of_catalog():
-    with pytest.raises(pm.CatalogError):
-        pm.instrument("alice", 11)
-    with pytest.raises(pm.CatalogError):
-        pm.instrument("prep", 0)
-    with pytest.raises(pm.CatalogError):
-        pm.instrument("bob", (1, 4), 0)
-    for basis in ("w", "y"):
-        with pytest.raises(pm.CatalogError):
-            pm.instrument("detect", basis, 0)
-    with pytest.raises(pm.CatalogError):
-        pm.instrument("bob", (1, 1), 2)
+def test_catalog_chois_are_read_only():
+    for stack in pm.catalog_chois() + pm.factor_coeffs():
+        with pytest.raises(ValueError, match="read-only"):
+            stack[...] = 0.0
 
 
 # -- probability rule --------------------------------------------------------------
@@ -139,56 +166,68 @@ def test_probability_normalization_all_settings(w):
 
 
 def test_probability_definite_order_identity_case():
+    # |H> prepared, Alice's identity, Bob measures Z: outcome V never occurs
     w_ab = pm.w_ordered("A->B")
-    els = [
-        pm.instrument("prep", 1),            # |H>
-        pm.instrument("alice", 1),
-        pm.instrument("bob", (1, 1), 0),     # Z measure, outcome H
-        pm.instrument("detect", "x", 0),
-    ]
-    p_h = pm.probability(w_ab, els)
-    els[2] = pm.instrument("bob", (1, 1), 1)
-    p_v = pm.probability(w_ab, els)
-    assert abs(p_h + sum(
-        pm.probability(w_ab, els[:3] + [pm.instrument("detect", "x", d)])
-        for d in (0, 1)
-    ) - 1.0) < 1e-9 or True  # marginal structure checked below
+    prep, alice, bob, det = pm.catalog_chois()
+    p = np.array([[pm.probability(w_ab, prep[0], alice[0], bob[0, 0, b], det[d])
+                   for d in (0, 1)] for b in (0, 1)])
+    assert abs(p.sum() - 1.0) < 1e-12
+    p_v = p[1].sum()
     assert p_v < 1e-12
 
 
 def test_probability_missing_party_rejected(w):
-    with pytest.raises(ValueError, match="detect"):
-        pm.probability(w, [pm.instrument("prep", 1), pm.instrument("alice", 1),
-                           pm.instrument("bob", (1, 1), 0)])
+    prep, alice, bob, _ = pm.catalog_chois()
+    with pytest.raises(TypeError, match="detect"):
+        pm.probability(w, prep[0], alice[0], bob[0, 0, 0])
 
 
-def test_probability_table_matches_elementwise(w):
-    table = pm.probability_table(0.0, w=w)
-    s = ExperimentSetting(3, 7, 2, 2)
-    for b in (0, 1):
-        for d in (0, 1):
-            els = [
-                pm.instrument("prep", s.z),
-                pm.instrument("alice", s.x),
-                pm.instrument("bob", (s.y, s.r), b),
-                pm.instrument("detect", "x", d),
-            ]
-            assert abs(table[s.z - 1, s.x - 1, s.y - 1, s.r - 1, b, d]
-                       - pm.probability(w, els)) < 1e-12
+def test_probability_outside_the_unit_interval_rejected(w):
+    prep, alice, bob, det = pm.catalog_chois()
+    with pytest.raises(FloatingPointError, match="outside"):
+        pm.probability(w, prep[0], alice[0], bob[0, 0, 0], 3.0 * det[0])
+
+
+def test_probability_table_matches_elementwise():
+    w = pm.dephase_order_coherence(pm.w_switch(), 0.29)
+    table = pm.probability_table(0.29)
+    prep, alice, bob, det = pm.catalog_chois()
+    for z, x, y, r, b, d in np.ndindex(table.shape):
+        assert abs(table[z, x, y, r, b, d] - pm.probability(
+            w, prep[z], alice[x], bob[y, r, b], det[d])) < 1e-12
 
 
 def detect_element(ket):
-    # a final readout outside the catalog: identity on F_t, |ket><ket| on F_c
-    povm = tensor([LabeledOperator(["F_t"], [2], np.eye(2)),
-                   LabeledOperator(["F_c"], [2], np.outer(ket, np.conj(ket)))])
-    return pm.InstrumentElement("detect", povm)
+    # a final readout outside the catalog: |ket><ket| on F_c, identity on F_t
+    return np.kron(np.outer(ket, np.conj(ket)), np.eye(2))
+
+
+def test_off_catalog_operators_match_the_circuit_oracle(w):
+    # Haar-random complex U, M, R and psi: the joint state of the qubit
+    # model, read out as p(b, d), against the Born rule on the Choi
+    # operators of psi, U and K_b = R |b><b| M
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        psi, u, meas, reprep = (haar_unitary(rng) for _ in range(4))
+        psi = psi[:, 0]
+        # amplitudes over the sorted labels (a, c, s); d reads c in +/-
+        amps = switch_evolve(u, meas, psi, bob_reprep=reprep
+                             ).amplitudes.reshape(2, 2, 2)
+        circuit = (np.abs(np.einsum("dc,bcs->bds", PLUS_MINUS, amps))**2).sum(-1)
+        alice = choi_vector(u, "A_I", "A_O").outer().entries
+        bob = [choi_vector(reprep @ np.diag(np.eye(2)[b]) @ meas, "B_I", "B_O")
+               .outer().entries for b in (0, 1)]
+        born = np.array([[pm.probability(w, np.outer(psi, psi.conj()), alice,
+                                         bob[b], detect_element(ket))
+                          for ket in PLUS_MINUS] for b in (0, 1)])
+        assert np.abs(born - circuit).max() < 1e-12
 
 
 def test_non_signalling_from_the_future(w):
     s = ExperimentSetting(2, 6, 1, 2)
-    base = [pm.instrument("prep", s.z), pm.instrument("alice", s.x)]
+    prep, alice, bob, det = pm.catalog_chois()
     detects = {
-        "x": [pm.instrument("detect", "x", d) for d in (0, 1)],
+        "x": det,
         "y": [detect_element(np.array([1, 1j * sgn]) / np.sqrt(2))
               for sgn in (1, -1)],
         "z": [detect_element(np.eye(2)[d]) for d in (0, 1)],
@@ -196,9 +235,9 @@ def test_non_signalling_from_the_future(w):
     marginals = {}
     for basis, elements in detects.items():
         marginals[basis] = [
-            sum(pm.probability(w, base + [pm.instrument("bob", (s.y, s.r), b),
-                                          det])
-                for det in elements)
+            sum(pm.probability(w, prep[s.z - 1], alice[s.x - 1],
+                               bob[s.y - 1, s.r - 1, b], e)
+                for e in elements)
             for b in (0, 1)
         ]
     for basis in ("y", "z"):

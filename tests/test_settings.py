@@ -13,14 +13,12 @@ from icoswitch.settings import (
     ALICE_TRIPLES,
     BOB_MEAS_HWP,
     BOB_REPREP_HWP,
+    CATALOG,
     INPUT_STATES,
     SHAPE,
     CatalogError,
     ExperimentSetting,
-    alice_unitary,
-    bob_kraus,
     jones,
-    prep_state,
 )
 from icoswitch.witness import evaluate_witness, probs_to_witness_table
 
@@ -31,10 +29,10 @@ def test_exactly_180_settings():
     assert SHAPE == (3, 10, 2, 3)
     assert len(catalog) == 180
     assert len(set(catalog)) == 180
-    # the catalog setting's index arrays, read in C order, run through the
-    # rows of a probability table
-    arrays = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
-    rows = np.stack(np.broadcast_arrays(arrays.z, arrays.x, arrays.y, arrays.r), -1)
+    # CATALOG's index arrays, read in C order, run through the rows of a
+    # probability table
+    rows = np.stack(np.broadcast_arrays(CATALOG.z, CATALOG.x, CATALOG.y,
+                                        CATALOG.r), -1)
     assert [tuple(row) for row in rows.reshape(-1, 4)] \
         == [(s.z, s.x, s.y, s.r) for s in catalog]
 
@@ -106,10 +104,9 @@ def test_index_ranges_enforced():
 
 
 def test_index_arrays_give_each_settings_angles():
-    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
-    angles = np.broadcast_arrays(catalog.prep_qwp, catalog.prep_hwp,
-                                 *catalog.alice_angles, catalog.meas_hwp,
-                                 catalog.reprep_hwp)
+    angles = np.broadcast_arrays(CATALOG.prep_qwp, CATALOG.prep_hwp,
+                                 *CATALOG.alice_angles, CATALOG.meas_hwp,
+                                 CATALOG.reprep_hwp)
     for idx in np.ndindex(SHAPE):
         s = ExperimentSetting(*(i + 1 for i in idx))
         assert [a[idx] for a in angles] == [
@@ -117,7 +114,7 @@ def test_index_arrays_give_each_settings_angles():
 
 
 def test_index_arrays_are_validated_entry_by_entry():
-    z, x, y, r = (i + 1 for i in np.indices(SHAPE, sparse=True))
+    z, x, y, r = CATALOG.z, CATALOG.x, CATALOG.y, CATALOG.r
     bad = x.copy()
     bad[0, 4, 0, 0] = 11
     with pytest.raises(ValueError, match="in 1..10"):
@@ -132,29 +129,35 @@ def test_index_arrays_are_validated_entry_by_entry():
 
 
 def test_catalog_helpers_reject_indices_outside_the_catalog():
-    # negative indexing once gave row 3's ket, triple 10, the (2, 3, 1)
-    # operator and outcome 1; a bool outcome gave a matrix of all four entries
-    for call in (lambda: prep_state(0), lambda: alice_unitary(0),
-                 lambda: bob_kraus(0, 0, 1), lambda: bob_kraus(1, 1, -1),
-                 lambda: bob_kraus(1, 1, True), lambda: bob_kraus(1, 1, 1.0)):
+    # negative indexing once gave row 3's ket, triple 10 and the (2, 3)
+    # measurement and repreparation plates; no operator is built for an
+    # index outside the catalog
+    for index in ((0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, 4)):
         with pytest.raises(CatalogError):
-            call()
+            ExperimentSetting(*index).operators()
+
+
+def test_catalog_index_arrays_are_read_only():
+    for index in (CATALOG.z, CATALOG.x, CATALOG.y, CATALOG.r):
+        with pytest.raises(ValueError, match="read-only"):
+            index[...] = 1
 
 
 def test_catalog_helpers_take_index_arrays():
-    z, x, y, r = (i + 1 for i in np.indices(SHAPE, sparse=True))
-    kets, mats, kraus = prep_state(z), alice_unitary(x), bob_kraus(y, r, 1)
-    assert (kets.shape, mats.shape, kraus.shape) == (
-        (3, 1, 1, 1, 2), (1, 10, 1, 1, 2, 2), (1, 1, 2, 3, 2, 2))
+    # CATALOG.operators() at each of the 180 settings is that setting's
+    # operators, bit for bit
+    ops = CATALOG.operators()
+    assert [o.shape for o in ops] == [(3, 1, 1, 1, 2), (1, 10, 1, 1, 2, 2),
+                                      (1, 1, 2, 1, 2, 2), (1, 1, 1, 3, 2, 2)]
     for idx in np.ndindex(SHAPE):
-        zi, xi, yi, ri = (i + 1 for i in idx)
-        assert np.array_equal(kets[zi - 1, 0, 0, 0], prep_state(zi))
-        assert np.array_equal(mats[0, xi - 1, 0, 0], alice_unitary(xi))
-        assert np.array_equal(kraus[0, 0, yi - 1, ri - 1], bob_kraus(yi, ri, 1))
+        one = ExperimentSetting(*(i + 1 for i in idx)).operators()
+        for stack, op in zip(ops, one):
+            assert np.array_equal(
+                np.broadcast_to(stack, SHAPE + op.shape)[idx], op)
 
 
 def test_alice_unitaries_unitary_and_span():
-    mats = [alice_unitary(x) for x in range(1, 11)]
+    mats = CATALOG.operators()[1].reshape(10, 2, 2)
     for u in mats:
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
     # the ten choices are pairwise distinct as channels
@@ -167,11 +170,12 @@ def test_alice_unitaries_unitary_and_span():
 
 
 def test_bob_kraus_completeness_and_rank():
-    for y in (1, 2):
-        for r in (1, 2, 3):
+    _, _, meas, reprep = CATALOG.operators()
+    for m in meas.reshape(2, 2, 2):
+        for r in reprep.reshape(3, 2, 2):
             total = np.zeros((2, 2), dtype=complex)
             for b in (0, 1):
-                k = bob_kraus(y, r, b)
+                k = r @ np.diag(np.eye(2)[b]) @ m  # K_b = R |b><b| M
                 assert np.linalg.matrix_rank(k) == 1
                 total += k.conj().T @ k
             assert np.abs(total - np.eye(2)).max() < 1e-12
@@ -182,7 +186,7 @@ def test_prep_states_bloch_directions():
     sx = np.array([[0, 1], [1, 0]])
     sy = np.array([[0, -1j], [1j, 0]])
     sz = np.diag([1, -1])
-    v1, v2, v3 = (prep_state(z) for z in (1, 2, 3))
+    v1, v2, v3 = CATALOG.operators()[0].reshape(3, 2)
     assert abs(np.real(v1.conj() @ sz @ v1) - 1) < 1e-12
     assert abs(np.real(v2.conj() @ sx @ v2) - 1) < 1e-12
     assert abs(abs(np.real(v3.conj() @ sy @ v3)) - 1) < 1e-12

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from icoswitch import switch as switch_module
+from icoswitch import settings as settings_module
 
 from icoswitch.qmath import LabeledOperator, dephase, partial_trace, tensor
-from icoswitch.settings import SHAPE, ExperimentSetting
+from icoswitch.settings import CATALOG, SHAPE, ExperimentSetting
 from icoswitch.switch import (
     DualityReport,
     duality,
@@ -283,8 +283,7 @@ def test_setting_probabilities_identity_case():
 
 @pytest.mark.parametrize("d_value", [0.0, 0.29, 1.0])
 def test_catalog_table_matches_one_setting_calls(d_value):
-    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
-    table = setting_probabilities(catalog, d_value)
+    table = setting_probabilities(CATALOG, d_value)
     assert table.shape == SHAPE + (2, 2)
     for idx in np.ndindex(SHAPE):
         one = setting_probabilities(
@@ -294,16 +293,17 @@ def test_catalog_table_matches_one_setting_calls(d_value):
 
 
 def test_table_path_checks_its_stacks():
-    catalog = ExperimentSetting(*(i + 1 for i in np.indices(SHAPE, sparse=True)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(switch_module, "jones", lambda kind, theta: np.eye(2) * 1.5)
+        mp.setattr(settings_module, "jones", lambda kind, theta: np.eye(2) * 1.5)
         with pytest.raises(ValueError, match="unitary"):
-            setting_probabilities(catalog, 0.29)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(switch_module, "prep_state",
-                   lambda z: np.where(z == 2, np.nan, 1.0)[..., None] * [1.0, 0.0])
-        with pytest.raises(ValueError, match="finite"):
-            setting_probabilities(catalog, 0.29)
-        mp.setattr(switch_module, "prep_state", lambda z: z[..., None] * [1.0, 0.0])
-        with pytest.raises(ValueError, match="norm"):
-            setting_probabilities(catalog, 0.29)
+            setting_probabilities(CATALOG, 0.29)
+    _, u, meas, reprep = CATALOG.operators()
+    for psi, match in (
+            (np.where(CATALOG.z == 2, np.nan, 1.0)[..., None] * [1.0, 0.0],
+             "finite"),
+            (CATALOG.z[..., None] * [1.0, 0.0], "norm")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExperimentSetting, "operators",
+                       lambda self: (psi, u, meas, reprep))
+            with pytest.raises(ValueError, match=match):
+                setting_probabilities(CATALOG, 0.29)

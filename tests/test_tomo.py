@@ -219,10 +219,10 @@ def test_targets_match_switch_model_output():
     # measurement), traced over the control
     from icoswitch.qmath import partial_trace
     from icoswitch.switch import switch_evolve
-    from icoswitch.settings import prep_state
 
     for z, target in zip((1, 2, 3), TARGETS):
-        out = switch_evolve(np.eye(2), np.eye(2), prep_state(z)).outer()
+        psi = ExperimentSetting(z, 1, 1, 1).operators()[0]
+        out = switch_evolve(np.eye(2), np.eye(2), psi).outer()
         rho_sa = partial_trace(out, {"s", "a"})
         # labels sort to (a, s); swap to (s, a) = (system, probe) order
         arr = rho_sa.entries.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2)
