@@ -20,9 +20,9 @@ and returns the real and imaginary parts separately, over all pattern
 columns or a slice of them.  Tr[A V B V] then reduces to two real Gram
 products.  ``sdp.PauliColumns`` gathers this way only for its dense rows,
 whose support spans the qubits; single Pauli products that leave qubits
-idle take the superoperator route of ``pauli_pair_traces`` on their
-active qubits instead, and the cross terms use the batched synthesis and
-coefficient transforms below.
+idle take ``pauli_pair_traces`` on their active qubits instead (a gather
+and two Walsh-Hadamard GEMMs per X-mask class), and the cross terms use
+the batched synthesis and coefficient transforms below.
 """
 
 from __future__ import annotations
@@ -262,23 +262,35 @@ def coeffs_to_matrix(coeffs: np.ndarray, nqubits: int) -> np.ndarray:
 def pauli_pair_traces(xs, ys, patterns, nqubits: int) -> np.ndarray:
     """G[s, t] = sum_k Tr[P_s X_k P_t Y_k] for s, t in ``patterns``.
 
-    The superoperator S = sum_k X_k (x) Y_k^T is formed by one GEMM over
-    k and taken to the Pauli basis on both sides, so the cost is that of
-    two qubitwise transforms of a 4^n x 4^n matrix, whatever len(xs).
+    With P_s = i^delta_s sum_c (-1)^{z_s.c} |c xor x_s><c| (``perm_phase``),
+    Tr[P_s X P_t Y] = i^(delta_s + delta_t) sum_{c,d} (-1)^{z_s.c + z_t.d}
+    X[c, d xor x_t] Y[d, c xor x_s].  So per X-mask class x_s of the rows,
+    a gather forms K[c, d, y] = sum_k X_k[c, d xor y] Y_k[d, c xor x_s] over
+    the X-masks y of ``patterns``, and the Walsh-Hadamard matrix
+    H[z, c] = (-1)^{z.c} on d and then on c (two real GEMMs) gives every
+    (z_s, z_t, y) entry: an O(k 8^n) transient, and no 4^n x 4^n array.
     """
-    q = nqubits
-    k, n = len(xs), 4**q
-    # R[(b, c), (d, a)] = sum_k (X_k)_bc (Y_k)_da
-    r = np.reshape(xs, (k, n)).T @ np.reshape(ys, (k, n))
-    # S[(a, b), (c, d)] = R[b, c, d, a] with the row digits (a_j, b_j) and
-    # the column digits (c_j, d_j) interleaved per qubit, as _T4INV has them
-    a, b, c, d = np.arange(4 * q).reshape(4, q)[[3, 0, 1, 2]]
-    perm = np.concatenate([np.stack([a, b], 1).ravel(),
-                           np.stack([c, d], 1).ravel()])
-    s = r.reshape((2,) * (4 * q)).transpose(perm).reshape(n, n)
-    # G = T^T S T with T[(r, c), p] = (P_p)_rc; the second pass transposes
-    s = _apply_qubitwise(s, _T4INV.T, q)[:, patterns]
-    return _apply_qubitwise(s.T, _T4INV.T, q)[:, patterns].T
+    ctx = PauliContext(nqubits)
+    pats = np.asarray(patterns, dtype=np.int64)
+    c = np.arange(ctx.dim)
+    masks, pos = np.unique(ctx.xmask[pats], return_inverse=True)
+    had = 1.0 - 2 * ctx.parity[c[:, None] & c]
+    # X_k[c, d xor y] as (c, d, y, k) and Y_k[d, c] as (c, d, k)
+    xg = np.asarray(xs, dtype=complex).transpose(1, 2, 0)[
+        c[:, None, None], c[:, None] ^ masks]
+    yt = np.asarray(ys, dtype=complex).transpose(2, 1, 0)
+    zs = ctx.zmask[pats]
+    cols = zs * len(masks) + pos
+    phase = _I_POW[ctx.delta[pats] % 4]
+    g = np.empty((len(pats),) * 2, dtype=complex)
+    for i, x in enumerate(masks):
+        k = np.matmul(xg, yt[c ^ x, :, :, None]).view(float)
+        n = had @ np.matmul(had, k.reshape(ctx.dim, ctx.dim, -1)).reshape(
+            ctx.dim, -1)   # N[z_s, z_t, y], complex pairs in the last axis
+        rows = pos == i
+        g[rows] = (n.view(complex)[:, cols][zs[rows]]
+                   * np.outer(phase[rows], phase))
+    return g
 
 
 def sparse_coeffs_to_matrix(patterns, values, ctx: PauliContext) -> np.ndarray:

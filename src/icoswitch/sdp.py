@@ -15,15 +15,15 @@ dense congruences column by column.  Pauli columns split into two
 classes, single products P_s (x) 1 that leave some qubits idle and dense
 rows Q_l over a pattern support, and their Gram is assembled per class
 pair (after SDPA's F1/F2/F3 choice, Fujisawa, Kojima & Nakata 1997):
-unit x unit as the Pauli-basis matrix of one superoperator on the units'
-active qubits, unit x dense from the congruences W Q_l W traced down to
-the units' active qubits, and dense x dense from the
-coefficients Phi of Q_l W, gathered from the support's shift tables into
-Re/Im buffers that each Gram call allocates and frees.  W is Hermitian,
-so that block is real: Re(Phi Phi^T) = Re Phi Re Phi^T - Im Phi Im Phi^T,
-two real symmetric products.  A block may stand for identical copies of
-itself (``Block.copies``), the form every block takes when no operator of
-the problem acts on some factor.
+unit x unit on the units' active qubits, one X-mask class of rows at a
+time as a gather and two Walsh-Hadamard GEMMs, unit x dense from the
+congruences W Q_l W traced down to the units' active qubits, and dense x
+dense from the coefficients Phi of Q_l W, gathered from the support's
+shift tables into Re/Im buffers that each Gram call allocates and frees.
+W is Hermitian, so that block is real: Re(Phi Phi^T) = Re Phi Re Phi^T -
+Im Phi Im Phi^T, two real symmetric products.  A block may stand for
+identical copies of itself (``Block.copies``), the form every block takes
+when no operator of the problem acts on some factor.
 
 The NT scaling of a block comes from X = L L^H, Z = R R^H and the SVD
 R^H L = U Lam V^H:  G = L V Lam^-1/2 gives G^-1 X G^-H = G^H Z G = Lam,
@@ -113,8 +113,8 @@ class PauliColumns:
     operators Q_l are synthesized once on all the block's qubits.  With
     W_ij the blocks of W over the qubits outside A_u:
 
-      unit x unit    sum_ij Tr[P_s W_ij P_t W_ji], the Pauli-basis matrix of
-                     the superoperator S = sum_ij W_ij (x) W_ji^T on A_u;
+      unit x unit    sum_ij Tr[P_s W_ij P_t W_ji] on A_u, a gather and two
+                     Walsh-Hadamard GEMMs per X-mask class of s;
       unit x dense   Tr[P_s Tr_rest N_l] with N_l = W Q_l W, traced over
                      every qubit outside A_u;
       dense x dense  side Re(Phi Phi^T) with Phi the coefficients of Q_l W,

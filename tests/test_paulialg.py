@@ -165,21 +165,54 @@ def test_shift_cache_matches_shift_rows(q, n_rows):
     assert np.array_equal(im_c, f.imag[:, cols])
 
 
-@pytest.mark.parametrize("q", [1, 2])
-def test_pauli_pair_traces_match_dense_products(q):
+def dense_pair_traces(ctx, xs, ys, pats):
+    """sum_k Tr[P_s X_k P_t Y_k] from the explicit products of ctx.dense."""
+    p = np.array([ctx.dense(int(s)) for s in pats])
+    px = np.matmul(p[:, None], xs).reshape(len(p), -1)
+    # Tr[A B] = sum_ab A[a, b] B[b, a]
+    py = np.matmul(p[:, None], ys).transpose(0, 1, 3, 2).reshape(len(p), -1)
+    return px @ py.T
+
+
+def general_pair(ctx, seed):
     # general (not Hermitian) X_k, Y_k, so G is not symmetric
-    ctx = PauliContext(q)
-    rng = np.random.default_rng(q + 47)
+    rng = np.random.default_rng(seed)
     shape = (3, ctx.dim, ctx.dim)
     xs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     ys = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return rng, xs, ys
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_pauli_pair_traces_match_dense_products(q):
+    ctx = PauliContext(q)
+    rng, xs, ys = general_pair(ctx, q + 47)
     pats = rng.permutation(ctx.npatterns)[:ctx.npatterns - 1]
-    p = [ctx.dense(int(s)) for s in pats]
-    expected = np.array([[sum(np.trace(ps @ x @ pt @ y)
-                              for x, y in zip(xs, ys)) for pt in p]
-                         for ps in p])
+    expected = dense_pair_traces(ctx, xs, ys, pats)
     got = pauli_pair_traces(xs, ys, pats, q)
     assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("case", ["repeats", "one-x-mask"])
+def test_pauli_pair_traces_on_x_mask_classes(case):
+    ctx = PauliContext(3)
+    rng, xs, ys = general_pair(ctx, 53)
+    if case == "repeats":   # X-masks repeat, and one pattern is listed twice
+        pats = rng.choice(ctx.npatterns, size=24, replace=False)
+        pats = np.append(pats, pats[5])
+        assert len(np.unique(ctx.xmask[pats])) < len(np.unique(pats))
+    else:
+        pats = rng.permutation(np.flatnonzero(ctx.xmask == 5))
+    expected = dense_pair_traces(ctx, xs, ys, pats)
+    got = pauli_pair_traces(xs, ys, pats, 3)
+    assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
+
+
+def test_pauli_pair_traces_of_no_patterns():
+    ctx = PauliContext(2)
+    _, xs, ys = general_pair(ctx, 59)
+    got = pauli_pair_traces(xs, ys, [], 2)
+    assert got.shape == (0, 0)
 
 
 @pytest.mark.parametrize("q", [3, 6])   # one partial slice; four slices

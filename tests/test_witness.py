@@ -90,6 +90,26 @@ def test_build_span_memory_stays_small():
     assert peak < 64 * 2**20
 
 
+def test_cone_block_gram_memory_stays_small():
+    # the dual_cone_check A->B block: 819 unit columns and one dense row;
+    # its unit x unit Gram forms no 4^5 x 4^5 superoperator
+    pats = wt._order_patterns("A->B")
+    block = wt._target_free_block(
+        "T", np.eye(pm.SIDE, dtype=complex), np.arange(len(pats)), pats,
+        [len(pats)], np.ones((1, 1)), [0])
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    w = a @ a.conj().T / 64 + np.eye(64)
+    block.columns.gram(w)   # warm-up: the shift tables are cached
+    tracemalloc.start()
+    try:
+        block.columns.gram(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
 @pytest.mark.slow
 def test_dual_cone_identity_and_negative_identity():
     eye = LabeledOperator(pm.CANONICAL, pm.DIMS, np.eye(pm.SIDE))
