@@ -2,8 +2,9 @@
 
 Hermitian Pauli products are indexed by base-4 digit strings (digit order
 I, X, Y, Z; leftmost digit = first tensor factor).  The module provides
-dense <-> coefficient transforms (``coeffs_to_matrix`` is the one synthesis
-path; ``sparse_coeffs_to_matrix`` scatters a pattern list into it), the
+dense <-> coefficient transforms (qubitwise over all 4^n coefficients;
+``sparse_coeffs_to_matrix`` synthesizes batched pattern lists instead as
+a Walsh-Hadamard GEMM and an XOR gather), the
 signed-permutation form of single products (``perm_phase``/``dense``, an
 independent reference), and the group-product phase machinery used to
 assemble operator Grams without forming large dense products:
@@ -22,7 +23,7 @@ products.  ``sdp.PauliColumns`` gathers this way only for its dense rows,
 whose support spans the qubits; single Pauli products that leave qubits
 idle take ``pauli_pair_traces`` on their active qubits instead (a gather
 and two Walsh-Hadamard GEMMs per X-mask class), and the cross terms use
-the batched synthesis and coefficient transforms below.
+the sparse synthesis and the batched coefficient transform below.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ class ShiftCache:
     """Gather tables for repeated shift_rows on fixed patterns and real vhat.
 
     The tables of a pattern set are shared by every cache over that set in
-    the process (an LRU of the last few sets), so two blocks on the same
-    support and repeated solves build them once.
+    the process (an LRU of the last few sets), so repeated solves on the
+    same support build them once.
     """
 
     def __init__(self, ctx: PauliContext, rows):
@@ -294,7 +295,22 @@ def pauli_pair_traces(xs, ys, patterns, nqubits: int) -> np.ndarray:
 
 
 def sparse_coeffs_to_matrix(patterns, values, ctx: PauliContext) -> np.ndarray:
-    """sum_s values[s] P_s for a sparse pattern list; repeated patterns add."""
-    coeffs = np.zeros(ctx.npatterns, dtype=complex)
-    np.add.at(coeffs, np.asarray(patterns, dtype=np.int64), values)
-    return coeffs_to_matrix(coeffs, ctx.nqubits)
+    """sum_s values[..., s] P_s, batched over leading axes; repeated patterns
+    add.  With T[z, x] the sum of i^delta_s values_s over (x_s, z_s) = (x, z),
+    M[c xor x, c] = sum_z (-1)^{z.c} T[z, x] (``perm_phase``): a Walsh-
+    Hadamard GEMM on the (re, im) pairs and an XOR gather."""
+    pats, pos = np.unique(np.asarray(patterns, dtype=np.int64),
+                          return_inverse=True)
+    order = np.argsort(pos, kind="stable")   # sum repeated patterns' values
+    values = np.add.reduceat(np.asarray(values, dtype=complex)[..., order],
+                             np.searchsorted(pos[order], np.arange(len(pats))),
+                             axis=-1)
+    lead, dim, c = values.shape[:-1], ctx.dim, np.arange(ctx.dim)
+    table = np.zeros(lead + (dim * dim,), dtype=complex)
+    table[..., ctx.zmask[pats] * dim + ctx.xmask[pats]] = (
+        values * _I_POW[ctx.delta[pats] % 4])
+    # B[c, x] = M[c xor x, c]; the table is freed once B is formed
+    table = np.matmul(1.0 - 2 * ctx.parity[c[:, None] & c],
+                      table.reshape(lead + (dim, dim)).view(float))
+    return np.take(table.view(complex).reshape(lead + (dim * dim,)),
+                   c * dim + (c[:, None] ^ c), axis=-1)

@@ -19,11 +19,12 @@ unit x unit on the units' active qubits, one X-mask class of rows at a
 time as a gather and two Walsh-Hadamard GEMMs, unit x dense from the
 congruences W Q_l W traced down to the units' active qubits, and dense x
 dense from the coefficients Phi of Q_l W, gathered from the support's
-shift tables into Re/Im buffers that each Gram call allocates and frees.
-W is Hermitian, so that block is real: Re(Phi Phi^T) = Re Phi Re Phi^T -
-Im Phi Im Phi^T, two real symmetric products.  A block may stand for
-identical copies of itself (``Block.copies``), the form every block takes
-when no operator of the problem acts on some factor.
+shift tables into Re/Im buffers that each Gram call allocates and frees;
+rows, tables and Q_l are one ``PauliRows``, shared by blocks on the same
+rows.  W is Hermitian, so that block is real: Re(Phi Phi^T) = Re Phi
+Re Phi^T - Im Phi Im Phi^T, two real symmetric products.  A block may
+stand for identical copies of itself (``Block.copies``), the form every
+block takes when no operator of the problem acts on some factor.
 
 The NT scaling of a block comes from X = L L^H, Z = R R^H and the SVD
 R^H L = U Lam V^H:  G = L V Lam^-1/2 gives G^-1 X G^-H = G^H Z G = Lam,
@@ -36,19 +37,21 @@ with no free column, meets only that block's), ``_factored`` (those
 variables eliminated by the Cholesky factor of their block's part, at the
 first passing shift of a ladder), then ``_directions`` with one
 ``_newton_solve`` and ``_step_lengths``, for the predictor and for the
-corrector.  Non-finite input or H, an exhausted ladder or a singular
-Gt H^-1 G end it ``numerical_failure``, a failed X or Z Cholesky ``stalled``.
+corrector; each Gram and Newton system is freed before the next Gram.
+Non-finite input or H, an exhausted ladder or a singular Gt H^-1 G end
+it ``numerical_failure``, a failed X or Z Cholesky ``stalled``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .paulialg import (PauliContext, ShiftCache, coeffs_to_matrix,
-                       pauli_coeffs, pauli_coeffs_batch, pauli_pair_traces,
+from .paulialg import (PauliContext, ShiftCache, pauli_coeffs,
+                       pauli_coeffs_batch, pauli_pair_traces,
                        sparse_coeffs_to_matrix)
 
 # -- column providers ----------------------------------------------------------
@@ -100,17 +103,33 @@ def _idle_blocks(w, nqubits, active):
         ni, ni, na, na)
 
 
+class PauliRows:
+    """Dense operators Q_l = sum_s rows[l, s] P_s over a support, with the
+    support's ``ShiftCache`` and, built on first use, the Q_l side by side
+    as (side, k side); blocks on the same rows share one."""
+
+    def __init__(self, nqubits, rows, support):
+        self.ctx = PauliContext(nqubits)
+        self.rows = np.asarray(rows, dtype=float)
+        self.support = np.asarray(support, dtype=np.int64)
+        self.cache = ShiftCache(self.ctx, self.support)
+
+    @cached_property
+    def ops(self):
+        q = sparse_coeffs_to_matrix(self.support, self.rows, self.ctx)
+        return q.transpose(1, 0, 2).reshape(self.ctx.dim, -1)
+
+
 class PauliColumns:
     """Constraint operators given by real Pauli-pattern coefficient rows.
 
     ``unit_patterns`` lists operators that are single Pauli products P_s;
-    ``dense_rows`` is a real (k, len(dense_support)) coefficient matrix
-    over ``dense_support`` patterns.  Unit columns come first in the local
-    index order.
+    ``dense``, a ``PauliRows``, the dense operators Q_l and the qubits.
+    Unit columns come first in the local index order.
 
     The Gram Tr[A_i W A_j W] is assembled per column class.  The unit
     patterns are P_s (x) 1 with P_s on their active qubits A_u; the dense
-    operators Q_l are synthesized once on all the block's qubits.  With
+    operators Q_l are those of ``dense``, on all the block's qubits.  With
     W_ij the blocks of W over the qubits outside A_u:
 
       unit x unit    sum_ij Tr[P_s W_ij P_t W_ji] on A_u, a gather and two
@@ -121,14 +140,11 @@ class PauliColumns:
                      gathered from the support's ``ShiftCache``.
     """
 
-    def __init__(self, nqubits, unit_indices, unit_patterns,
-                 dense_indices, dense_rows, dense_support):
-        self.ctx = ctx = PauliContext(nqubits)
-        self.side = 2**nqubits
-        self.nqubits = nqubits
+    def __init__(self, unit_indices, unit_patterns, dense_indices, dense):
+        self.ctx = ctx = dense.ctx
+        self.side, self.nqubits = ctx.dim, ctx.nqubits
         self.unit_patterns = np.asarray(unit_patterns, dtype=np.int64)
-        self.dense_rows = np.asarray(dense_rows, dtype=float)
-        self.dense_support = np.asarray(dense_support, dtype=np.int64)
+        self.dense = dense
         self.indices = np.concatenate([
             np.asarray(unit_indices, dtype=np.int64),
             np.asarray(dense_indices, dtype=np.int64),
@@ -137,29 +153,21 @@ class PauliColumns:
         self.unit_qubits = _active_qubits(self.unit_patterns, ctx)
         self._unit_local = _local_patterns(
             self.unit_patterns, ctx, self.unit_qubits)
-        self._dense_cache = (
-            ShiftCache(ctx, self.dense_support)
-            if len(self.dense_rows) else None
-        )
-        if len(self.unit_patterns) and len(self.dense_rows):
-            n, kept = nqubits, self.unit_qubits.tolist()
+        if len(self.unit_patterns) and len(dense.rows):
+            n, kept = ctx.nqubits, self.unit_qubits.tolist()
             # einsum labels of N[r_1..r_n, l, c_1..c_n]: a qubit outside
             # A_u has one label for its row and column, so it is traced out
             cols = [n + j if j in kept else j for j in range(n)]
             self._trace_axes = ([*range(n), 2 * n, *cols],
                                 [2 * n, *kept, *(n + j for j in kept)])
-            coeffs = np.zeros((4**n, len(self.dense_rows)))
-            np.add.at(coeffs, self.dense_support, self.dense_rows.T)
-            # Q_l side by side: (side, k side) with column blocks Q_l
-            ops = coeffs_to_matrix(coeffs.T, n)
-            self._dense_ops = ops.transpose(1, 0, 2).reshape(self.side, -1)
+            self._dense_ops = dense.ops   # the first such block builds it
 
     def gram(self, w):
         n_unit = len(self.unit_patterns)
         g = np.empty((len(self.indices),) * 2)
         if n_unit:
             g[:n_unit, :n_unit] = self._unit_gram(w)
-        if len(self.dense_rows):
+        if len(self.dense.rows):
             g[n_unit:, n_unit:] = self._dense_gram(w)
             if n_unit:
                 ud = self._cross_gram(w)
@@ -177,7 +185,7 @@ class PauliColumns:
 
     def _cross_gram(self, w):
         n, u = self.nqubits, len(self.unit_qubits)
-        k = len(self.dense_rows)
+        k = len(self.dense.rows)
         # N[(r, l), c] = (W Q_l W)[r, c], two GEMMs
         nl = (w @ self._dense_ops).reshape(self.side * k, self.side) @ w
         # Tr[(P_s (x) 1) N_l] = Tr[P_s M_l] with M_l = Tr_rest N_l, the
@@ -192,7 +200,7 @@ class PauliColumns:
         # W is Hermitian, so its Pauli coefficients are real; Phi holds the
         # (Re, Im) coefficients of Q_l W and lives only for this call
         vhat = np.real(pauli_coeffs(w, self.nqubits))
-        re, im = self._dense_cache.apply_combined(vhat, self.dense_rows)
+        re, im = self.dense.cache.apply_combined(vhat, self.dense.rows)
         g = re @ re.T
         g -= im @ im.T
         g *= self.side
@@ -202,13 +210,13 @@ class PauliColumns:
         mhat = np.real(pauli_coeffs(mat, self.nqubits))
         return self.side * np.concatenate([
             mhat[self.unit_patterns],
-            self.dense_rows @ mhat[self.dense_support],
+            self.dense.rows @ mhat[self.dense.support],
         ])
 
     def combine(self, yloc):
         n_unit = len(self.unit_patterns)
-        pats = np.concatenate([self.unit_patterns, self.dense_support])
-        vals = np.concatenate([yloc[:n_unit], yloc[n_unit:] @ self.dense_rows])
+        pats = np.concatenate([self.unit_patterns, self.dense.support])
+        vals = np.concatenate([yloc[:n_unit], yloc[n_unit:] @ self.dense.rows])
         return sparse_coeffs_to_matrix(pats, vals, self.ctx)
 
 
@@ -336,6 +344,7 @@ def _scaling_and_schur(blocks, x, z, rd, free_g):
         at = np.searchsorted(shared, idx[s])
         h_p.append((idx[p], at, gram[np.ix_(p, p)], gram[np.ix_(p, s)]))
         h_ss[np.ix_(at, at)] += gram[np.ix_(s, s)]
+        del gram   # not held while the next block's Gram is assembled
     return (h_p, shared, h_ss), scal
 
 
@@ -539,6 +548,8 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
             x[n] = (x[n] + x[n].conj().T) / 2
             z[n] = z[n] + ad * d.dz[n]
             z[n] = (z[n] + z[n].conj().T) / 2
+        # this Newton system is spent: free it before the next Gram
+        del h, fac, pred, d
 
     return SdpSolution(
         status, y, x, z, u, res.pobj, res.dobj, res.gap, it,

@@ -34,7 +34,7 @@ from . import procmat as pm
 from .settings import SHAPE
 from .paulialg import PauliContext, pauli_coeffs, sparse_coeffs_to_matrix
 from .qmath import LabeledOperator
-from .sdp import Block, PauliColumns, SdpSolution, solve_conic
+from .sdp import Block, PauliColumns, PauliRows, SdpSolution, solve_conic
 
 CONVENTIONS = ("white-noise", "generalized-robustness", "identity-cap")
 DEFAULT_CONVENTION = "white-noise"
@@ -134,16 +134,12 @@ def _target_block(mat):
 
 
 def _target_free_block(name, c, unit_indices, unit_patterns, dense_indices,
-                       dense_rows, dense_support):
-    """The block of 128-side C with columns on 7-qubit patterns, solved on
-    the six qubits other than F_t as one block of two copies.  Raises
-    ValueError unless C and every pattern are the identity on F_t."""
-    cols = PauliColumns(
-        _REDUCED,
-        unit_indices=unit_indices, unit_patterns=_drop_target(unit_patterns),
-        dense_indices=dense_indices, dense_rows=dense_rows,
-        dense_support=_drop_target(dense_support),
-    )
+                       dense):
+    """128-side C with 7-qubit unit patterns and six-qubit ``dense`` rows,
+    solved on the six qubits other than F_t as one block of two copies.
+    Raises ValueError unless C and every pattern are the identity on F_t."""
+    cols = PauliColumns(unit_indices, _drop_target(unit_patterns),
+                        dense_indices, dense)
     return Block(name, _target_block(c), cols, copies=_F_T_COPIES)
 
 
@@ -159,13 +155,12 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
     if not s_op.is_hermitian():
         raise ValueError("witness candidate must be Hermitian")
     margins, decomp, statuses = {}, {}, {}
+    t_row = PauliRows(_REDUCED, np.ones((1, 1)), [0])   # t on the identity
     for order in pm.ORDERS:
         pats = _order_patterns(order)
         m = len(pats) + 1
-        block = _target_free_block(
-            "T", s_op.entries, np.arange(len(pats)), pats, [len(pats)],
-            np.ones((1, 1)), [0],   # t on the identity pattern
-        )
+        block = _target_free_block("T", s_op.entries, np.arange(len(pats)),
+                                   pats, [len(pats)], t_row)
         b = np.zeros(m)
         b[-1] = 1.0  # maximize t
         sol = solve_conic([block], b, tol=CONE_TOL, gap_tol=CONE_TOL,
@@ -222,12 +217,14 @@ def _span_blocks(span: SpanBasis, convention: str):
 
     blocks = []
     zero = np.zeros((pm.SIDE, pm.SIDE), dtype=complex)
+    # one set of -Q_k rows, shift tables and operators for both orders
+    neg_span = PauliRows(_REDUCED, -span.onb, _drop_target(span.support))
     for name, pats, vidx in (("T_ab", pats_ab, layout["v_ab"]),
                              ("T_ba", pats_ba, layout["v_ba"])):
         # Z = 0 - sum s_k (-Q_k) - sum v_j P_j = S - R  (the certificate
         # T = S - R with R on the order's forbidden patterns)
         blocks.append(_target_free_block(
-            name, zero, vidx, pats, layout["s"], -span.onb, span.support))
+            name, zero, vidx, pats, layout["s"], neg_span))
 
     free_g = free_f = None
     if convention in ("generalized-robustness", "identity-cap"):
@@ -240,7 +237,8 @@ def _span_blocks(span: SpanBasis, convention: str):
         off += len(pats_v)
         blocks.append(_target_free_block(
             "T_norm", np.eye(pm.SIDE, dtype=complex) / pm.TRACE_NORM,
-            layout["v_valid"], pats_v, layout["s"], span.onb, span.support))
+            layout["v_valid"], pats_v, layout["s"],
+            PauliRows(_REDUCED, span.onb, _drop_target(span.support))))
     elif convention == "white-noise":
         # Tr[S W_white] = 1 with W_white = TRACE_NORM / SIDE = 1/16: only
         # the identity pattern of S contributes, Tr[Q_k/16] = 8 coeff_id(Q_k)

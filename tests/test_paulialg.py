@@ -141,6 +141,16 @@ def test_sparse_synthesis_matches_dense(q, data):
     direct = sum(v * ctx.dense(p) for p, v in zip(pats, vals))
     synth = sparse_coeffs_to_matrix(pats, vals, ctx)
     assert np.abs(synth - direct).max() < 1e-12
+    # a (k, npat) batch over the same patterns, repeated ones included, is
+    # the stack of the k one-row calls
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(3, len(pats), 2)) @ [1, 1j]
+    rows[0] = vals
+    batch = sparse_coeffs_to_matrix(pats, rows, ctx)
+    assert batch.shape == (3, ctx.dim, ctx.dim)
+    for row, mat in zip(rows, batch):
+        one = sparse_coeffs_to_matrix(pats, row, ctx)
+        assert np.abs(mat - one).max() < 1e-12
 
 
 @pytest.mark.parametrize("q, n_rows", [(3, None), (7, 48)])

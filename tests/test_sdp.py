@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from icoswitch import procmat as pm
 from icoswitch import sdp
 from icoswitch.paulialg import PauliContext, sparse_coeffs_to_matrix
-from icoswitch.sdp import (Block, DenseColumns, PauliColumns, _max_step,
-                           _nt_scaling, _scaling_and_schur, solve_conic)
+from icoswitch.sdp import (Block, DenseColumns, PauliColumns, PauliRows,
+                           _max_step, _nt_scaling, _scaling_and_schur,
+                           solve_conic)
 
 
 def rand_herm(rng, d):
@@ -121,8 +122,8 @@ def test_pauli_columns_agree_with_dense_columns():
     sol_d = solve_conic([dense], np.array([0.7, -0.2]))
 
     pauli = Block("S", c, PauliColumns(
-        2, unit_indices=[], unit_patterns=[],
-        dense_indices=[0, 1], dense_rows=coeffs, dense_support=pats,
+        unit_indices=[], unit_patterns=[],
+        dense_indices=[0, 1], dense=PauliRows(2, coeffs, pats),
     ))
     sol_p = solve_conic([pauli], np.array([0.7, -0.2]))
     assert sol_d.optimal and sol_p.optimal
@@ -143,8 +144,8 @@ def test_pauli_gram_matches_dense_gram_with_witness_signs():
     support = np.array([0, 7, 21, 42, 63])
     rows = rng.normal(size=(3, len(support)))
     cols = PauliColumns(
-        q, unit_indices=[0, 1, 2, 3], unit_patterns=units,
-        dense_indices=[4, 5, 6], dense_rows=-rows, dense_support=support,
+        unit_indices=[0, 1, 2, 3], unit_patterns=units,
+        dense_indices=[4, 5, 6], dense=PauliRows(q, -rows, support),
     )
     dense = DenseColumns(8, range(7), [ctx.dense(int(s)) for s in units]
                          + [sparse_coeffs_to_matrix(support, -r, ctx)
@@ -164,9 +165,9 @@ def gram_oracle_error(q, units, support, rows, rng):
     ctx = PauliContext(q)
     n_unit, k = len(units), len(rows)
     cols = PauliColumns(
-        q, unit_indices=range(n_unit), unit_patterns=units,
-        dense_indices=range(n_unit, n_unit + k), dense_rows=rows,
-        dense_support=support,
+        unit_indices=range(n_unit), unit_patterns=units,
+        dense_indices=range(n_unit, n_unit + k),
+        dense=PauliRows(q, rows, support),
     )
     mats = ([ctx.dense(int(s)) for s in units]
             + [sparse_coeffs_to_matrix(support, r, ctx) for r in rows])
@@ -237,9 +238,8 @@ def test_unit_pattern_columns_and_signs():
     )
     sol_p = solve_conic(
         [Block("S", c, PauliColumns(
-            2, unit_indices=[0, 1], unit_patterns=pats,
-            dense_indices=[], dense_rows=np.zeros((0, 0)),
-            dense_support=[],
+            unit_indices=[0, 1], unit_patterns=pats,
+            dense_indices=[], dense=PauliRows(2, np.zeros((0, 0)), []),
         ))],
         np.array([-0.4, 0.1]),
     )

@@ -20,7 +20,7 @@ from icoswitch import procmat as pm
 from icoswitch import witness as wt
 from icoswitch.paulialg import PAULIS, PauliContext, sparse_coeffs_to_matrix
 from icoswitch.qmath import LabeledOperator, tensor
-from icoswitch.sdp import SdpSolution
+from icoswitch.sdp import PauliRows, SdpSolution
 
 
 # the six qubits every witness and dual-cone block is solved on
@@ -96,7 +96,7 @@ def test_cone_block_gram_memory_stays_small():
     pats = wt._order_patterns("A->B")
     block = wt._target_free_block(
         "T", np.eye(pm.SIDE, dtype=complex), np.arange(len(pats)), pats,
-        [len(pats)], np.ones((1, 1)), [0])
+        [len(pats)], PauliRows(6, np.ones((1, 1)), [0]))
     rng = np.random.default_rng(0)
     a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     w = a @ a.conj().T / 64 + np.eye(64)
@@ -108,6 +108,26 @@ def test_cone_block_gram_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_witness_solve_memory_stays_small(full_span, monkeypatch):
+    # two iterations of the white-noise witness solve with its blocks built
+    # in the traced region: the span operators are synthesized once for
+    # both order blocks, and an iteration's Newton system and each block's
+    # Gram are freed before the next Gram is assembled
+    monkeypatch.setattr(wt, "WITNESS_MAXITER", 2)
+    w = pm.w_switch()
+    with pytest.warns(wt.SpanRankWarning):
+        wt.optimize_witness(w, full_span)   # warm-up: the shift tables
+    tracemalloc.start()
+    try:
+        with pytest.warns(wt.SpanRankWarning):
+            sol = wt.optimize_witness(w, full_span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations == 2
+    assert peak <= 110 * 2**20
 
 
 @pytest.mark.slow
@@ -371,15 +391,16 @@ def test_witness_blocks_build_each_table_set_once(full_span):
     _cached_shift_tables.cache_clear()
     blocks, *_ = wt._span_blocks(full_span, "white-noise")
     t_ab, t_ba = (bl.columns for bl in blocks)
-    # only the span support holds shift tables: built for T_ab and reused
-    # by T_ba; the unit patterns' Gram needs none
+    # only the span support holds shift tables, in the one PauliRows that
+    # both order blocks share with its operators; the unit patterns' Gram
+    # needs none
     info = _cached_shift_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)
     assert not hasattr(t_ab, "_unit_cache")
-    shared = t_ab._dense_cache, t_ba._dense_cache
+    assert t_ab.dense is t_ba.dense
+    assert t_ab._dense_ops is t_ba._dense_ops
     for name in ("tgt", "re", "im"):
-        table = getattr(shared[0], name)
-        assert table is getattr(shared[1], name)
+        table = getattr(t_ab.dense.cache, name)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
