@@ -4,10 +4,11 @@ Hermitian Pauli products are indexed by base-4 digit strings (digit order
 I, X, Y, Z; leftmost digit = first tensor factor).  The module provides
 dense <-> coefficient transforms (qubitwise over all 4^n coefficients;
 ``sparse_coeffs_to_matrix`` synthesizes batched pattern lists instead as
-a Walsh-Hadamard GEMM and an XOR gather), the
-signed-permutation form of single products (``perm_phase``/``dense``, an
-independent reference), and the group-product phase machinery used to
-assemble operator Grams without forming large dense products:
+a Walsh-Hadamard GEMM and an XOR gather), one qubit split off patterns
+(``split_qubit``) and matrices (``qubit_blocks``), the signed-permutation
+form of single products (``perm_phase``/``dense``, an independent
+reference), and the group-product phase machinery used to assemble
+operator Grams without forming large dense products:
 
     P_s P_t = gamma(s, t) P_{s xor t},   gamma in {+-1, +-i},
 
@@ -20,10 +21,10 @@ and the phase as int8 sign tables, built once per pattern set and process,
 and returns the real and imaginary parts separately, over all pattern
 columns or a slice of them.  Tr[A V B V] then reduces to two real Gram
 products.  ``sdp.PauliColumns`` gathers this way only for its dense rows,
-whose support spans the qubits; single Pauli products that leave qubits
-idle take ``pauli_pair_traces`` on their active qubits instead (a gather
-and two Walsh-Hadamard GEMMs per X-mask class), and the cross terms use
-the sparse synthesis and the batched coefficient transform below.
+on a sector frame (all qubits but one where every operator is I or X);
+single products take ``pauli_pair_traces`` on their active qubits (a
+gather and two Walsh-Hadamard GEMMs per X-mask class), and the cross
+terms the batched coefficient transform below.
 """
 
 from __future__ import annotations
@@ -206,6 +207,20 @@ class ShiftCache:
             np.matmul(weights, re, out=out[0, :, cols])
             np.matmul(weights, im, out=out[1, :, cols])
         return out
+
+
+def split_qubit(patterns, nqubits: int, qubit: int):
+    """Each pattern's digit on ``qubit`` and its index on the other qubits."""
+    patterns = np.asarray(patterns, dtype=np.int64)
+    low = 4 ** (nqubits - 1 - qubit)
+    return patterns // low % 4, patterns // (4 * low) * low + patterns % low
+
+
+def qubit_blocks(mat, nqubits: int, qubit: int) -> np.ndarray:
+    """Blocks [i, j] = <i| mat |j> on ``qubit``, each on the other qubits."""
+    hi, lo = 2**qubit, 2 ** (nqubits - 1 - qubit)
+    blocks = np.asarray(mat).reshape(hi, 2, lo, hi, 2, lo)
+    return blocks.transpose(1, 4, 0, 2, 3, 5).reshape(2, 2, hi * lo, hi * lo)
 
 
 # -- dense <-> coefficient transforms ---------------------------------------

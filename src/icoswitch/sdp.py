@@ -9,22 +9,19 @@ The engine solves the standard conic pair
 with Hermitian blocks, using Nesterov-Todd (NT) scaling and a Mehrotra
 predictor-corrector.  The Schur complement H_ij = sum_b <A_i, W A_j W> is
 assembled per block through a column provider, so witness-sized problems
-(64-side blocks, a few thousand scalar variables) can exploit the
-Pauli-product structure of their constraint operators instead of forming
-dense congruences column by column.  Pauli columns split into two
-classes, single products P_s (x) 1 that leave some qubits idle and dense
-rows Q_l over a pattern support, and their Gram is assembled per class
-pair (after SDPA's F1/F2/F3 choice, Fujisawa, Kojima & Nakata 1997):
-unit x unit on the units' active qubits, one X-mask class of rows at a
-time as a gather and two Walsh-Hadamard GEMMs, unit x dense from the
-congruences W Q_l W traced down to the units' active qubits, and dense x
-dense from the coefficients Phi of Q_l W, gathered from the support's
-shift tables into Re/Im buffers that each Gram call allocates and frees;
-rows, tables and Q_l are one ``PauliRows``, shared by blocks on the same
-rows.  W is Hermitian, so that block is real: Re(Phi Phi^T) = Re Phi
-Re Phi^T - Im Phi Im Phi^T, two real symmetric products.  A block may
-stand for identical copies of itself (``Block.copies``), the form every
-block takes when no operator of the problem acts on some factor.
+(64-side blocks, a few thousand scalar variables) use the Pauli-product
+structure of their operators instead of dense congruences.  Pauli columns
+are single products P_s (x) 1 and dense rows Q_l over a pattern support;
+their Gram is assembled per class pair (after SDPA's F1/F2/F3 choice,
+Fujisawa, Kojima & Nakata 1997): unit x unit by ``pauli_pair_traces``,
+unit x dense from the coefficients of W Q_l W, and dense x dense from the
+(Re, Im) coefficients Phi of Q_l W, gathered from shift tables, as Re Phi
+Re Phi^T - Im Phi Im Phi^T.  Where every operator is I or X on a sector
+qubit and C commutes with X there, so does every iterate: W = W+ (+) W-
+in that X eigenbasis, and the Gram is the sum of two half-side Grams
+(Gatermann & Parrilo 2004).  A block may stand for identical copies of
+itself (``Block.copies``), the form every block takes when no operator
+of the problem acts on some factor.
 
 The NT scaling of a block comes from X = L L^H, Z = R R^H and the SVD
 R^H L = U Lam V^H:  G = L V Lam^-1/2 gives G^-1 X G^-H = G^H Z G = Lam,
@@ -45,14 +42,13 @@ it ``numerical_failure``, a failed X or Z Cholesky ``stalled``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .paulialg import (PauliContext, ShiftCache, pauli_coeffs,
-                       pauli_coeffs_batch, pauli_pair_traces,
-                       sparse_coeffs_to_matrix)
+                       pauli_coeffs_batch, pauli_pair_traces, qubit_blocks,
+                       sparse_coeffs_to_matrix, split_qubit)
 
 # -- column providers ----------------------------------------------------------
 
@@ -81,142 +77,168 @@ class DenseColumns:
         return np.tensordot(yloc, self.mats, axes=(0, 0))
 
 
-def _active_qubits(patterns, ctx):
-    """Sorted qubits on which some pattern is not the identity."""
-    return np.flatnonzero((ctx.digits[patterns] != 0).any(axis=0))
+def _on_frame(patterns, nqubits, sector):
+    """(patterns, signs (sectors, n)) on the frame of ``sector``: with none,
+    all qubits, one sector; else the other qubits, sectors X_sector = +1, -1
+    and signs (+1, +1) for I there, (+1, -1) for X, ValueError for Y, Z."""
+    if sector is None:
+        return np.asarray(patterns, np.int64), np.ones((1, len(patterns)))
+    digit, rest = split_qubit(patterns, nqubits, sector)
+    if (digit > 1).any():
+        raise ValueError(f"a pattern has Y or Z on the sector qubit {sector}")
+    return rest, np.stack([np.ones(len(rest)), 1.0 - 2 * digit])
 
 
-def _local_patterns(patterns, ctx, qubits):
-    """Indices of the patterns as Pauli products on ``qubits`` alone; the
-    patterns are the identity on every other qubit."""
+def _on_active(patterns, ctx):
+    """(A, local): the sorted qubits A on which some pattern is not the
+    identity, and the patterns' indices as Pauli products on A alone."""
+    digits = ctx.digits[patterns]
+    qubits = np.flatnonzero((digits != 0).any(axis=0))
     place = 4 ** np.arange(len(qubits) - 1, -1, -1)
-    return ctx.digits[patterns][:, qubits].astype(np.int64) @ place
+    return qubits, digits[:, qubits].astype(np.int64) @ place
 
 
-def _idle_blocks(w, nqubits, active):
-    """W as blocks W_ij over the idle qubits (those not in ``active``):
-    (2^i, 2^i, 2^a, 2^a) with W_ij[b, c] = <b, i| W |c, j>."""
+def _idle_blocks(ws, nqubits, active):
+    """A stack of W as blocks W_ij over the idle qubits (those not in
+    ``active``): (k, 2^i, 2^i, 2^a, 2^a), W_ij[b, c] = <b, i| W |c, j>."""
     idle = np.setdiff1d(np.arange(nqubits), active)
     perm = np.concatenate([idle, nqubits + idle, active, nqubits + active])
     ni, na = 2 ** len(idle), 2 ** len(active)
-    return w.reshape((2,) * (2 * nqubits)).transpose(perm).reshape(
-        ni, ni, na, na)
+    return ws.reshape((len(ws),) + (2,) * (2 * nqubits)).transpose(
+        0, *(perm + 1)).reshape(len(ws), ni, ni, na, na)
 
 
 class PauliRows:
-    """Dense operators Q_l = sum_s rows[l, s] P_s over a support, with the
-    support's ``ShiftCache`` and, built on first use, the Q_l side by side
-    as (side, k side); blocks on the same rows share one."""
+    """Dense operators Q_l = sum_s rows[l, s] P_s over a support; blocks on
+    the same rows share one, and with it the rows on each sector frame."""
 
     def __init__(self, nqubits, rows, support):
         self.ctx = PauliContext(nqubits)
         self.rows = np.asarray(rows, dtype=float)
         self.support = np.asarray(support, dtype=np.int64)
-        self.cache = ShiftCache(self.ctx, self.support)
+        self._frames = {}
 
-    @cached_property
-    def ops(self):
-        q = sparse_coeffs_to_matrix(self.support, self.rows, self.ctx)
-        return q.transpose(1, 0, 2).reshape(self.ctx.dim, -1)
+    def on_frame(self, sector):
+        """(rows, cache, ops), once per sector: the rows per sector on the
+        frame support (patterns that meet there summed), its ``ShiftCache``,
+        and the Q_l side by side per sector, (s, side, k side)."""
+        if sector not in self._frames:
+            pats, signs = _on_frame(self.support, self.ctx.nqubits, sector)
+            support, at = np.unique(pats, return_inverse=True)
+            rows = signs[:, None] * self.rows @ np.eye(len(support))[at]
+            ctx = PauliContext(self.ctx.nqubits - (sector is not None))
+            q = sparse_coeffs_to_matrix(support, rows, ctx)
+            self._frames[sector] = (rows, ShiftCache(ctx, support), q.transpose(
+                0, 2, 1, 3).reshape(len(rows), ctx.dim, -1))
+        return self._frames[sector]
 
 
 class PauliColumns:
     """Constraint operators given by real Pauli-pattern coefficient rows.
 
     ``unit_patterns`` lists operators that are single Pauli products P_s;
-    ``dense``, a ``PauliRows``, the dense operators Q_l and the qubits.
-    Unit columns come first in the local index order.
-
-    The Gram Tr[A_i W A_j W] is assembled per column class.  The unit
-    patterns are P_s (x) 1 with P_s on their active qubits A_u; the dense
-    operators Q_l are those of ``dense``, on all the block's qubits.  With
-    W_ij the blocks of W over the qubits outside A_u:
+    ``dense``, a ``PauliRows``, the dense operators Q_l and the qubits, each
+    column ``sign`` Q_l.  Unit columns come first in the local index order.
+    With a ``sector`` qubit, on which every operator is I or X and C
+    commutes with X, the Gram Tr[A_i W A_j W] is the sum of the frame Grams
+    (``_on_frame``) at W's sector blocks; each is assembled per column
+    class.  P_s (x) 1 has P_s on the units' active frame qubits A_u, and
+    W_ij are the blocks of W over the frame qubits outside A_u:
 
       unit x unit    sum_ij Tr[P_s W_ij P_t W_ji] on A_u, a gather and two
                      Walsh-Hadamard GEMMs per X-mask class of s;
-      unit x dense   Tr[P_s Tr_rest N_l] with N_l = W Q_l W, traced over
-                     every qubit outside A_u;
+      unit x dense   Tr[P_s N_l] from the coefficients of N_l = W Q_l W;
       dense x dense  side Re(Phi Phi^T) with Phi the coefficients of Q_l W,
-                     gathered from the support's ``ShiftCache``.
+                     gathered from the frame support's ``ShiftCache``.
     """
 
-    def __init__(self, unit_indices, unit_patterns, dense_indices, dense):
-        self.ctx = ctx = dense.ctx
-        self.side, self.nqubits = ctx.dim, ctx.nqubits
+    def __init__(self, unit_indices, unit_patterns, dense_indices, dense,
+                 sector=None, sign=1.0):
+        self.ctx = dense.ctx
+        self.side, self.nqubits = self.ctx.dim, self.ctx.nqubits
         self.unit_patterns = np.asarray(unit_patterns, dtype=np.int64)
-        self.dense = dense
+        self.dense, self.sector, self.sign = dense, sector, float(sign)
         self.indices = np.concatenate([
             np.asarray(unit_indices, dtype=np.int64),
             np.asarray(dense_indices, dtype=np.int64),
         ])
-        # A_u, and the unit patterns' indices as products on it
-        self.unit_qubits = _active_qubits(self.unit_patterns, ctx)
-        self._unit_local = _local_patterns(
-            self.unit_patterns, ctx, self.unit_qubits)
-        if len(self.unit_patterns) and len(dense.rows):
-            n, kept = ctx.nqubits, self.unit_qubits.tolist()
-            # einsum labels of N[r_1..r_n, l, c_1..c_n]: a qubit outside
-            # A_u has one label for its row and column, so it is traced out
-            cols = [n + j if j in kept else j for j in range(n)]
-            self._trace_axes = ([*range(n), 2 * n, *cols],
-                                [2 * n, *kept, *(n + j for j in kept)])
-            self._dense_ops = dense.ops   # the first such block builds it
+        self.frame = PauliContext(self.nqubits - (sector is not None))
+        if len(dense.rows):   # the first block on the rows builds them
+            self._rows, self._cache, self._ops = dense.on_frame(sector)
+        # the units on the frame, their signs, A_u and their indices on A_u
+        self._units, self._signs = _on_frame(self.unit_patterns,
+                                             self.nqubits, sector)
+        self.unit_qubits, self._unit_local = _on_active(self._units,
+                                                        self.frame)
 
     def gram(self, w):
-        n_unit = len(self.unit_patterns)
+        n_unit, ws = len(self.unit_patterns), w[None]
+        if self.sector is not None:   # <+-|W|+-> of W's part commuting with X
+            v = qubit_blocks(w, self.nqubits, self.sector)
+            a, b = (v[0, 0] + v[1, 1]) / 2, (v[0, 1] + v[1, 0]) / 2
+            ws = np.stack([a + b, a - b])
         g = np.empty((len(self.indices),) * 2)
         if n_unit:
-            g[:n_unit, :n_unit] = self._unit_gram(w)
+            g[:n_unit, :n_unit] = self._unit_gram(ws)
         if len(self.dense.rows):
-            g[n_unit:, n_unit:] = self._dense_gram(w)
+            g[n_unit:, n_unit:] = self.sign**2 * self._dense_gram(ws)
             if n_unit:
-                ud = self._cross_gram(w)
+                ud = self.sign * self._cross_gram(ws)
                 g[:n_unit, n_unit:] = ud
                 g[n_unit:, :n_unit] = ud.T
         return g
 
-    def _unit_gram(self, w):
-        # Tr[(P_s (x) 1) W (P_t (x) 1) W] = sum_ij Tr[P_s W_ij P_t W_ji]
-        wb = _idle_blocks(w, self.nqubits, self.unit_qubits)
-        n = wb.shape[2]
-        return np.real(pauli_pair_traces(
-            wb.reshape(-1, n, n), wb.transpose(1, 0, 2, 3).reshape(-1, n, n),
-            self._unit_local, len(self.unit_qubits)))
+    def _unit_gram(self, ws):
+        # Tr[(P_s (x) 1) W (P_t (x) 1) W] = sum_ij Tr[P_s W_ij P_t W_ji] per
+        # sector times the units' signs, 1 where each sector's signs agree
+        wb = _idle_blocks(ws, self.frame.nqubits, self.unit_qubits)
+        n, signs = wb.shape[-1], self._signs
+        uniform = (signs == signs[:, :1]).all()
+        g = 0.0
+        for s in [slice(None)] if uniform else range(len(ws)):
+            t = np.real(pauli_pair_traces(
+                wb[s].reshape(-1, n, n),
+                wb[s].swapaxes(-3, -4).reshape(-1, n, n),
+                self._unit_local, len(self.unit_qubits)))
+            g = t if uniform else g + np.outer(signs[s], signs[s]) * t
+        return g
 
-    def _cross_gram(self, w):
-        n, u = self.nqubits, len(self.unit_qubits)
-        k = len(self.dense.rows)
-        # N[(r, l), c] = (W Q_l W)[r, c], two GEMMs
-        nl = (w @ self._dense_ops).reshape(self.side * k, self.side) @ w
-        # Tr[(P_s (x) 1) N_l] = Tr[P_s M_l] with M_l = Tr_rest N_l, the
-        # partial trace over the qubits outside A_u, and that is 2^u times
-        # the P_s-coefficient of M_l
-        ml = np.einsum(nl.reshape((2,) * n + (k,) + (2,) * n),
-                       *self._trace_axes).reshape(k, 2**u, 2**u)
-        coeffs = pauli_coeffs_batch(ml, u)[:, self._unit_local]
-        return 2**u * np.real(coeffs).T
+    def _cross_gram(self, ws):
+        s, d, k = len(ws), self.frame.dim, len(self.dense.rows)
+        # N[s, r, l, c] = (W Q_l W)[r, c] on each sector, two GEMMs
+        nl = ((ws @ self._ops).reshape(s, d * k, d) @ ws).reshape(s, d, k, d)
+        # Tr[(P_s (x) 1) N_l] is side times the P_s-coefficient of N_l, summed
+        # over the sectors with the unit's signs: one transform per sign set
+        out = np.empty((len(self._units), k))
+        for signs in np.unique(self._signs, axis=1).T:
+            on = (self._signs.T == signs).all(axis=1)
+            m = np.tensordot(signs, nl, axes=1).transpose(1, 0, 2)
+            out[on] = np.real(pauli_coeffs_batch(m, self.frame.nqubits)[
+                :, self._units[on]]).T
+        return d * out
 
-    def _dense_gram(self, w):
+    def _dense_gram(self, ws):
         # W is Hermitian, so its Pauli coefficients are real; Phi holds the
         # (Re, Im) coefficients of Q_l W and lives only for this call
-        vhat = np.real(pauli_coeffs(w, self.nqubits))
-        re, im = self.dense.cache.apply_combined(vhat, self.dense.rows)
-        g = re @ re.T
-        g -= im @ im.T
-        g *= self.side
-        return g
+        g = 0.0
+        for w, rows in zip(ws, self._rows):
+            vhat = np.real(pauli_coeffs(w, self.frame.nqubits))
+            re, im = self._cache.apply_combined(vhat, rows)
+            g = g + re @ re.T - im @ im.T
+        return self.frame.dim * g
 
     def dots(self, mat):
         mhat = np.real(pauli_coeffs(mat, self.nqubits))
         return self.side * np.concatenate([
             mhat[self.unit_patterns],
-            self.dense.rows @ mhat[self.dense.support],
+            self.sign * (self.dense.rows @ mhat[self.dense.support]),
         ])
 
     def combine(self, yloc):
         n_unit = len(self.unit_patterns)
         pats = np.concatenate([self.unit_patterns, self.dense.support])
-        vals = np.concatenate([yloc[:n_unit], yloc[n_unit:] @ self.dense.rows])
+        vals = np.concatenate([yloc[:n_unit],
+                               self.sign * (yloc[n_unit:] @ self.dense.rows)])
         return sparse_coeffs_to_matrix(pats, vals, self.ctx)
 
 

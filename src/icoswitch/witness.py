@@ -32,7 +32,8 @@ import numpy as np
 
 from . import procmat as pm
 from .settings import SHAPE
-from .paulialg import PauliContext, pauli_coeffs, sparse_coeffs_to_matrix
+from .paulialg import (PauliContext, pauli_coeffs, qubit_blocks,
+                       sparse_coeffs_to_matrix, split_qubit)
 from .qmath import LabeledOperator
 from .sdp import Block, PauliColumns, PauliRows, SdpSolution, solve_conic
 
@@ -47,10 +48,12 @@ _CTX = PauliContext(pm.NQUBITS)
 
 # The catalog never reads the target's output F_t, so every operator of the
 # witness and dual-cone problems is 1_{F_t} (x) A' with A' on the other six
-# qubits: each block is solved on those six, as one block of two copies.
+# qubits: each block is solved on those six, as one block of two copies,
+# and in the X_{F_c} sectors (F_c is read in the +- basis) where C allows.
 _F_T = pm.CANONICAL.index("F_t")
 _REDUCED = pm.NQUBITS - 1
 _F_T_COPIES = pm.DIMS[_F_T]
+_F_C = [label for label in pm.CANONICAL if label != "F_t"].index("F_c")
 
 
 class SpanRankWarning(UserWarning):
@@ -116,31 +119,32 @@ def _order_patterns(order):
 
 def _drop_target(patterns):
     """The six-qubit indices of patterns that are the identity on F_t."""
-    low = 4 ** (pm.NQUBITS - 1 - _F_T)
-    patterns = np.asarray(patterns, dtype=np.int64)
-    if ((patterns // low) % 4).any():
+    digit, rest = split_qubit(patterns, pm.NQUBITS, _F_T)
+    if digit.any():
         raise ValueError("a pattern acts on F_t")
-    return patterns // (4 * low) * low + patterns % low
+    return rest
 
 
 def _target_block(mat):
     """S' with S = 1_{F_t} (x) S'; ValueError when S is not of that form."""
-    hi, lo = 2**_F_T, 2 ** (pm.NQUBITS - 1 - _F_T)
-    s = np.asarray(mat).reshape(hi, 2, lo, hi, 2, lo)
-    if (s[:, 0, :, :, 1].any() or s[:, 1, :, :, 0].any()
-            or not np.array_equal(s[:, 0, :, :, 0], s[:, 1, :, :, 1])):
+    s = qubit_blocks(mat, pm.NQUBITS, _F_T)
+    if s[0, 1].any() or s[1, 0].any() or not np.array_equal(s[0, 0], s[1, 1]):
         raise ValueError("witness candidate must be the identity on F_t")
-    return s[:, 0, :, :, 0].reshape(hi * lo, hi * lo)
+    return s[0, 0]
 
 
 def _target_free_block(name, c, unit_indices, unit_patterns, dense_indices,
-                       dense):
-    """128-side C with 7-qubit unit patterns and six-qubit ``dense`` rows,
-    solved on the six qubits other than F_t as one block of two copies.
-    Raises ValueError unless C and every pattern are the identity on F_t."""
+                       dense, sign=1.0):
+    """128-side C with 7-qubit unit patterns and six-qubit ``dense`` rows
+    (columns ``sign`` Q_l), solved on the six qubits other than F_t as one
+    block of two copies, in the X_{F_c} sectors when C' commutes with X_{F_c}
+    exactly.  ValueError unless C and every pattern are 1 on F_t."""
+    c = _target_block(c)
+    v = qubit_blocks(c, _REDUCED, _F_C)   # [[A, B], [B, A]] commutes with X
+    sector = _F_C if np.array_equal(v[0], v[1, ::-1]) else None
     cols = PauliColumns(unit_indices, _drop_target(unit_patterns),
-                        dense_indices, dense)
-    return Block(name, _target_block(c), cols, copies=_F_T_COPIES)
+                        dense_indices, dense, sector, sign)
+    return Block(name, c, cols, copies=_F_T_COPIES)
 
 
 def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
@@ -148,9 +152,9 @@ def dual_cone_check(s_op: LabeledOperator, margin=1e-9) -> DualConeReport:
 
     For each order, maximizes t subject to S - R - t*1 >= 0 with R ranging
     over the order's orthogonal complement; membership requires t* >= 0
-    within ``margin`` for both orders.  S must be 1_{F_t} (x) S' (as is
-    every operator in the catalog span, and the identity); the solve runs
-    on S'.  Any other S raises ValueError.
+    within ``margin`` for both orders.  S must be 1_{F_t} (x) S', as is
+    every span operator and 1, else ValueError; the solve runs on S', in
+    the X_{F_c} sectors where S' allows.
     """
     if not s_op.is_hermitian():
         raise ValueError("witness candidate must be Hermitian")
@@ -217,7 +221,7 @@ def _span_blocks(span: SpanBasis, convention: str):
 
     blocks = []
     zero = np.zeros((pm.SIDE, pm.SIDE), dtype=complex)
-    # one set of -Q_k rows, shift tables and operators for both orders
+    # one set of -Q_k rows, shift tables and operators for every block
     neg_span = PauliRows(_REDUCED, -span.onb, _drop_target(span.support))
     for name, pats, vidx in (("T_ab", pats_ab, layout["v_ab"]),
                              ("T_ba", pats_ba, layout["v_ba"])):
@@ -237,8 +241,7 @@ def _span_blocks(span: SpanBasis, convention: str):
         off += len(pats_v)
         blocks.append(_target_free_block(
             "T_norm", np.eye(pm.SIDE, dtype=complex) / pm.TRACE_NORM,
-            layout["v_valid"], pats_v, layout["s"],
-            PauliRows(_REDUCED, span.onb, _drop_target(span.support))))
+            layout["v_valid"], pats_v, layout["s"], neg_span, sign=-1.0))
     elif convention == "white-noise":
         # Tr[S W_white] = 1 with W_white = TRACE_NORM / SIDE = 1/16: only
         # the identity pattern of S contributes, Tr[Q_k/16] = 8 coeff_id(Q_k)

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icoswitch.paulialg import (
+    PAULIS,
     PauliContext,
     ShiftCache,
     coeffs_to_matrix,
     pauli_coeffs,
     pauli_coeffs_batch,
     pauli_pair_traces,
+    qubit_blocks,
     sparse_coeffs_to_matrix,
+    split_qubit,
 )
 
 PAULIS = [
@@ -237,3 +240,18 @@ def test_apply_combined_is_weights_times_apply(q):
     c_re, c_im = cache.apply_combined(vhat, weights)
     assert np.abs(c_re - weights @ re).max() < 1e-13
     assert np.abs(c_im - weights @ im).max() < 1e-13
+
+
+def test_split_qubit_and_qubit_blocks_match_the_tensor_factors():
+    # P = A (x) P_d (x) B on three qubits: the middle digit is d and the
+    # rest is A (x) B; its blocks on the middle qubit are P_d[i, j] A (x) B
+    ctx, rest = PauliContext(3), PauliContext(2)
+    pats = np.arange(64)
+    digit, others = split_qubit(pats, 3, 1)
+    assert np.array_equal(digit, ctx.digits[:, 1])
+    assert np.array_equal(rest.digits[others], ctx.digits[:, [0, 2]])
+    for s in (9, 27, 46):
+        a, b = PAULIS[ctx.digits[s, 0]], PAULIS[ctx.digits[s, 2]]
+        blocks = qubit_blocks(ctx.dense(s), 3, 1)
+        want = PAULIS[digit[s]][:, :, None, None] * np.kron(a, b)
+        assert np.array_equal(blocks, want)

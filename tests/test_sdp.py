@@ -159,30 +159,39 @@ def test_pauli_gram_matches_dense_gram_with_witness_signs():
     assert np.abs(cols.gram(w) - expected).max() < 1e-12 * np.abs(expected).max()
 
 
-def gram_oracle_error(q, units, support, rows, rng):
-    """max |PauliColumns.gram - DenseColumns.gram| / max |G| at a random
-    positive definite W."""
+def gram_oracle_error(q, units, support, rows, rng, sector=None, sign=1.0):
+    """The largest of max |PauliColumns.f - DenseColumns.f| / max |f| over
+    the Gram at a random positive definite W, projected to commute with X
+    on ``sector`` when one is declared, ``dots`` and ``combine``; the dense
+    columns are ``sign`` Q_l."""
     ctx = PauliContext(q)
     n_unit, k = len(units), len(rows)
     cols = PauliColumns(
         unit_indices=range(n_unit), unit_patterns=units,
         dense_indices=range(n_unit, n_unit + k),
-        dense=PauliRows(q, rows, support),
+        dense=PauliRows(q, rows, support), sector=sector, sign=sign,
     )
     mats = ([ctx.dense(int(s)) for s in units]
-            + [sparse_coeffs_to_matrix(support, r, ctx) for r in rows])
+            + [sign * sparse_coeffs_to_matrix(support, r, ctx) for r in rows])
     dense = DenseColumns(ctx.dim, range(n_unit + k),
                          np.reshape(mats, (-1, ctx.dim, ctx.dim)))
     g = rng.normal(size=(ctx.dim,) * 2) + 1j * rng.normal(size=(ctx.dim,) * 2)
     w = g @ g.conj().T + 0.1 * np.eye(ctx.dim)
-    expected = dense.gram(w)
-    return np.abs(cols.gram(w) - expected).max() / np.abs(expected).max()
+    if sector is not None:
+        x = ctx.dense(4 ** (q - 1 - sector))   # X on the sector qubit
+        w = (w + x @ w @ x) / 2
+    mat, y = rand_herm(rng, ctx.dim), rng.normal(size=n_unit + k)
+    return max(np.abs(got - want).max() / np.abs(want).max()
+               for got, want in ((cols.gram(w), dense.gram(w)),
+                                 (cols.dots(mat), dense.dots(mat)),
+                                 (cols.combine(y), dense.combine(y))))
 
 
-def patterns_on(data, q, qubits, min_size, max_size, unique):
-    """Pattern indices that are the identity off ``qubits``."""
-    digit = [st.integers(0, 3) if k in qubits else st.just(0)
-             for k in range(q)]
+def patterns_on(data, q, qubits, min_size, max_size, unique, sector=None):
+    """Pattern indices that are the identity off ``qubits``, and I or X on
+    ``sector``."""
+    digit = [st.integers(0, 1 if k == sector else 3) if k in qubits
+             else st.just(0) for k in range(q)]
     pats = data.draw(st.lists(st.tuples(*digit), min_size=min_size,
                               max_size=max_size, unique=unique))
     place = 4 ** np.arange(q - 1, -1, -1)
@@ -193,7 +202,10 @@ def patterns_on(data, q, qubits, min_size, max_size, unique):
 @given(q=st.sampled_from([2, 3, 4]), data=st.data())
 def test_pauli_gram_matches_dense_gram_per_column_class(q, data):
     # unit patterns active on one qubit up to all of them; a dense support
-    # active on a superset, a subset of, or qubits disjoint from the units'
+    # active on a superset, a subset of, or qubits disjoint from the units';
+    # with a declared sector qubit, every pattern is I or X there, so the
+    # sectors weigh the columns with equal or opposite signs
+    sector = data.draw(st.one_of(st.none(), st.integers(0, q - 1)))
     qubits = st.sets(st.integers(0, q - 1), min_size=1)
     unit_qubits = data.draw(qubits)
     relation = data.draw(st.sampled_from(["superset", "subset", "disjoint"]))
@@ -203,24 +215,41 @@ def test_pauli_gram_matches_dense_gram_per_column_class(q, data):
         support_qubits = data.draw(st.sets(st.sampled_from(sorted(unit_qubits))))
     else:
         support_qubits = set(range(q)) - unit_qubits
-    units = patterns_on(data, q, unit_qubits, 0, 6, unique=True)
-    support = patterns_on(data, q, support_qubits, 1, 5, unique=False)
+    units = patterns_on(data, q, unit_qubits, 0, 6, unique=True, sector=sector)
+    support = patterns_on(data, q, support_qubits, 1, 5, unique=False,
+                          sector=sector)
     n_dense = data.draw(st.integers(0 if len(units) else 1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     rows = rng.normal(size=(n_dense, len(support)))
     if data.draw(st.booleans()):
         rows = -rows
-    assert gram_oracle_error(q, units, support, rows, rng) < 1e-12
+    sign = data.draw(st.sampled_from([1.0, -1.0]))
+    assert gram_oracle_error(q, units, support, rows, rng, sector,
+                             sign) < 1e-12
 
 
 def test_pauli_gram_matches_dense_gram_at_the_witness_size(full_span):
-    # A->B patterns leave F_c and F_t idle, the span support F_t
+    # A->B patterns leave F_c and F_t idle, the span support F_t; every
+    # span pattern is I or X on F_c, so the block also runs in its sectors
     rng = np.random.default_rng(23)
     units = rng.choice(np.flatnonzero(pm.forbidden_mask("A->B")), size=40,
                        replace=False)
     rows = -full_span.onb[rng.choice(full_span.rank, size=5, replace=False)]
-    err = gram_oracle_error(pm.NQUBITS, units, full_span.support, rows, rng)
-    assert err < 1e-12
+    for sector in (None, pm.CANONICAL.index("F_c")):
+        err = gram_oracle_error(pm.NQUBITS, units, full_span.support, rows,
+                                rng, sector)
+        assert err < 1e-12
+
+
+@pytest.mark.parametrize("where", ["unit", "dense"])
+@pytest.mark.parametrize("digit", [2, 3], ids=["Y", "Z"])
+def test_y_or_z_on_a_declared_sector_qubit_is_rejected(where, digit):
+    # qubit 0 of two is the sector; the pattern 4 digit + 1 is Y or Z there
+    bad = [4 * digit + 1]
+    units, support = (bad, [1]) if where == "unit" else ([1], bad)
+    with pytest.raises(ValueError, match="Y or Z on the sector qubit 0"):
+        PauliColumns([0], units, [1], PauliRows(2, np.ones((1, 1)), support),
+                     sector=0)
 
 
 def test_unit_pattern_columns_and_signs():

@@ -113,8 +113,9 @@ def test_cone_block_gram_memory_stays_small():
 def test_witness_solve_memory_stays_small(full_span, monkeypatch):
     # two iterations of the white-noise witness solve with its blocks built
     # in the traced region: the span operators are synthesized once for
-    # both order blocks, and an iteration's Newton system and each block's
-    # Gram are freed before the next Gram is assembled
+    # both order blocks, on the two 32-side X_{F_c} sectors, and an
+    # iteration's Newton system and each block's Gram are freed before the
+    # next Gram is assembled; measured 66.4 MB (numpy 2.4)
     monkeypatch.setattr(wt, "WITNESS_MAXITER", 2)
     w = pm.w_switch()
     with pytest.warns(wt.SpanRankWarning):
@@ -127,7 +128,7 @@ def test_witness_solve_memory_stays_small(full_span, monkeypatch):
     finally:
         tracemalloc.stop()
     assert sol.iterations == 2
-    assert peak <= 110 * 2**20
+    assert peak <= 76 * 2**20
 
 
 @pytest.mark.slow
@@ -164,6 +165,39 @@ def test_dual_cone_check_keeps_a_decided_false(monkeypatch, outcomes,
     assert list(rep.statuses.values()) == [s for s, _ in outcomes]
 
 
+def on_f_c(pauli):
+    """The Pauli matrix ``pauli`` on F_c, as a 128-side matrix."""
+    others = tuple(label for label in pm.CANONICAL if label != "F_c")
+    return tensor([LabeledOperator(["F_c"], [2], PAULIS[pauli]),
+                   LabeledOperator(others, (2,) * 6, np.eye(64))]).entries
+
+
+@pytest.mark.parametrize("pauli", [0, 1, 3], ids=["I", "X", "Z"])
+def test_a_block_is_solved_in_sectors_only_when_c_commutes_with_x_on_f_c(
+        pauli):
+    # 1 + 0.1 X_{F_c} commutes with X_{F_c}, 1 + 0.1 Z_{F_c} does not: that
+    # block keeps the six-qubit frame, one sector
+    pats = wt._order_patterns("A->B")
+    block = wt._target_free_block(
+        "T", np.eye(pm.SIDE) + 0.1 * on_f_c(pauli), np.arange(len(pats)),
+        pats, [len(pats)], PauliRows(6, np.ones((1, 1)), [0]))
+    sector = None if pauli == 3 else wt._F_C
+    assert block.columns.sector == sector
+    assert block.columns.frame.nqubits == (6 if sector is None else 5)
+
+
+@pytest.mark.slow
+def test_dual_cone_check_off_the_sectors_keeps_its_margins():
+    # S = 1 + 0.1 Z_{F_c} does not commute with X_{F_c}; it is checked on six
+    # qubits, with the member and margins of the six-qubit solve (t* = 0.9)
+    rep = wt.dual_cone_check(LabeledOperator(
+        pm.CANONICAL, pm.DIMS, np.eye(pm.SIDE) + 0.1 * on_f_c(3)))
+    assert rep.member is True
+    assert list(rep.margins) == list(pm.ORDERS)
+    for t_star in rep.margins.values():
+        assert abs(t_star - 0.8999999992521628) < 1e-10
+
+
 @pytest.mark.parametrize("pauli", [1, 3], ids=["X", "Z"])
 def test_dual_cone_check_rejects_an_operator_on_f_t(pauli):
     # 1 + X_{F_t} has off-diagonal F_t blocks, 1 + Z_{F_t} unequal ones;
@@ -196,6 +230,18 @@ def test_optimized_witness_value_matches_reference(witness_solution):
     assert abs(witness_solution.value - (-0.4248)) < 5e-3
     assert witness_solution.gap < 1e-7
     assert witness_solution.convention == "white-noise"
+
+
+# the full-span white-noise solve on the ideal switch: its iteration count
+# and certified value; 1 and 2 OpenBLAS threads (numpy 2.4, OpenBLAS
+# 0.3.31) read -0.42483907508416807 and -0.42483907508416796
+FULL_SPAN_ITERATIONS = 16
+FULL_SPAN_VALUE = -0.42483907508416763
+
+
+def test_full_span_witness_trajectory_is_pinned(witness_solution):
+    assert witness_solution.iterations == FULL_SPAN_ITERATIONS
+    assert abs(witness_solution.value - FULL_SPAN_VALUE) <= 1e-10
 
 
 def test_witness_consistency_invariants(witness_solution, full_span):
@@ -389,18 +435,25 @@ def test_witness_blocks_build_each_table_set_once(full_span):
     from icoswitch.paulialg import _cached_shift_tables
 
     _cached_shift_tables.cache_clear()
-    blocks, *_ = wt._span_blocks(full_span, "white-noise")
-    t_ab, t_ba = (bl.columns for bl in blocks)
-    # only the span support holds shift tables, in the one PauliRows that
-    # both order blocks share with its operators; the unit patterns' Gram
-    # needs none
+    blocks, *_ = wt._span_blocks(full_span, "generalized-robustness")
+    cols = [bl.columns for bl in blocks]
+    # every block is solved in the two X_{F_c} sectors on the one PauliRows
+    # of -Q_k (T_norm's +Q_k is its column sign): one sector form, so one
+    # five-qubit shift-table set and one operator stack; the unit patterns'
+    # Gram needs no tables
+    assert [(c.sector, c.sign) for c in cols] == [
+        (wt._F_C, 1.0), (wt._F_C, 1.0), (wt._F_C, -1.0)]
     info = _cached_shift_tables.cache_info()
     assert (info.misses, info.hits) == (1, 0)
-    assert not hasattr(t_ab, "_unit_cache")
-    assert t_ab.dense is t_ba.dense
-    assert t_ab._dense_ops is t_ba._dense_ops
+    for c in cols[1:]:
+        assert c.dense is cols[0].dense
+        assert c._cache is cols[0]._cache and c._ops is cols[0]._ops
+    rows, cache, ops = cols[0]._rows, cols[0]._cache, cols[0]._ops
+    k = full_span.rank
+    assert rows.shape[:2] == (2, k) and ops.shape == (2, 32, k * 32)
     for name in ("tgt", "re", "im"):
-        table = getattr(t_ab.dense.cache, name)
+        table = getattr(cache, name)
+        assert table.shape == (rows.shape[2], 4**5)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
