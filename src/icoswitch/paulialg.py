@@ -2,13 +2,13 @@
 
 Hermitian Pauli products are indexed by base-4 digit strings (digit order
 I, X, Y, Z; leftmost digit = first tensor factor).  The module provides
-dense <-> coefficient transforms (qubitwise over all 4^n coefficients;
-``sparse_coeffs_to_matrix`` synthesizes batched pattern lists instead as
-a Walsh-Hadamard GEMM and an XOR gather), one qubit split off patterns
-(``split_qubit``) and matrices (``qubit_blocks``), the signed-permutation
-form of single products (``perm_phase``/``dense``, an independent
-reference), and the group-product phase machinery used to assemble
-operator Grams without forming large dense products:
+the coefficient transform of dense matrices (qubitwise over all 4^n
+coefficients) and its inverse on pattern lists (``sparse_coeffs_to_matrix``,
+batched, a Walsh-Hadamard GEMM and an XOR gather), one qubit split off
+patterns (``split_qubit``) and matrices (``qubit_blocks``), the
+signed-permutation form of single products (``perm_phase``/``dense``, an
+independent reference), and the group-product phase machinery used to
+assemble operator Grams without forming large dense products:
 
     P_s P_t = gamma(s, t) P_{s xor t},   gamma in {+-1, +-i},
 
@@ -17,12 +17,11 @@ Writing V = sum_u vhat_u P_u, the coefficient vector of P_s V is the
 XOR-shifted, phase-twisted gather  u -> vhat_{s xor u} * gamma(s, s xor u).
 For Hermitian V the coefficients vhat are real, so each gathered entry is
 purely real or purely imaginary: ``ShiftCache`` keeps the gather indices
-and the phase as int8 sign tables, built once per pattern set and process,
-and returns the real and imaginary parts separately, over all pattern
-columns or a slice of them.  Tr[A V B V] then reduces to two real Gram
-products.  ``sdp.PauliColumns`` gathers this way only for its dense rows,
-on a sector frame (all qubits but one where every operator is I or X);
-single products take ``pauli_pair_traces`` on their active qubits (a
+and the phase as int8 sign tables, built once per cache, and returns the
+real and imaginary parts separately.  Tr[A V B V] then reduces to two real
+Gram products.  ``sdp.PauliColumns`` gathers this way only for its dense
+rows, on a sector frame (all qubits but one where every operator is I or
+X); single products take ``pauli_pair_traces`` on their active qubits (a
 gather and two Walsh-Hadamard GEMMs per X-mask class), and the cross
 terms the batched coefficient transform below.
 """
@@ -145,68 +144,26 @@ class PauliContext:
         return vhat[tgt] * (re + 1j * im)
 
 
-_BUILD_ROWS = 256   # pattern rows per table-building step (int64 temporaries)
-_GATHER_ROWS = 8    # pattern rows per gather step (index conversion in cache)
-_COMBINE_COLS = 1024  # pattern columns per gather-and-multiply step
-
-
-@lru_cache(maxsize=4)
-def _cached_shift_tables(nqubits, rows):
-    """Read-only shift tables of one pattern set, built chunk by chunk."""
-    ctx = PauliContext(nqubits)
-    shape = (len(rows), ctx.npatterns)
-    tgt = np.empty(shape, dtype=np.int32)
-    re = np.empty(shape, dtype=np.int8)
-    im = np.empty(shape, dtype=np.int8)
-    for lo in range(0, len(rows), _BUILD_ROWS):
-        hi = lo + _BUILD_ROWS
-        tgt[lo:hi], re[lo:hi], im[lo:hi] = ctx.shift_tables(rows[lo:hi])
-    for table in (tgt, re, im):
-        table.flags.writeable = False
-    return tgt, re, im
-
-
 class ShiftCache:
-    """Gather tables for repeated shift_rows on fixed patterns and real vhat.
-
-    The tables of a pattern set are shared by every cache over that set in
-    the process (an LRU of the last few sets), so repeated solves on the
-    same support build them once.
-    """
+    """Gather tables for repeated shift_rows on fixed patterns and real vhat,
+    built once per cache and read-only."""
 
     def __init__(self, ctx: PauliContext, rows):
         self.ctx = ctx
         self.rows = np.asarray(rows, dtype=np.int64)
-        self.tgt, self.re, self.im = _cached_shift_tables(
-            ctx.nqubits, tuple(self.rows.tolist()))
+        self.tgt, self.re, self.im = ctx.shift_tables(self.rows)
+        for table in (self.tgt, self.re, self.im):
+            table.flags.writeable = False
 
-    def apply(self, vhat, cols=slice(None)):
-        """(Re F, Im F) over the pattern columns ``cols`` of F, for the
-        cached patterns and real vhat, as float64."""
-        tgt = self.tgt[:, cols]
-        re_sign, im_sign = self.re[:, cols], self.im[:, cols]
-        re, im = np.empty((2, *tgt.shape))
-        for lo in range(0, len(self.rows), _GATHER_ROWS):
-            hi = lo + _GATHER_ROWS
-            part = re[lo:hi]
-            np.take(vhat, tgt[lo:hi], out=part)
-            np.multiply(part, im_sign[lo:hi], out=im[lo:hi])
-            part *= re_sign[lo:hi]
-        return re, im
+    def apply(self, vhat):
+        """(Re F, Im F) for the cached patterns and real vhat, as float64."""
+        f = np.take(vhat, self.tgt)
+        return f * self.re, f * self.im
 
     def apply_combined(self, vhat, weights):
-        """(Re, Im) of weights @ F for real weights.
-
-        F is gathered by ``apply`` one column slice at a time, so it is
-        never held whole.
-        """
-        out = np.empty((2, len(weights), self.tgt.shape[1]))
-        for lo in range(0, self.tgt.shape[1], _COMBINE_COLS):
-            cols = slice(lo, lo + _COMBINE_COLS)
-            re, im = self.apply(vhat, cols=cols)
-            np.matmul(weights, re, out=out[0, :, cols])
-            np.matmul(weights, im, out=out[1, :, cols])
-        return out
+        """(Re, Im) of weights @ F for real weights."""
+        re, im = self.apply(vhat)
+        return weights @ re, weights @ im
 
 
 def split_qubit(patterns, nqubits: int, qubit: int):
@@ -227,24 +184,6 @@ def qubit_blocks(mat, nqubits: int, qubit: int) -> np.ndarray:
 
 # T4[p, 2r+c] = P_p[c, r] / 2  (coefficient extraction per qubit)
 _T4 = np.stack([p.T.reshape(4) / 2 for p in PAULIS])
-# T4INV[2r+c, p] = P_p[r, c]   (synthesis per qubit)
-_T4INV = np.stack([p.reshape(4) for p in PAULIS]).T
-
-
-def _apply_qubitwise(arr, table, nqubits):
-    """Apply a 4x4 per-qubit map to every digit of (..., 4**n) arrays."""
-    lead = arr.shape[:-1]
-    a = arr.reshape(-1, 4 ** nqubits)
-    batch = a.shape[0]
-    for _ in range(nqubits):
-        a = a.reshape(batch * 4 ** (nqubits - 1), 4) @ table.T
-        # move the processed digit to the front; n steps restore the order
-        a = (
-            a.reshape(batch, 4 ** (nqubits - 1), 4)
-            .transpose(0, 2, 1)
-            .reshape(batch, 4 ** nqubits)
-        )
-    return a.reshape(*lead, 4 ** nqubits)
 
 
 def pauli_coeffs(mat: np.ndarray, nqubits: int) -> np.ndarray:
@@ -253,26 +192,21 @@ def pauli_coeffs(mat: np.ndarray, nqubits: int) -> np.ndarray:
 
 
 def pauli_coeffs_batch(mats: np.ndarray, nqubits: int) -> np.ndarray:
-    """Batched version of :func:`pauli_coeffs` for (..., 2^n, 2^n) input."""
+    """Batched version of :func:`pauli_coeffs` for (..., 2^n, 2^n) input:
+    T4 applied to the (row, column) digit pair of every qubit."""
     q = nqubits
     lead = mats.shape[:-2]
     a = np.asarray(mats, dtype=complex).reshape((-1,) + (2,) * (2 * q))
+    batch = a.shape[0]
     # interleave row/col axes per qubit: (batch, r0, c0, r1, c1, ...)
     perm = [0] + [1 + k + off for k in range(q) for off in (0, q)]
-    a = a.transpose(perm).reshape(a.shape[0], 4**q)
-    return _apply_qubitwise(a, _T4, q).reshape(*lead, 4**q)
-
-
-def coeffs_to_matrix(coeffs: np.ndarray, nqubits: int) -> np.ndarray:
-    """Inverse of :func:`pauli_coeffs`; leading axes of ``coeffs`` are a
-    batch, as in :func:`pauli_coeffs_batch`."""
-    q = nqubits
-    coeffs = np.asarray(coeffs, dtype=complex)
-    lead = coeffs.shape[:-1]
-    a = _apply_qubitwise(coeffs, _T4INV, q).reshape((-1,) + (2, 2) * q)
-    # de-interleave (batch, r0, c0, r1, c1, ...) -> (batch, r..., c...)
-    perm = [0] + [1 + 2 * k for k in range(q)] + [2 + 2 * k for k in range(q)]
-    return a.transpose(perm).reshape(*lead, 2**q, 2**q)
+    a = a.transpose(perm).reshape(batch, 4**q)
+    for _ in range(q):
+        a = a.reshape(batch * 4 ** (q - 1), 4) @ _T4.T
+        # move the processed digit to the front; q steps restore the order
+        a = (a.reshape(batch, 4 ** (q - 1), 4).transpose(0, 2, 1)
+             .reshape(batch, 4**q))
+    return a.reshape(*lead, 4**q)
 
 
 def pauli_pair_traces(xs, ys, patterns, nqubits: int) -> np.ndarray:

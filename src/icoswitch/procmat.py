@@ -33,8 +33,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import settings as catalog
-from .paulialg import (PauliContext, coeffs_to_matrix, pauli_coeffs,
-                       pauli_coeffs_batch)
+from .paulialg import (PauliContext, pauli_coeffs, pauli_coeffs_batch,
+                       sparse_coeffs_to_matrix)
 from .qmath import LabeledOperator, LabeledVector, choi_vector, dephase, tensor
 
 LABELS = ("P", "A_I", "A_O", "B_I", "B_O", "F_t", "F_c")
@@ -216,9 +216,10 @@ def project_ordered(m: LabeledOperator, order: str) -> LabeledOperator:
     """Orthogonal projection onto the order-compatible linear subspace."""
     if m.labels != CANONICAL:
         raise ValueError(f"operator labels must be {CANONICAL}")
-    coeffs = pauli_coeffs(m.entries, NQUBITS)
-    coeffs = coeffs * ~forbidden_mask(order)
-    return LabeledOperator(CANONICAL, DIMS, coeffs_to_matrix(coeffs, NQUBITS))
+    kept = np.flatnonzero(~forbidden_mask(order))
+    coeffs = pauli_coeffs(m.entries, NQUBITS)[kept]
+    return LabeledOperator(CANONICAL, DIMS, sparse_coeffs_to_matrix(
+        kept, coeffs, PauliContext(NQUBITS)))
 
 
 def mix_orders(p: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix) -> ProcessMatrix:

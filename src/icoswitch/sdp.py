@@ -16,12 +16,12 @@ their Gram is assembled per class pair (after SDPA's F1/F2/F3 choice,
 Fujisawa, Kojima & Nakata 1997): unit x unit by ``pauli_pair_traces``,
 unit x dense from the coefficients of W Q_l W, and dense x dense from the
 (Re, Im) coefficients Phi of Q_l W, gathered from shift tables, as Re Phi
-Re Phi^T - Im Phi Im Phi^T.  Where every operator is I or X on a sector
-qubit and C commutes with X there, so does every iterate: W = W+ (+) W-
-in that X eigenbasis, and the Gram is the sum of two half-side Grams
-(Gatermann & Parrilo 2004).  A block may stand for identical copies of
-itself (``Block.copies``), the form every block takes when no operator
-of the problem acts on some factor.
+Re Phi^T - Im Phi Im Phi^T.  Where every dense row is I or X on a sector
+qubit, every unit I, and C commutes with X there, so does every iterate:
+W = W+ (+) W- in that X eigenbasis, and the Gram is the sum of two
+half-side Grams (Gatermann & Parrilo 2004).  A block may stand for
+identical copies of itself (``Block.copies``), the form every block takes
+when no operator of the problem acts on some factor.
 
 The NT scaling of a block comes from X = L L^H, Z = R R^H and the SVD
 R^H L = U Lam V^H:  G = L V Lam^-1/2 gives G^-1 X G^-H = G^H Z G = Lam,
@@ -77,18 +77,6 @@ class DenseColumns:
         return np.tensordot(yloc, self.mats, axes=(0, 0))
 
 
-def _on_frame(patterns, nqubits, sector):
-    """(patterns, signs (sectors, n)) on the frame of ``sector``: with none,
-    all qubits, one sector; else the other qubits, sectors X_sector = +1, -1
-    and signs (+1, +1) for I there, (+1, -1) for X, ValueError for Y, Z."""
-    if sector is None:
-        return np.asarray(patterns, np.int64), np.ones((1, len(patterns)))
-    digit, rest = split_qubit(patterns, nqubits, sector)
-    if (digit > 1).any():
-        raise ValueError(f"a pattern has Y or Z on the sector qubit {sector}")
-    return rest, np.stack([np.ones(len(rest)), 1.0 - 2 * digit])
-
-
 def _on_active(patterns, ctx):
     """(A, local): the sorted qubits A on which some pattern is not the
     identity, and the patterns' indices as Pauli products on A alone."""
@@ -121,9 +109,18 @@ class PauliRows:
     def on_frame(self, sector):
         """(rows, cache, ops), once per sector: the rows per sector on the
         frame support (patterns that meet there summed), its ``ShiftCache``,
-        and the Q_l side by side per sector, (s, side, k side)."""
+        and the Q_l side by side per sector, (s, side, k side).  The frame
+        is all qubits but ``sector``, if one is given: there the sectors
+        X = +1, -1 weigh I by (+1, +1) and X by (+1, -1); Y or Z raises
+        ValueError.  With none it is all qubits, in one sector."""
         if sector not in self._frames:
-            pats, signs = _on_frame(self.support, self.ctx.nqubits, sector)
+            pats, signs = self.support, np.ones((1, len(self.support)))
+            if sector is not None:
+                digit, pats = split_qubit(pats, self.ctx.nqubits, sector)
+                if (digit > 1).any():
+                    raise ValueError("a pattern has Y or Z on the sector "
+                                     f"qubit {sector}")
+                signs = np.stack([np.ones(len(pats)), 1.0 - 2 * digit])
             support, at = np.unique(pats, return_inverse=True)
             rows = signs[:, None] * self.rows @ np.eye(len(support))[at]
             ctx = PauliContext(self.ctx.nqubits - (sector is not None))
@@ -139,11 +136,12 @@ class PauliColumns:
     ``unit_patterns`` lists operators that are single Pauli products P_s;
     ``dense``, a ``PauliRows``, the dense operators Q_l and the qubits, each
     column ``sign`` Q_l.  Unit columns come first in the local index order.
-    With a ``sector`` qubit, on which every operator is I or X and C
-    commutes with X, the Gram Tr[A_i W A_j W] is the sum of the frame Grams
-    (``_on_frame``) at W's sector blocks; each is assembled per column
-    class.  P_s (x) 1 has P_s on the units' active frame qubits A_u, and
-    W_ij are the blocks of W over the frame qubits outside A_u:
+    With a ``sector`` qubit, on which C commutes with X, every dense row is
+    I or X and every unit pattern I (else ValueError), the Gram
+    Tr[A_i W A_j W] is the sum of the frame Grams (``PauliRows.on_frame``)
+    at W's sector blocks; each is assembled per column class.  P_s (x) 1
+    has P_s on the units' active frame qubits A_u, and W_ij are the blocks
+    of W over the frame qubits outside A_u:
 
       unit x unit    sum_ij Tr[P_s W_ij P_t W_ji] on A_u, a gather and two
                      Walsh-Hadamard GEMMs per X-mask class of s;
@@ -165,9 +163,13 @@ class PauliColumns:
         self.frame = PauliContext(self.nqubits - (sector is not None))
         if len(dense.rows):   # the first block on the rows builds them
             self._rows, self._cache, self._ops = dense.on_frame(sector)
-        # the units on the frame, their signs, A_u and their indices on A_u
-        self._units, self._signs = _on_frame(self.unit_patterns,
-                                             self.nqubits, sector)
+        # the units on the frame, A_u and their indices on A_u
+        self._units = self.unit_patterns
+        if sector is not None:
+            digit, self._units = split_qubit(self._units, self.nqubits, sector)
+            if digit.any():
+                raise ValueError("a unit pattern has X, Y or Z on the sector "
+                                 f"qubit {sector}")
         self.unit_qubits, self._unit_local = _on_active(self._units,
                                                         self.frame)
 
@@ -189,33 +191,23 @@ class PauliColumns:
         return g
 
     def _unit_gram(self, ws):
-        # Tr[(P_s (x) 1) W (P_t (x) 1) W] = sum_ij Tr[P_s W_ij P_t W_ji] per
-        # sector times the units' signs, 1 where each sector's signs agree
+        # Tr[(P_s (x) 1) W (P_t (x) 1) W] = sum_ij Tr[P_s W_ij P_t W_ji],
+        # summed over the sectors: one stack of their idle blocks
         wb = _idle_blocks(ws, self.frame.nqubits, self.unit_qubits)
-        n, signs = wb.shape[-1], self._signs
-        uniform = (signs == signs[:, :1]).all()
-        g = 0.0
-        for s in [slice(None)] if uniform else range(len(ws)):
-            t = np.real(pauli_pair_traces(
-                wb[s].reshape(-1, n, n),
-                wb[s].swapaxes(-3, -4).reshape(-1, n, n),
-                self._unit_local, len(self.unit_qubits)))
-            g = t if uniform else g + np.outer(signs[s], signs[s]) * t
-        return g
+        n = wb.shape[-1]
+        return np.real(pauli_pair_traces(
+            wb.reshape(-1, n, n), wb.swapaxes(-3, -4).reshape(-1, n, n),
+            self._unit_local, len(self.unit_qubits)))
 
     def _cross_gram(self, ws):
         s, d, k = len(ws), self.frame.dim, len(self.dense.rows)
         # N[s, r, l, c] = (W Q_l W)[r, c] on each sector, two GEMMs
         nl = ((ws @ self._ops).reshape(s, d * k, d) @ ws).reshape(s, d, k, d)
-        # Tr[(P_s (x) 1) N_l] is side times the P_s-coefficient of N_l, summed
-        # over the sectors with the unit's signs: one transform per sign set
-        out = np.empty((len(self._units), k))
-        for signs in np.unique(self._signs, axis=1).T:
-            on = (self._signs.T == signs).all(axis=1)
-            m = np.tensordot(signs, nl, axes=1).transpose(1, 0, 2)
-            out[on] = np.real(pauli_coeffs_batch(m, self.frame.nqubits)[
-                :, self._units[on]]).T
-        return d * out
+        # Tr[(P_s (x) 1) N_l] is side times the P_s-coefficient of N_l
+        # summed over the sectors: one transform
+        m = nl.sum(axis=0).transpose(1, 0, 2)
+        return d * np.real(pauli_coeffs_batch(m, self.frame.nqubits)[
+            :, self._units]).T
 
     def _dense_gram(self, ws):
         # W is Hermitian, so its Pauli coefficients are real; Phi holds the
@@ -497,8 +489,10 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
     carry global constraint indices into it.  ``free_g``/``free_f`` add
     primal free variables, i.e. dual equality constraints  free_g.T y =
     free_f.  ``callback(it, gap, pinf, dinf)``, when given, is called once
-    per iteration before the stopping test.  A NaN or infinite entry in
-    ``b``, a block's ``c`` or the free-variable data returns
+    per iteration before the stopping test; at ``maxiter`` the objectives,
+    gap and residuals are evaluated once more on the returned iterate,
+    with no further callback.  A NaN or infinite entry in ``b``, a
+    block's ``c`` or the free-variable data returns
     ``numerical_failure`` at once, with no iterates; ``maxiter < 1`` or
     no blocks raises ValueError.
     """
@@ -572,6 +566,8 @@ def solve_conic(blocks, b, free_g=None, free_f=None, tol=1e-7,
             z[n] = (z[n] + z[n].conj().T) / 2
         # this Newton system is spent: free it before the next Gram
         del h, fac, pred, d
+    else:   # out of iterations: describe the iterate returned, not the last
+        res = _residuals(blocks, b, free_g, free_f, scale, x, z, y, u)
 
     return SdpSolution(
         status, y, x, z, u, res.pobj, res.dobj, res.gap, it,

@@ -7,7 +7,8 @@ from icoswitch import procmat as pm
 from icoswitch import settings as catalog
 from icoswitch.circuits import (parse_circuit, program_from_spec,
                                 reference_circuit_text)
-from icoswitch.paulialg import coeffs_to_matrix, pauli_coeffs
+from icoswitch.paulialg import (PauliContext, pauli_coeffs,
+                                sparse_coeffs_to_matrix)
 from icoswitch.qmath import LabeledOperator, choi_vector, coherence
 from icoswitch.settings import CATALOG, PLUS_MINUS, SHAPE, ExperimentSetting
 from icoswitch.switch import setting_probabilities as qubit_probs
@@ -298,7 +299,9 @@ def test_valid_projection_keeps_normalization():
     # probability distributions for every catalog setting
     rng = np.random.default_rng(11)
     coeffs = pauli_coeffs(rand_herm(rng).entries, pm.NQUBITS)
-    m = coeffs_to_matrix(coeffs * ~pm.forbidden_mask("valid"), pm.NQUBITS)
+    m = sparse_coeffs_to_matrix(np.arange(4**pm.NQUBITS),
+                                coeffs * ~pm.forbidden_mask("valid"),
+                                PauliContext(pm.NQUBITS))
     ent = m + (pm.TRACE_NORM - np.trace(m)) / 128 * np.eye(128)
     wr = pm.ProcessMatrix(LabeledOperator(pm.CANONICAL, pm.DIMS, ent))
     table = pm.probability_table(0.0, w=wr)

@@ -187,10 +187,11 @@ def gram_oracle_error(q, units, support, rows, rng, sector=None, sign=1.0):
                                  (cols.combine(y), dense.combine(y))))
 
 
-def patterns_on(data, q, qubits, min_size, max_size, unique, sector=None):
-    """Pattern indices that are the identity off ``qubits``, and I or X on
-    ``sector``."""
-    digit = [st.integers(0, 1 if k == sector else 3) if k in qubits
+def patterns_on(data, q, qubits, min_size, max_size, unique, sector=None,
+                sector_max=1):
+    """Pattern indices that are the identity off ``qubits``, and on
+    ``sector`` I or, with ``sector_max`` 1, X."""
+    digit = [st.integers(0, sector_max if k == sector else 3) if k in qubits
              else st.just(0) for k in range(q)]
     pats = data.draw(st.lists(st.tuples(*digit), min_size=min_size,
                               max_size=max_size, unique=unique))
@@ -203,8 +204,9 @@ def patterns_on(data, q, qubits, min_size, max_size, unique, sector=None):
 def test_pauli_gram_matches_dense_gram_per_column_class(q, data):
     # unit patterns active on one qubit up to all of them; a dense support
     # active on a superset, a subset of, or qubits disjoint from the units';
-    # with a declared sector qubit, every pattern is I or X there, so the
-    # sectors weigh the columns with equal or opposite signs
+    # with a declared sector qubit, every unit is I there and every dense
+    # pattern I or X, so the sectors weigh the dense rows with equal or
+    # opposite signs
     sector = data.draw(st.one_of(st.none(), st.integers(0, q - 1)))
     qubits = st.sets(st.integers(0, q - 1), min_size=1)
     unit_qubits = data.draw(qubits)
@@ -215,7 +217,8 @@ def test_pauli_gram_matches_dense_gram_per_column_class(q, data):
         support_qubits = data.draw(st.sets(st.sampled_from(sorted(unit_qubits))))
     else:
         support_qubits = set(range(q)) - unit_qubits
-    units = patterns_on(data, q, unit_qubits, 0, 6, unique=True, sector=sector)
+    units = patterns_on(data, q, unit_qubits, 0, 6, unique=True, sector=sector,
+                        sector_max=0)
     support = patterns_on(data, q, support_qubits, 1, 5, unique=False,
                           sector=sector)
     n_dense = data.draw(st.integers(0 if len(units) else 1, 3))
@@ -241,10 +244,12 @@ def test_pauli_gram_matches_dense_gram_at_the_witness_size(full_span):
         assert err < 1e-12
 
 
-@pytest.mark.parametrize("where", ["unit", "dense"])
-@pytest.mark.parametrize("digit", [2, 3], ids=["Y", "Z"])
+@pytest.mark.parametrize("digit, where", [
+    (1, "unit"), (2, "unit"), (2, "dense"), (3, "unit"), (3, "dense")],
+    ids=["X-unit", "Y-unit", "Y-dense", "Z-unit", "Z-dense"])
 def test_y_or_z_on_a_declared_sector_qubit_is_rejected(where, digit):
-    # qubit 0 of two is the sector; the pattern 4 digit + 1 is Y or Z there
+    # qubit 0 of two is the sector; the pattern 4 digit + 1 is X, Y or Z
+    # there: a unit pattern must be I on it, a dense row I or X
     bad = [4 * digit + 1]
     units, support = (bad, [1]) if where == "unit" else ([1], bad)
     with pytest.raises(ValueError, match="Y or Z on the sector qubit 0"):
@@ -492,6 +497,27 @@ def test_iteration_cap_returns_max_iterations():
     assert sol.status == "max_iterations"
     assert sol.iterations == 1
     assert not sol.optimal
+
+
+def test_iteration_cap_reports_the_returned_iterate():
+    # the objectives, the gap and pinf at the cap are those of the y, X and
+    # Z returned, not of the iterate before the last step; no extra callback
+    rng = np.random.default_rng(31)
+    mats = [rand_herm(rng, 4) for _ in range(3)]
+    c = rand_herm(rng, 4) + 4 * np.eye(4)
+    b = rng.normal(size=3)
+    calls = []
+    sol = solve_conic([Block("S", c, DenseColumns(4, range(3), mats))], b,
+                      maxiter=2, callback=lambda *args: calls.append(args))
+    assert sol.status == "max_iterations" and len(calls) == 2
+    x, z = sol.x_blocks["S"], sol.z_blocks["S"]
+    r_p = b - [np.trace(m @ x).real for m in mats]
+    for got, want in ((sol.dual_objective, b @ sol.y),
+                      (sol.primal_objective, np.trace(c @ x).real),
+                      (sol.gap, np.trace(x @ z).real),
+                      (sol.residuals["pinf"],
+                       np.linalg.norm(r_p) / (1.0 + np.linalg.norm(b)))):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 @pytest.mark.parametrize("maxiter", [0, -1])
